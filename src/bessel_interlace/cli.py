@@ -4,8 +4,9 @@ Subcommands: zeros, chain, verify, break, wronskian, counterexample.
 Exit codes: 0 all checks passed, 1 mathematical violation found (or a
 requested witness was not found), 2 usage or domain error. Numbers are
 emitted with 17 significant digits in both CSV and JSON, which
-round-trips IEEE doubles exactly; identical flags produce byte-identical
-output regardless of the parallelism degree.
+round-trips IEEE doubles exactly, so identical flags produce
+byte-identical output. Every command runs serially; ``--threads`` and
+its environment override are validated and accepted for compatibility.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import interlace, wronskian
@@ -22,8 +22,6 @@ from .errors import BesselInterlaceError, DomainError, SearchError
 from .zeros import ZeroKind, zeros_upto
 
 THREADS_ENV = "BESSEL_INTERLACE_THREADS"
-
-_SUITES = ("theorem1", "proposition", "derivative-chains", "theorem2", "all")
 
 
 # --- number / structure formatting -----------------------------------------
@@ -100,7 +98,6 @@ class RunConfig:
     command: str
     fmt: str = "csv"
     out: str = "-"
-    threads: int = 1
     params: dict = field(default_factory=dict)
 
 
@@ -138,7 +135,8 @@ def parse_nu_list(text: str) -> list[float]:
     return values
 
 
-def resolve_threads(flag_value: int | None) -> int:
+def validate_threads(flag_value: int | None) -> None:
+    """Reject a bad --threads or THREADS_ENV (which wins); both are otherwise ignored."""
     env = os.environ.get(THREADS_ENV)
     if env is not None:
         try:
@@ -147,12 +145,8 @@ def resolve_threads(flag_value: int | None) -> int:
             raise DomainError(f"{THREADS_ENV} must be an integer, got {env!r}", code="DOMAIN_THREADS")
         if n < 1:
             raise DomainError(f"{THREADS_ENV} must be >= 1, got {n}", code="DOMAIN_THREADS")
-        return n
-    if flag_value is None:
-        return 1
-    if flag_value < 1:
+    elif flag_value is not None and flag_value < 1:
         raise DomainError(f"--threads must be >= 1, got {flag_value}", code="DOMAIN_THREADS")
-    return flag_value
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -237,53 +231,20 @@ def _witness_dict(w: interlace.ViolationWitness) -> dict:
     }
 
 
-def _verify_task(suite: str, nu: float, eps_grid: list[float], smax: int):
-    violations = []
-    notes = []
-    if suite in ("theorem1", "all"):
-        for w in interlace.check_theorem1(nu, smax):
-            violations.append(("theorem1", w))
-        if nu == 0.0:
-            notes.append({"suite": "theorem1", "nu": nu, "note": "nu=0 exact equalities exempt"})
-    if suite in ("proposition", "all"):
-        for w in interlace.check_proposition(nu, smax):
-            violations.append(("proposition", w))
-        if nu == 0.0:
-            notes.append(
-                {
-                    "suite": "proposition",
-                    "nu": nu,
-                    "note": "j(1,s)=jp(0,s+1) and y(1,s)=yp(0,s) exactly; equalities exempt",
-                }
-            )
-    if suite in ("derivative-chains", "all"):
-        for eps in eps_grid:
-            for w in interlace.check_derivative_chains(nu, eps, smax):
-                violations.append(("derivative-chains", w))
-    if suite in ("theorem2", "all"):
-        for eps in eps_grid:
-            for s in range(1, smax + 1):
-                rep = interlace.check_chain(interlace.build_chain(nu, eps, s))
-                if not rep.ok:
-                    i = rep.first_failure
-                    labels = interlace.CHAIN_LABELS
-                    violations.append(
-                        (
-                            "theorem2",
-                            interlace.ViolationWitness(
-                                nu,
-                                eps,
-                                s,
-                                labels[i],
-                                labels[i + 1],
-                                rep.chain.nodes[i],
-                                rep.chain.nodes[i + 1],
-                            ),
-                        )
-                    )
-            if nu == 0.0 and eps == 1.0:
-                notes.append({"suite": "theorem2", "nu": nu, "note": "nu=0, eps=1 equality pairs exempt"})
-    return violations, notes
+# Per suite: its check at one grid point, the one eps it is stated at (None:
+# each eps of the grid), and the note verify adds at nu = 0, eps = 1. Theorem 1
+# has no identity pair; its note is kept for output compatibility.
+_SUITE_CHECKS = {
+    "theorem1": (lambda nu, eps, smax: interlace.check_theorem1(nu, smax), 1.0, "nu=0 exact equalities exempt"),
+    "proposition": (
+        lambda nu, eps, smax: interlace.check_proposition(nu, smax),
+        1.0,
+        "j(1,s)=jp(0,s+1) and y(1,s)=yp(0,s) exactly; equalities exempt",
+    ),
+    "derivative-chains": (interlace.check_derivative_chains, None, None),
+    "theorem2": (interlace.check_theorem2, None, "nu=0, eps=1 equality pairs exempt"),
+}
+_SUITES = (*_SUITE_CHECKS, "all")
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
@@ -298,14 +259,15 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
             raise DomainError(f"verify eps grid must lie in (0, 1], got {eps}", code="DOMAIN_EPS")
     smax = p["smax"]
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda nu: _verify_task(suite, nu, eps_grid, smax), nu_grid))
-    else:
-        results = [_verify_task(suite, nu, eps_grid, smax) for nu in nu_grid]
-
-    violations = [w for vs, _ in results for w in vs]
-    notes = [n for _, ns in results for n in ns]
+    violations = []
+    notes = []
+    for name in _SUITE_CHECKS if suite == "all" else (suite,):
+        check, fixed_eps, note = _SUITE_CHECKS[name]
+        for nu in nu_grid:
+            for eps in eps_grid if fixed_eps is None else (fixed_eps,):
+                violations += [(name, w) for w in check(nu, eps, smax)]
+                if note and nu == 0.0 and eps == 1.0:
+                    notes.append({"suite": name, "nu": nu, "note": note})
     violations.sort(key=lambda sw: (sw[0], sw[1].nu, sw[1].eps, sw[1].s, sw[1].left_label))
     notes.sort(key=lambda n: (n["suite"], n["nu"]))
 
@@ -450,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, default_fmt="csv"):
         sp.add_argument("--format", choices=("csv", "json"), default=default_fmt)
         sp.add_argument("--out", default="-", help="output path, or - for stdout")
-        sp.add_argument("--threads", type=int, default=None, help=f"parallelism (env {THREADS_ENV} overrides)")
+        sp.add_argument("--threads", type=int, default=None, help=f"ignored, kept for compatibility (env {THREADS_ENV})")
 
     sp = sub.add_parser("zeros", help="tabulate zeros of one kind and order")
     sp.add_argument("--kind", required=True)
@@ -498,11 +460,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     params = {k: v for k, v in vars(args).items() if k not in ("command", "format", "out", "threads")}
     if "nu_list" in params and isinstance(params["nu_list"], str):
         params["nu_list"] = parse_nu_list(params["nu_list"])
+    validate_threads(args.threads)
     cfg = RunConfig(
         command=args.command,
         fmt=args.format,
         out=args.out,
-        threads=resolve_threads(args.threads),
         params=params,
     )
     if cfg.command == "verify" and cfg.fmt != "json":
@@ -537,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bessel-interlace {args.command}: error ({exc.code}): {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # malformed input must never escape as a traceback
-        print(f"bessel-interlace {args.command}: internal error: {exc}", file=sys.stderr)
+        print(f"bessel-interlace {args.command}: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
     _emit(cfg, body)
     return code

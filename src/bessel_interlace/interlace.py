@@ -1,14 +1,16 @@
 """Interlacing chains for Bessel zeros, their checks, and breaking searches.
 
-The unified seven-node chain at order nu, increment eps, rank s is
+Every inequality the package checks is one row of ``_TABLE`` below. The
+unified seven-node chain at order nu, increment eps, rank s is
 
     j'_{nu,s} < y_{nu,s} < y_{nu+eps,s} < y'_{nu,s}
              < j_{nu,s} < j_{nu+eps,s} < j'_{nu,s+1}
 
 valid for 0 < eps <= 1. At nu = 0, eps = 1 two of the "<" degenerate
 to exact equalities (J'_0 = -J_1 and Y'_0 = -Y_1 identify zero
-families), which the checks exempt instead of flagging. For eps > 1
-the chain breaks: some rank has y_{nu+eps,s} > j_{nu,s}.
+families), as do both Proposition pairs; the checks exempt exactly
+those pairs. For eps > 1 the chain breaks: some rank has
+y_{nu+eps,s} > j_{nu,s}.
 
 All node values come from the shared zero-finder cache, so a value
 reused across chains is bit-for-bit identical.
@@ -17,10 +19,12 @@ reused across chains is bit-for-bit identical.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, SearchError
-from .zeros import ZeroId, ZeroKind, zero
+from .zeros import ZeroId, ZeroKind, zero, zeros_upto
 
 __all__ = [
     "CHAIN_LABELS",
@@ -32,21 +36,32 @@ __all__ = [
     "check_theorem1",
     "check_proposition",
     "check_derivative_chains",
+    "check_theorem2",
     "find_breaking",
     "counterexample_scan",
 ]
 
-#: Labels of the seven chain nodes, in order. ``v`` is the base order,
-#: ``v+e`` the incremented one.
-CHAIN_LABELS = (
-    "jp(v,s)",
-    "y(v,s)",
-    "y(v+e,s)",
-    "yp(v,s)",
-    "j(v,s)",
-    "j(v+e,s)",
-    "jp(v,s+1)",
+#: Every interlacing inequality the package checks, one row per chain of
+#: the paper: (suite, chain, per_rank). A chain holds at every rank
+#: s = 1..s_max for the orders v = nu and v+e = nu + eps. "<=" marks a
+#: pair that is an exact identity at nu = 0, eps = 1 and strict
+#: everywhere else. A chain ending in "< ..." is an interleaving that
+#: continues into rank s + 1; it stops at rank s_max and never reads rank
+#: s_max + 1. A per_rank row reports, like ``check_chain``, only the
+#: first failure of each rank, under its labels as written.
+_TABLE = (
+    ("theorem1", "j(v,s) < j(v+e,s) < ...", False),
+    ("theorem1", "y(v,s) < y(v+e,s) < ...", False),
+    ("theorem1", "jp(v,s) < y(v,s) < yp(v,s) < j(v,s) < jp(v,s+1)", False),
+    ("theorem1", "jp(v,s) < jp(v+e,s) < ...", False),
+    ("theorem1", "yp(v,s) < yp(v+e,s) < ...", False),
+    ("proposition", "j(v+e,s) <= jp(v,s+1)", False),
+    ("proposition", "y(v+e,s) <= yp(v,s)", False),
+    ("derivative-chains", "jp(v,s) < jp(v+e,s) < ...", False),
+    ("derivative-chains", "yp(v,s) < yp(v+e,s) < ...", False),
+    ("theorem2", "jp(v,s) < y(v,s) < y(v+e,s) <= yp(v,s) < j(v,s) < j(v+e,s) <= jp(v,s+1)", True),
 )
+
 
 def strict_tol(right_value: float) -> float:
     """Margin a gap must exceed to count as strictly ordered."""
@@ -56,9 +71,46 @@ def strict_tol(right_value: float) -> float:
 #: |gap| at or below this is an exact-equality degeneracy, not a violation.
 EQ_TOL = 1e-10
 
-# Gap positions (left-node index) exempt at nu=0, eps=1: y(v+e,s)->yp(v,s)
-# and j(v+e,s)->jp(v,s+1) are equalities there.
-_NU0_EPS1_EXEMPT_GAPS = (2, 5)
+_NODE = re.compile(r"(jp|yp|j|y)\((v|v\+e),(s|s\+1)\)")
+
+
+class _Node(NamedTuple):
+    text: str
+    kind: ZeroKind
+    shifted: bool  # order nu + eps rather than nu
+    offset: int  # rank s + offset
+
+    def label(self, s: int) -> str:
+        return f"{self.kind.value}({'v+e' if self.shifted else 'v'},{s + self.offset})"
+
+
+class _Chain(NamedTuple):
+    suite: str
+    nodes: tuple[_Node, ...]
+    identities: frozenset[int]  # positions i of the "<=" pairs (node i, node i+1)
+    open: bool
+    per_rank: bool
+
+
+def _parse(suite: str, text: str, per_rank: bool) -> _Chain:
+    tokens = text.split()
+    is_open = tokens[-1] == "..."
+    if is_open:
+        tokens[-1] = tokens[0].replace(",s)", ",s+1)")
+    nodes = []
+    for token in tokens[::2]:
+        kind, order, rank = _NODE.fullmatch(token).groups()
+        nodes.append(_Node(token, ZeroKind(kind), order == "v+e", int(rank == "s+1")))
+    identities = frozenset(i for i, sign in enumerate(tokens[1::2]) if sign == "<=")
+    return _Chain(suite, tuple(nodes), identities, is_open, per_rank)
+
+
+_CHAINS = tuple(_parse(*row) for row in _TABLE)
+_SEVEN_NODE = next(c for c in _CHAINS if c.suite == "theorem2")
+
+#: Labels of the seven chain nodes, in order. ``v`` is the base order,
+#: ``v+e`` the incremented one.
+CHAIN_LABELS = tuple(node.text for node in _SEVEN_NODE.nodes)
 
 
 @dataclass(frozen=True)
@@ -94,78 +146,85 @@ def _zval(kind: ZeroKind, nu: float, s: int) -> float:
     return zero(ZeroId(kind, nu, s)).value
 
 
+def _sequences(chains, nu: float, eps: float, s_max: int) -> dict:
+    """Each node family (kind, shifted) the chains read at ranks 1..s_max, as one record sequence.
+
+    An open chain's last node is left out: it is never read at s_max.
+    """
+    need: dict[tuple[ZeroKind, bool], int] = {}
+    for chain in chains:
+        for node in chain.nodes[:-1] if chain.open else chain.nodes:
+            family = (node.kind, node.shifted)
+            need[family] = max(need.get(family, 0), s_max + node.offset)
+    return {
+        (kind, shifted): zeros_upto(kind, nu + eps if shifted else nu, n) for (kind, shifted), n in need.items()
+    }
+
+
+def _rank_values(chain: _Chain, seqs: dict, s: int, s_max: int) -> list[float]:
+    """Node values of ``chain`` at rank s; an open chain ends one node early at s_max."""
+    nodes = chain.nodes[:-1] if chain.open and s == s_max else chain.nodes
+    return [seqs[(n.kind, n.shifted)][s - 1 + n.offset].value for n in nodes]
+
+
+def _failures(chain: _Chain, nu: float, eps: float, values):
+    """Positions i where values[i] < values[i + 1] fails, identities exempt at nu = 0, eps = 1."""
+    at_identity = nu == 0.0 and eps == 1.0
+    for i, (left, right) in enumerate(zip(values, values[1:])):
+        gap = right - left
+        if gap > strict_tol(right):
+            continue
+        if at_identity and i in chain.identities and abs(gap) <= EQ_TOL:
+            continue
+        yield i
+
+
+def _check(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
+    """Violations of the suite's rows at (nu, eps), ranks 1..s_max, in row, rank, pair order."""
+    if s_max < 1:
+        return []
+    chains = [c for c in _CHAINS if c.suite == suite]
+    seqs = _sequences(chains, nu, eps, s_max)
+    out = []
+    for chain in chains:
+        for s in range(1, s_max + 1):
+            values = _rank_values(chain, seqs, s, s_max)
+            for i in _failures(chain, nu, eps, values):
+                left, right = chain.nodes[i], chain.nodes[i + 1]
+                labels = (left.text, right.text) if chain.per_rank else (left.label(s), right.label(s))
+                out.append(ViolationWitness(nu, eps, s, *labels, values[i], values[i + 1]))
+                if chain.per_rank:
+                    break
+    return out
+
+
 def build_chain(nu: float, eps: float, s: int) -> InterlaceChain:
-    """Compute the seven chain nodes through the zero finder."""
+    """The seven chain nodes at rank s, through the zero finder."""
     nu = float(nu)
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}", code="DOMAIN_EPS")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
-    nodes = (
-        _zval(ZeroKind.JPRIME, nu, s),
-        _zval(ZeroKind.Y, nu, s),
-        _zval(ZeroKind.Y, nu + eps, s),
-        _zval(ZeroKind.YPRIME, nu, s),
-        _zval(ZeroKind.J, nu, s),
-        _zval(ZeroKind.J, nu + eps, s),
-        _zval(ZeroKind.JPRIME, nu, s + 1),
-    )
-    return InterlaceChain(nu, eps, s, nodes)
+    seqs = _sequences([_SEVEN_NODE], nu, eps, s)
+    return InterlaceChain(nu, eps, s, tuple(_rank_values(_SEVEN_NODE, seqs, s, s)))
 
 
 def check_chain(chain: InterlaceChain) -> ChainReport:
     """Strict ordering of the seven nodes, with the nu=0, eps=1 exemption."""
     nodes = chain.nodes
-    margins = tuple(nodes[i + 1] - nodes[i] for i in range(6))
-    exempt = chain.nu == 0.0 and chain.eps == 1.0
-    first_failure = None
-    for i, gap in enumerate(margins):
-        if gap > strict_tol(nodes[i + 1]):
-            continue
-        if exempt and i in _NU0_EPS1_EXEMPT_GAPS and abs(gap) <= EQ_TOL:
-            continue
-        first_failure = i
-        break
+    margins = tuple(b - a for a, b in zip(nodes, nodes[1:]))
+    first_failure = next(_failures(_SEVEN_NODE, chain.nu, chain.eps, nodes), None)
     return ChainReport(chain, first_failure is None, first_failure, margins)
-
-
-def _check_merged(
-    seq: list[tuple[str, float]],
-    nu: float,
-    eps: float,
-    allow_equal_at_nu0: bool,
-) -> list[ViolationWitness]:
-    """Violations of a claimed strictly increasing labeled sequence."""
-    out = []
-    for (llab, lval), (rlab, rval) in zip(seq, seq[1:]):
-        gap = rval - lval
-        if gap > strict_tol(rval):
-            continue
-        if allow_equal_at_nu0 and nu == 0.0 and abs(gap) <= EQ_TOL:
-            continue
-        # Rank reported is the one carried in the left label.
-        s = int(llab[llab.rindex(",") + 1 : -1])
-        out.append(ViolationWitness(nu, eps, s, llab, rlab, lval, rval))
-    return out
-
-
-def _interleaved(kind: ZeroKind, tag: str, nu: float, eps: float, s_max: int) -> list[tuple[str, float]]:
-    # kind zeros at orders nu and nu+eps, merged as v1 < v2 < v1' < v2' < ...
-    seq = []
-    for s in range(1, s_max + 1):
-        seq.append((f"{tag}(v,{s})", _zval(kind, nu, s)))
-        seq.append((f"{tag}(v+e,{s})", _zval(kind, nu + eps, s)))
-    return seq
 
 
 def check_theorem1(nu: float, s_max: int) -> list[ViolationWitness]:
     """The five classical interlacing chains at orders nu and nu+1.
 
     Covers the two same-kind chains for J and Y, the mixed chain
-    j'_{nu,s} < y_{nu,s} < y'_{nu,s} < j_{nu,s} < j'_{nu,s+1}, and the
-    two derivative-zero chains. Returns every adjacent-pair violation;
-    exact equalities at nu = 0 (conventional index shifts) are exempt.
+    nu <= j'_{nu,1} < y_{nu,1} < y'_{nu,1} < j_{nu,1} < j'_{nu,2} < ...,
+    and the two derivative-zero chains. Returns every adjacent-pair
+    violation; none of these pairs is an identity, so none is exempt.
     """
     nu = float(nu)
     if not isinstance(s_max, int) or not 1 <= s_max <= 100:
@@ -175,59 +234,43 @@ def check_theorem1(nu: float, s_max: int) -> list[ViolationWitness]:
     jp1 = _zval(ZeroKind.JPRIME, nu, 1)
     if jp1 < nu - 1e-12 * max(1.0, nu):
         violations.append(ViolationWitness(nu, 1.0, 1, "nu", "jp(v,1)", nu, jp1))
-    violations += _check_merged(_interleaved(ZeroKind.J, "j", nu, 1.0, s_max), nu, 1.0, True)
-    violations += _check_merged(_interleaved(ZeroKind.Y, "y", nu, 1.0, s_max), nu, 1.0, True)
-    mixed = []
-    for s in range(1, s_max + 1):
-        mixed.append((f"jp(v,{s})", _zval(ZeroKind.JPRIME, nu, s)))
-        mixed.append((f"y(v,{s})", _zval(ZeroKind.Y, nu, s)))
-        mixed.append((f"yp(v,{s})", _zval(ZeroKind.YPRIME, nu, s)))
-        mixed.append((f"j(v,{s})", _zval(ZeroKind.J, nu, s)))
-    mixed.append((f"jp(v,{s_max + 1})", _zval(ZeroKind.JPRIME, nu, s_max + 1)))
-    violations += _check_merged(mixed, nu, 1.0, True)
-    violations += _check_merged(_interleaved(ZeroKind.JPRIME, "jp", nu, 1.0, s_max), nu, 1.0, True)
-    violations += _check_merged(_interleaved(ZeroKind.YPRIME, "yp", nu, 1.0, s_max), nu, 1.0, True)
-    return violations
+    return violations + _check("theorem1", nu, 1.0, s_max)
 
 
 def check_proposition(nu: float, s_max: int) -> list[ViolationWitness]:
     """j_{nu+1,s} < j'_{nu,s+1} and y_{nu+1,s} < y'_{nu,s} for s <= s_max.
 
     At nu = 0 both are exact equalities (index-shift identities) and
-    are exempt rather than reported.
+    are exempt rather than reported. Violations of the first pair come
+    before those of the second.
     """
     nu = float(nu)
     if not isinstance(s_max, int) or s_max < 1:
         raise DomainError(f"s_max must be a positive integer, got {s_max!r}", code="DOMAIN_S")
-    out = []
-    for s in range(1, s_max + 1):
-        lval = _zval(ZeroKind.J, nu + 1.0, s)
-        rval = _zval(ZeroKind.JPRIME, nu, s + 1)
-        gap = rval - lval
-        if not gap > strict_tol(rval) and not (nu == 0.0 and abs(gap) <= EQ_TOL):
-            out.append(ViolationWitness(nu, 1.0, s, f"j(v+e,{s})", f"jp(v,{s + 1})", lval, rval))
-        lval = _zval(ZeroKind.Y, nu + 1.0, s)
-        rval = _zval(ZeroKind.YPRIME, nu, s)
-        gap = rval - lval
-        if not gap > strict_tol(rval) and not (nu == 0.0 and abs(gap) <= EQ_TOL):
-            out.append(ViolationWitness(nu, 1.0, s, f"y(v+e,{s})", f"yp(v,{s})", lval, rval))
-    return out
+    return _check("proposition", nu, 1.0, s_max)
 
 
 def check_derivative_chains(nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
     """Interlacing of derivative zeros across the order increment:
 
     j'_{nu,s} < j'_{nu+eps,s} < j'_{nu,s+1} and the same for y'.
-    Requires 0 < eps <= 1; exact equalities at nu = 0, eps = 1 exempt.
+    Requires 0 < eps <= 1. No pair is an identity, so none is exempt.
     """
     nu = float(nu)
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must satisfy 0 < eps <= 1, got {eps!r}", code="DOMAIN_EPS")
-    allow = eps == 1.0
-    out = _check_merged(_interleaved(ZeroKind.JPRIME, "jp", nu, eps, s_max), nu, eps, allow)
-    out += _check_merged(_interleaved(ZeroKind.YPRIME, "yp", nu, eps, s_max), nu, eps, allow)
-    return out
+    return _check("derivative-chains", nu, eps, s_max)
+
+
+def check_theorem2(nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
+    """The seven-node chain at ranks s <= s_max: each rank's first failure.
+
+    Witness labels are the ``CHAIN_LABELS`` entries, as ``check_chain``
+    reports them; the nu=0, eps=1 identity pairs are exempt. The chain
+    is evaluated at any eps; it holds for 0 < eps <= 1.
+    """
+    return _check("theorem2", float(nu), float(eps), s_max)
 
 
 def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:

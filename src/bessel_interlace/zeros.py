@@ -286,29 +286,20 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
 # --- cached sequential enumeration ----------------------------------------
 
 _cache: dict[tuple[ZeroKind, float], list[ZeroRecord]] = {}
-_cache_locks: dict[tuple[ZeroKind, float], threading.Lock] = {}
-_registry_lock = threading.Lock()
+# Guards every read and extension of the cache. Extending a sequence never
+# looks up another one, so holding it across the refinement cannot deadlock.
+_cache_lock = threading.Lock()
 
 
 def clear_cache() -> None:
     """Drop all memoized zero sequences (mainly for tests)."""
-    with _registry_lock:
+    with _cache_lock:
         _cache.clear()
-        _cache_locks.clear()
-
-
-def _sequence_lock(key: tuple[ZeroKind, float]) -> threading.Lock:
-    with _registry_lock:
-        lock = _cache_locks.get(key)
-        if lock is None:
-            lock = _cache_locks[key] = threading.Lock()
-        return lock
 
 
 def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
-    key = (kind, float(nu))
-    with _sequence_lock(key):
-        records = _cache.setdefault(key, [])
+    with _cache_lock:
+        records = _cache.setdefault((kind, float(nu)), [])
         while len(records) < s_max:
             s = len(records) + 1
             id = ZeroId(kind, nu, s)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import fixtures
+from bessel_interlace import cli
 from bessel_interlace.cli import main, parse_grid, to_json
 
 
@@ -91,6 +92,17 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", "all", "--nu-grid", "0:1:1", "--format", "csv")
         assert code == 2
 
+    @pytest.mark.parametrize("flag,env", [("0", None), (None, "0"), (None, "abc")])
+    def test_bad_thread_count_exits_two(self, capsys, monkeypatch, flag, env):
+        args = ["verify", "--suite", "theorem2", "--nu-grid", "0:0:1", "--smax", "1"]
+        if flag is not None:
+            args += ["--threads", flag]
+        if env is not None:
+            monkeypatch.setenv("BESSEL_INTERLACE_THREADS", env)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert "--threads" in err
+
     def test_thread_determinism(self, capsys, monkeypatch):
         args = ("verify", "--suite", "theorem2", "--nu-grid", "0:3:0.5", "--smax", "6")
         _, serial, _ = run_cli(capsys, *args)
@@ -169,6 +181,15 @@ class TestHarness:
 
     def test_no_arguments_exits_two(self, capsys):
         assert main([]) == 2
+
+    def test_internal_error_names_exception_type(self, capsys, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "zeros", broken)
+        code, out, err = run_cli(capsys, "zeros", "--kind", "j", "--nu", "0", "--smax", "1")
+        assert (code, out) == (2, "")
+        assert "internal error (RuntimeError): boom" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "zeros.csv"

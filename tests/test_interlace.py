@@ -1,6 +1,7 @@
 import pytest
 
 import fixtures
+import bessel_interlace.zeros as zmod
 from bessel_interlace import (
     CHAIN_LABELS,
     DomainError,
@@ -16,6 +17,7 @@ from bessel_interlace import (
     find_breaking,
     zero,
 )
+from substitute import substituted_zeros
 
 
 def zval(kind, nu, s):
@@ -90,6 +92,48 @@ class TestClassicalChains:
     def test_theorem1_rank_cap(self):
         with pytest.raises(DomainError):
             check_theorem1(1.0, 101)
+
+
+class TestTable:
+    def test_only_identity_pairs_are_exempt_at_nu0(self):
+        # Forced to gap 0 at nu = 0, eps = 1, pairs that are no identity
+        # there must still be reported.
+        j01 = zval(ZeroKind.J, 0.0, 1)
+        with substituted_zeros({("j", 1.0, 1): lambda v: j01}):
+            found = [(w.left_label, w.right_label, w.s) for w in check_theorem1(0.0, 3)]
+        assert found == [("j(v,1)", "j(v+e,1)", 1)]
+        jp02 = zval(ZeroKind.JPRIME, 0.0, 2)
+        with substituted_zeros({("jp", 1.0, 1): lambda v: jp02}):
+            found = [(w.left_label, w.right_label, w.s) for w in check_derivative_chains(0.0, 1.0, 3)]
+        assert found == [("jp(v+e,1)", "jp(v,2)", 1)]
+
+    def test_identity_pairs_exempt_only_within_tolerance(self):
+        with substituted_zeros({("y", 1.0, 2): lambda v: v + 1e-6}):
+            rep = check_chain(build_chain(0.0, 1.0, 2))
+            assert (rep.ok, rep.first_failure) == (False, 2)
+            found = [(w.left_label, w.right_label, w.s) for w in check_proposition(0.0, 3)]
+        assert found == [("y(v+e,2)", "yp(v,2)", 2)]
+
+    def test_sweeps_read_exactly_the_ranks_they_check(self):
+        # Interleavings stop at s_max; closed chains read rank s_max + 1.
+        zmod.clear_cache()
+        check_derivative_chains(0.5, 0.5, 3)
+        check_theorem1(2.0, 3)
+        lengths = {(kind.value, nu): len(recs) for (kind, nu), recs in zmod._cache.items()}
+        assert lengths == {
+            ("jp", 0.5): 3,
+            ("jp", 1.0): 3,
+            ("yp", 0.5): 3,
+            ("yp", 1.0): 3,
+            ("jp", 2.0): 4,
+            ("j", 2.0): 3,
+            ("j", 3.0): 3,
+            ("y", 2.0): 3,
+            ("y", 3.0): 3,
+            ("yp", 2.0): 3,
+            ("jp", 3.0): 3,
+            ("yp", 3.0): 3,
+        }
 
 
 class TestDerivativeChains:

@@ -222,6 +222,31 @@ class TestConcurrency:
             for j in range(i, len(jobs), 4):
                 assert results[j] == baseline  # bit-for-bit: one cache entry
 
+    def test_cache_lock_under_contention(self):
+        # Many threads extend the same few sequences to staggered lengths
+        # with a tiny switch interval; a lost or doubled append would leave
+        # a rank missing, repeated or out of order.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        import bessel_interlace.zeros as zmod
+
+        zmod.clear_cache()
+        jobs = [(kind, 1.5, 3 + (i % 7)) for i in range(12) for kind in (ZeroKind.J, ZeroKind.YPRIME)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(zeros_upto, kind, nu, n) for kind, nu, n in jobs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for (kind, nu, n), recs in zip(jobs, results):
+            assert [r.id.s for r in recs] == list(range(1, n + 1))
+        for recs in zmod._cache.values():
+            assert [r.id.s for r in recs] == list(range(1, len(recs) + 1))
+            assert all(b.value > a.value for a, b in zip(recs, recs[1:]))
+
 
 @settings(max_examples=30, deadline=None)
 @given(
