@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 
 from . import interlace, wronskian
 from .errors import BesselInterlaceError, DomainError, SearchError
@@ -91,15 +91,7 @@ def to_csv(header: list[str], rows: list[list], trailer: str | None = None) -> s
     return "\n".join(lines) + "\n"
 
 
-# --- config -----------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "csv"
-    out: str = "-"
-    params: dict = field(default_factory=dict)
-
+# --- argument parsing -------------------------------------------------------
 
 def parse_grid(text: str) -> list[float]:
     """Parse lo:hi:step, endpoints inclusive within half a step."""
@@ -151,15 +143,14 @@ def validate_threads(flag_value: int | None) -> None:
 
 # --- subcommand handlers ----------------------------------------------------
 
-def cmd_zeros(cfg: RunConfig) -> tuple[int, str]:
-    p = cfg.params
-    kind = ZeroKind.parse(p["kind"])
-    records = zeros_upto(kind, p["nu"], p["smax"])
-    if cfg.fmt == "json":
+def cmd_zeros(args: argparse.Namespace) -> tuple[int, str]:
+    kind = ZeroKind.parse(args.kind)
+    records = zeros_upto(kind, args.nu, args.smax)
+    if args.format == "json":
         body = to_json(
             {
                 "kind": kind.value,
-                "nu": p["nu"],
+                "nu": args.nu,
                 "zeros": [
                     {
                         "s": r.id.s,
@@ -174,7 +165,7 @@ def cmd_zeros(cfg: RunConfig) -> tuple[int, str]:
         )
     else:
         rows = [
-            [kind.value, p["nu"], r.id.s, r.value, r.bracket.lo, r.bracket.hi, r.residual]
+            [kind.value, args.nu, r.id.s, r.value, r.bracket.lo, r.bracket.hi, r.residual]
             for r in records
         ]
         body = to_csv(["kind", "nu", "s", "value", "bracket_lo", "bracket_hi", "residual"], rows)
@@ -184,18 +175,19 @@ def cmd_zeros(cfg: RunConfig) -> tuple[int, str]:
 _NODE_COLUMNS = ["jp_v_s", "y_v_s", "y_ve_s", "yp_v_s", "j_v_s", "j_ve_s", "jp_v_s1"]
 
 
-def cmd_chain(cfg: RunConfig) -> tuple[int, str]:
-    p = cfg.params
+def cmd_chain(args: argparse.Namespace) -> tuple[int, str]:
+    if args.smax < 1:
+        raise DomainError(f"--smax must be >= 1, got {args.smax}", code="DOMAIN_S")
     reports = [
-        interlace.check_chain(interlace.build_chain(p["nu"], p["eps"], s))
-        for s in range(1, p["smax"] + 1)
+        interlace.check_chain(interlace.build_chain(args.nu, args.eps, s))
+        for s in range(1, args.smax + 1)
     ]
     all_ok = all(r.ok for r in reports)
-    if cfg.fmt == "json":
+    if args.format == "json":
         body = to_json(
             {
-                "nu": p["nu"],
-                "eps": p["eps"],
+                "nu": args.nu,
+                "eps": args.eps,
                 "chains": [
                     {
                         "s": r.chain.s,
@@ -211,7 +203,7 @@ def cmd_chain(cfg: RunConfig) -> tuple[int, str]:
         )
     else:
         rows = [
-            [p["nu"], p["eps"], r.chain.s, *r.chain.nodes, *r.margins, str(r.ok).lower()]
+            [args.nu, args.eps, r.chain.s, *r.chain.nodes, *r.margins, str(r.ok).lower()]
             for r in reports
         ]
         header = ["nu", "eps", "s", *_NODE_COLUMNS, *[f"gap_{i}" for i in range(1, 7)], "ok"]
@@ -219,23 +211,11 @@ def cmd_chain(cfg: RunConfig) -> tuple[int, str]:
     return (0 if all_ok else 1), body
 
 
-def _witness_dict(w: interlace.ViolationWitness) -> dict:
-    return {
-        "nu": w.nu,
-        "eps": w.eps,
-        "s": w.s,
-        "left_label": w.left_label,
-        "right_label": w.right_label,
-        "left_value": w.left_value,
-        "right_value": w.right_value,
-    }
-
-
 # Per suite: its check at one grid point, the one eps it is stated at (None:
-# each eps of the grid), and the note verify adds at nu = 0, eps = 1. Theorem 1
-# has no identity pair; its note is kept for output compatibility.
+# each eps of the grid), and the note verify adds at nu = 0, eps = 1 for the
+# suites with identity pairs.
 _SUITE_CHECKS = {
-    "theorem1": (lambda nu, eps, smax: interlace.check_theorem1(nu, smax), 1.0, "nu=0 exact equalities exempt"),
+    "theorem1": (lambda nu, eps, smax: interlace.check_theorem1(nu, smax), 1.0, None),
     "proposition": (
         lambda nu, eps, smax: interlace.check_proposition(nu, smax),
         1.0,
@@ -247,17 +227,18 @@ _SUITE_CHECKS = {
 _SUITES = (*_SUITE_CHECKS, "all")
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
-    p = cfg.params
-    suite = p["suite"]
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    if args.format != "json":
+        raise DomainError("verify emits a JSON summary; use --format json", code="DOMAIN_FORMAT")
+    suite = args.suite
     if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {', '.join(_SUITES)}", code="DOMAIN_SUITE")
-    nu_grid = parse_grid(p["nu_grid"])
-    eps_grid = parse_grid(p["eps_grid"])
+    nu_grid = parse_grid(args.nu_grid)
+    eps_grid = parse_grid(args.eps_grid)
     for eps in eps_grid:
         if not 0.0 < eps <= 1.0:
             raise DomainError(f"verify eps grid must lie in (0, 1], got {eps}", code="DOMAIN_EPS")
-    smax = p["smax"]
+    smax = args.smax
 
     violations = []
     notes = []
@@ -275,25 +256,28 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
         {
             "suite": suite,
             "grid": {"nu": nu_grid, "eps": eps_grid, "smax": smax},
-            "violations": [dict(_witness_dict(w), suite=s) for s, w in violations],
+            "violations": [dict(asdict(w), suite=s) for s, w in violations],
             "exemptions": notes,
         }
     )
     return (0 if not violations else 1), body
 
 
-def cmd_break(cfg: RunConfig) -> tuple[int, str]:
-    p = cfg.params
-    if not p["eps"] > 1.0:
-        raise DomainError(f"--eps must exceed 1 for the breaking search, got {p['eps']}", code="DOMAIN_EPS")
+def _not_found(output_format: str, exc: SearchError) -> str:
+    """The body a search command prints when its witness is not found."""
+    if output_format == "json":
+        return to_json({"found": False, "error": str(exc), "code": exc.code})
+    return to_csv(["found", "error"], [["false", str(exc)]])
+
+
+def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
+    if not args.eps > 1.0:
+        raise DomainError(f"--eps must exceed 1 for the breaking search, got {args.eps}", code="DOMAIN_EPS")
     try:
-        w = interlace.find_breaking(p["nu"], p["eps"], p["scap"])
+        w = interlace.find_breaking(args.nu, args.eps, args.scap)
     except SearchError as exc:
-        msg = {"found": False, "error": str(exc), "code": exc.code}
-        if cfg.fmt == "json":
-            return 1, to_json(msg)
-        return 1, to_csv(["found", "error"], [["false", str(exc)]])
-    if cfg.fmt == "json":
+        return 1, _not_found(args.format, exc)
+    if args.format == "json":
         body = to_json(
             {
                 "found": True,
@@ -312,19 +296,18 @@ def cmd_break(cfg: RunConfig) -> tuple[int, str]:
     return 0, body
 
 
-def cmd_wronskian(cfg: RunConfig) -> tuple[int, str]:
-    p = cfg.params
-    if p["nu"] == p["mu"]:
+def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
+    if args.nu == args.mu:
         raise DomainError("--nu and --mu must differ", code="DOMAIN_NU")
-    if not p["mu"] > p["nu"]:
+    if not args.mu > args.nu:
         raise DomainError("--mu must exceed --nu for the extremal profile", code="DOMAIN_NU")
-    profile = wronskian.profile_extrema(p["nu"], p["mu"], p["smax"])
-    first_zero = wronskian.has_positive_zero(p["nu"], p["mu"], p["xmax"])
-    if cfg.fmt == "json":
+    profile = wronskian.profile_extrema(args.nu, args.mu, args.smax)
+    first_zero = wronskian.has_positive_zero(args.nu, args.mu, args.xmax)
+    if args.format == "json":
         body = to_json(
             {
-                "nu": p["nu"],
-                "mu": p["mu"],
+                "nu": args.nu,
+                "mu": args.mu,
                 "samples": [{"x": x, "w": w, "source": src} for x, w, src in profile.samples],
                 "all_same_sign": profile.all_same_sign,
                 "min_abs": profile.min_abs,
@@ -342,23 +325,20 @@ def cmd_wronskian(cfg: RunConfig) -> tuple[int, str]:
     return 0, body
 
 
-def cmd_counterexample(cfg: RunConfig) -> tuple[int, str]:
-    p = cfg.params
+def cmd_counterexample(args: argparse.Namespace) -> tuple[int, str]:
+    nu_list = parse_nu_list(args.nu_list)
     try:
-        greater, less = interlace.counterexample_scan(p["eps"], p["nu_list"], p["s"], pair=p["pair"])
+        greater, less = interlace.counterexample_scan(args.eps, nu_list, args.s, pair=args.pair)
     except SearchError as exc:
-        msg = {"found": False, "error": str(exc), "code": exc.code}
-        if cfg.fmt == "json":
-            return 1, to_json(msg)
-        return 1, to_csv(["found", "error"], [["false", str(exc)]])
+        return 1, _not_found(args.format, exc)
     witnesses = [("greater", greater), ("less", less)]
-    if cfg.fmt == "json":
+    if args.format == "json":
         body = to_json(
             {
-                "pair": p["pair"],
-                "eps": p["eps"],
-                "s": p["s"],
-                "witnesses": [dict(_witness_dict(w), ordering=tag) for tag, w in witnesses],
+                "pair": args.pair,
+                "eps": args.eps,
+                "s": args.s,
+                "witnesses": [dict(asdict(w), ordering=tag) for tag, w in witnesses],
             }
         )
     else:
@@ -456,27 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "format", "out", "threads")}
-    if "nu_list" in params and isinstance(params["nu_list"], str):
-        params["nu_list"] = parse_nu_list(params["nu_list"])
-    validate_threads(args.threads)
-    cfg = RunConfig(
-        command=args.command,
-        fmt=args.format,
-        out=args.out,
-        params=params,
-    )
-    if cfg.command == "verify" and cfg.fmt != "json":
-        raise DomainError("verify emits a JSON summary; use --format json", code="DOMAIN_FORMAT")
-    return cfg
-
-
-def _emit(cfg: RunConfig, body: str) -> None:
-    if cfg.out == "-":
+def _emit(out: str, body: str) -> None:
+    if out == "-":
         sys.stdout.write(body)
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(body)
 
 
@@ -488,8 +452,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help.
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        code, body = _HANDLERS[cfg.command](cfg)
+        validate_threads(args.threads)
+        code, body = _HANDLERS[args.command](args)
     except DomainError as exc:
         flag = _CODE_FLAGS_PER_COMMAND.get((args.command, exc.code)) or _CODE_FLAGS.get(exc.code, "")
         where = f" ({flag})" if flag else ""
@@ -501,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # malformed input must never escape as a traceback
         print(f"bessel-interlace {args.command}: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
-    _emit(cfg, body)
+    _emit(args.out, body)
     return code
 
 

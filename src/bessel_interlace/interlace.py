@@ -146,6 +146,13 @@ def _zval(kind: ZeroKind, nu: float, s: int) -> float:
     return zero(ZeroId(kind, nu, s)).value
 
 
+def _check_eps_and_rank(eps: float, s: int) -> None:
+    if not math.isfinite(eps) or eps <= 0.0:
+        raise DomainError(f"eps must be positive, got {eps!r}", code="DOMAIN_EPS")
+    if not isinstance(s, int) or s < 1:
+        raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
+
+
 def _sequences(chains, nu: float, eps: float, s_max: int) -> dict:
     """Each node family (kind, shifted) the chains read at ranks 1..s_max, as one record sequence.
 
@@ -181,8 +188,7 @@ def _failures(chain: _Chain, nu: float, eps: float, values):
 
 def _check(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
     """Violations of the suite's rows at (nu, eps), ranks 1..s_max, in row, rank, pair order."""
-    if s_max < 1:
-        return []
+    _check_eps_and_rank(eps, s_max)
     chains = [c for c in _CHAINS if c.suite == suite]
     seqs = _sequences(chains, nu, eps, s_max)
     out = []
@@ -202,12 +208,9 @@ def build_chain(nu: float, eps: float, s: int) -> InterlaceChain:
     """The seven chain nodes at rank s, through the zero finder."""
     nu = float(nu)
     eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}", code="DOMAIN_EPS")
-    if not isinstance(s, int) or s < 1:
-        raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
-    seqs = _sequences([_SEVEN_NODE], nu, eps, s)
-    return InterlaceChain(nu, eps, s, tuple(_rank_values(_SEVEN_NODE, seqs, s, s)))
+    _check_eps_and_rank(eps, s)
+    nodes = tuple(_zval(n.kind, nu + eps if n.shifted else nu, s + n.offset) for n in _SEVEN_NODE.nodes)
+    return InterlaceChain(nu, eps, s, nodes)
 
 
 def check_chain(chain: InterlaceChain) -> ChainReport:
@@ -244,10 +247,7 @@ def check_proposition(nu: float, s_max: int) -> list[ViolationWitness]:
     are exempt rather than reported. Violations of the first pair come
     before those of the second.
     """
-    nu = float(nu)
-    if not isinstance(s_max, int) or s_max < 1:
-        raise DomainError(f"s_max must be a positive integer, got {s_max!r}", code="DOMAIN_S")
-    return _check("proposition", nu, 1.0, s_max)
+    return _check("proposition", float(nu), 1.0, s_max)
 
 
 def check_derivative_chains(nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
@@ -268,7 +268,7 @@ def check_theorem2(nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
 
     Witness labels are the ``CHAIN_LABELS`` entries, as ``check_chain``
     reports them; the nu=0, eps=1 identity pairs are exempt. The chain
-    is evaluated at any eps; it holds for 0 < eps <= 1.
+    is evaluated at any eps > 0; it holds for 0 < eps <= 1.
     """
     return _check("theorem2", float(nu), float(eps), s_max)
 

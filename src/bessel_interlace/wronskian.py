@@ -65,8 +65,8 @@ def eval_W(nu: float, mu: float, x: float) -> float:
 
 
 def _extremal_points(nu: float, mu: float, s_max: int) -> list[tuple[float, str]]:
-    pts = [(zero(ZeroId(ZeroKind.J, nu, s)).value, "J-zero") for s in range(1, s_max + 1)]
-    pts += [(zero(ZeroId(ZeroKind.Y, mu, s)).value, "Y-zero") for s in range(1, s_max + 1)]
+    pts = [(r.value, "J-zero") for r in zeros_upto(ZeroKind.J, nu, s_max)]
+    pts += [(r.value, "Y-zero") for r in zeros_upto(ZeroKind.Y, mu, s_max)]
     pts.sort()
     return pts
 

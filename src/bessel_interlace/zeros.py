@@ -19,6 +19,7 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,27 +114,37 @@ class ZeroRecord:
     iterations: int
 
 
-def _target(kind: ZeroKind, nu: float):
-    if kind is ZeroKind.J:
-        return lambda x: ev.bessel_j(nu, x)
-    if kind is ZeroKind.Y:
-        return lambda x: ev.bessel_y(nu, x)
-    if kind is ZeroKind.JPRIME:
-        return lambda x: ev.bessel_dj(nu, x)
-    return lambda x: ev.bessel_dy(nu, x)
+class _Family(NamedTuple):
+    """One zero family: its target C(nu, x), dC/dx, and the constants of
+    McMahon's large-s location b - (4 nu^2 + corr) / (8 b), where
+    b = (s + nu/2 - phase) pi.
+    """
+
+    f: Callable[[float, float], float]
+    df: Callable[[float, float], float]
+    phase: float
+    corr: float
 
 
-def _target_derivative(kind: ZeroKind, nu: float):
-    # For J and Y the derivative is the recurrence composition; for the
-    # primed kinds the second derivative comes from the defining ODE
-    # C'' = -C'/x - (1 - nu^2/x^2) C.
-    if kind is ZeroKind.J:
-        return lambda x: ev.bessel_dj(nu, x)
-    if kind is ZeroKind.Y:
-        return lambda x: ev.bessel_dy(nu, x)
-    if kind is ZeroKind.JPRIME:
-        return lambda x: -ev.bessel_dj(nu, x) / x - (1.0 - (nu / x) ** 2) * ev.bessel_j(nu, x)
-    return lambda x: -ev.bessel_dy(nu, x) / x - (1.0 - (nu / x) ** 2) * ev.bessel_y(nu, x)
+# Evaluators are looked up on ``ev`` at call time, so a wrapper installed
+# there sees every call. The primed kinds take their second derivative from
+# the defining ODE C'' = -C'/x - (1 - nu^2/x^2) C.
+_FAMILIES = {
+    ZeroKind.J: _Family(lambda nu, x: ev.bessel_j(nu, x), lambda nu, x: ev.bessel_dj(nu, x), 0.25, -1.0),
+    ZeroKind.Y: _Family(lambda nu, x: ev.bessel_y(nu, x), lambda nu, x: ev.bessel_dy(nu, x), 0.75, -1.0),
+    ZeroKind.JPRIME: _Family(
+        lambda nu, x: ev.bessel_dj(nu, x),
+        lambda nu, x: -ev.bessel_dj(nu, x) / x - (1.0 - (nu / x) ** 2) * ev.bessel_j(nu, x),
+        0.75,
+        3.0,
+    ),
+    ZeroKind.YPRIME: _Family(
+        lambda nu, x: ev.bessel_dy(nu, x),
+        lambda nu, x: -ev.bessel_dy(nu, x) / x - (1.0 - (nu / x) ** 2) * ev.bessel_y(nu, x),
+        0.25,
+        3.0,
+    ),
+}
 
 
 def _mcmahon(kind: ZeroKind, nu: float, s: int) -> float:
@@ -144,25 +155,12 @@ def _mcmahon(kind: ZeroKind, nu: float, s: int) -> float:
     is exactly why brackets come from walking, never from guesses.
     """
     if kind is ZeroKind.JPRIME and nu == 0.0:
-        if s == 1:
-            return 0.0
-        return _mcmahon(ZeroKind.J, 1.0, s - 1)
-    mu = 4.0 * nu * nu
-    if kind is ZeroKind.J:
-        b = (s + 0.5 * nu - 0.25) * math.pi
-        corr = mu - 1.0
-    elif kind is ZeroKind.Y:
-        b = (s + 0.5 * nu - 0.75) * math.pi
-        corr = mu - 1.0
-    elif kind is ZeroKind.JPRIME:
-        b = (s + 0.5 * nu - 0.75) * math.pi
-        corr = mu + 3.0
-    else:
-        b = (s + 0.5 * nu - 0.25) * math.pi
-        corr = mu + 3.0
+        return _mcmahon(ZeroKind.J, 1.0, s - 1)  # j'_{0,s} = j_{1,s-1}
+    family = _FAMILIES[kind]
+    b = (s + 0.5 * nu - family.phase) * math.pi
     if b <= 0.0:
         return 0.0
-    return b - corr / (8.0 * b)
+    return b - (4.0 * nu * nu + family.corr) / (8.0 * b)
 
 
 def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
@@ -195,20 +193,20 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
     if prev is None and id.s > 1:
         prev = zero(ZeroId(id.kind, id.nu, id.s - 1)).value
 
-    f = _target(id.kind, id.nu)
-    x = _scan_start(id.kind, id.nu, prev)
-    fx = f(x)
+    f, nu = _FAMILIES[id.kind].f, id.nu
+    x = _scan_start(id.kind, nu, prev)
+    fx = f(nu, x)
     if fx == 0.0 or math.isnan(fx):
         x *= 1.0 + 1e-9
-        fx = f(x)
+        fx = f(nu, x)
 
     # Fixed steps below the minimum zero spacing keep the rank certified;
     # the asymptotic location only bounds how far the scan may run.
-    est = _mcmahon(id.kind, id.nu, id.s)
+    est = _mcmahon(id.kind, nu, id.s)
     budget = max(est, x) + 60.0 * (_MIN_GAP + 1.0)
     while x < budget:
         x2 = min(x + _STEP, budget)
-        fx2 = f(x2)
+        fx2 = f(nu, x2)
         if math.isnan(fx2):
             raise BracketError(
                 f"evaluator returned NaN at x={x2} while bracketing {id}",
@@ -217,7 +215,7 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
         if fx2 == 0.0:
             # Exact zero hit: widen symmetrically into a genuine bracket.
             eps = max(1e-12, 1e-12 * x2)
-            if f(x2 - eps) * f(x2 + eps) < 0.0:
+            if f(nu, x2 - eps) * f(nu, x2 + eps) < 0.0:
                 return Bracket(x2 - eps, x2 + eps)
         if fx * fx2 < 0.0:
             return Bracket(x, x2)
@@ -237,10 +235,10 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
             return ZeroRecord(id, 0.0, bracket, 0.0, 0)
         raise DomainError("degenerate bracket is reserved for j'_{0,1}", code="DOMAIN_S")
 
-    f = _target(id.kind, id.nu)
-    df = _target_derivative(id.kind, id.nu)
+    family, nu = _FAMILIES[id.kind], id.nu
+    f, df = family.f, family.df
     a, b = bracket.lo, bracket.hi
-    fa, fb = f(a), f(b)
+    fa, fb = f(nu, a), f(nu, b)
     if fa == 0.0:
         return ZeroRecord(id, a, Bracket(a, a), 0.0, 0)
     if fb == 0.0:
@@ -249,7 +247,7 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         raise ConvergenceError(f"bracket {bracket} has no sign change for {id}", code="NO_CONVERGENCE")
 
     x = 0.5 * (a + b)
-    fx = f(x)
+    fx = f(nu, x)
     dx_old = b - a
     iterations = 0
     while True:
@@ -265,7 +263,7 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         iterations += 1
         if iterations > MAX_REFINE_ITERS:
             raise ConvergenceError(f"no convergence for {id} after {MAX_REFINE_ITERS} iterations", code="NO_CONVERGENCE")
-        d = df(x)
+        d = df(nu, x)
         # Bisect when Newton would leave the bracket or crawl (rtsafe rule);
         # either way the bracket width at least halves every other step.
         newton_ok = d != 0.0 and abs(2.0 * fx) <= abs(dx_old * d)
@@ -277,10 +275,10 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         dx_old = abs(x_new - x)
         if x_new == x:
             break
-        x, fx = x_new, f(x_new)
+        x, fx = x_new, f(nu, x_new)
 
     x = min(max(x, a), b)
-    return ZeroRecord(id, float(x), Bracket(float(a), float(b)), float(f(x)), iterations)
+    return ZeroRecord(id, float(x), Bracket(float(a), float(b)), float(f(nu, x)), iterations)
 
 
 # --- cached sequential enumeration ----------------------------------------
@@ -298,6 +296,11 @@ def clear_cache() -> None:
 
 
 def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
+    """The cached records of (kind, nu), extended to at least s_max ranks.
+
+    Returns the cache's own list, which only ever grows: read it, never
+    modify it.
+    """
     with _cache_lock:
         records = _cache.setdefault((kind, float(nu)), [])
         while len(records) < s_max:
@@ -319,7 +322,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
                     code="NO_CONVERGENCE",
                 )
             records.append(rec)
-        return records[:s_max]
+        return records
 
 
 def zero(id: ZeroId) -> ZeroRecord:
@@ -333,7 +336,7 @@ def zeros_upto(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
     if not isinstance(s_max, int) or s_max < 1 or s_max > S_MAX_LIMIT:
         raise DomainError(f"s_max must be in 1..{S_MAX_LIMIT}, got {s_max!r}", code="DOMAIN_S")
     ev.check_order(nu)
-    return list(_extend_sequence(kind, float(nu), s_max))
+    return _extend_sequence(kind, float(nu), s_max)[:s_max]
 
 
 def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[float]:
@@ -349,17 +352,9 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
     if not math.isfinite(x_max) or x_max <= step:
         raise DomainError(f"x_max must exceed step, got {x_max!r}", code="DOMAIN_X")
 
-    if kind is ZeroKind.J:
-        func = lambda t: ev.bessel_j(nu, t)
-    elif kind is ZeroKind.Y:
-        func = lambda t: ev.bessel_y(nu, t)
-    elif kind is ZeroKind.JPRIME:
-        func = lambda t: ev.bessel_dj(nu, t)
-    else:
-        func = lambda t: ev.bessel_dy(nu, t)
-
+    f = _FAMILIES[kind].f
     xs = np.arange(step, x_max + 0.5 * step, step)
-    vals = np.asarray(func(xs), dtype=float)
+    vals = np.asarray(f(nu, xs), dtype=float)
     ok = np.isfinite(vals)
     sign_flip = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0.0))[0]
 
@@ -369,7 +364,7 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
         fa = float(vals[i])
         while b - a > 1e-12:
             m = 0.5 * (a + b)
-            fm = func(m)
+            fm = f(nu, m)
             if fm == 0.0:
                 a = b = m
                 break

@@ -1,10 +1,13 @@
 """Golden CLI runs: the cases, how to run one, and how to record them.
 
-    PYTHONPATH=src python tests/cli_golden.py tests/data/cli_golden.json
+    PYTHONPATH=src python tests/cli_golden.py tests/data/cli_golden.json [NAME ...]
 
 runs every case through ``cli.main`` in one process and writes, per
 case, its argv, the zeros it substitutes, its exit code and its stdout,
-plus the commit, argv and library versions of the recording.
+plus the commit, argv and library versions of the recording. Given case
+names, it re-records only those cases into the existing file (appending
+the ones it lacks) and adds an entry to its ``rerecorded`` list with the
+commit, argv and versions of that recording and the names it covered.
 ``test_cli_golden.py`` replays the recorded cases and asserts the same
 exit codes and stdout bytes.
 
@@ -91,6 +94,25 @@ def _cases():
             "perturb": PROPOSITION_FORCED + DERIVATIVE_FORCED + THEOREM2_FORCED + THEOREM1_FORCED[:4],
         },
     ]
+    plain = {
+        "zeros-j-nu0": ["zeros", "--kind", "j", "--nu", "0", "--smax", "5"],
+        "zeros-jp-nu0": ["zeros", "--kind", "jp", "--nu", "0", "--smax", "4"],
+        "zeros-jp-nu0-json": ["zeros", "--kind", "jp", "--nu", "0", "--smax", "4", "--format", "json"],
+        "zeros-y-nu2.5-json": ["zeros", "--kind", "y", "--nu", "2.5", "--smax", "6", "--format", "json"],
+        "zeros-yp-nu505": ["zeros", "--kind", "yp", "--nu", "505", "--smax", "3"],
+        "zeros-yp-nu600-json": ["zeros", "--kind", "yp", "--nu", "600", "--smax", "3", "--format", "json"],
+        "break-nu10-eps1.25": ["break", "--nu", "10", "--eps", "1.25"],
+        "break-nu0-eps2-json": ["break", "--nu", "0", "--eps", "2", "--format", "json"],
+        "break-cap-exhausted": ["break", "--nu", "10", "--eps", "1.25", "--scap", "2"],
+        "break-cap-exhausted-json": ["break", "--nu", "10", "--eps", "1.25", "--scap", "2", "--format", "json"],
+        "counterexample-jp-vs-y-json": ["counterexample", "--eps", "1", "--nu-list", "0,599", "--s", "1", "--format", "json"],
+        "counterexample-yp-vs-j": ["counterexample", "--eps", "0.25", "--nu-list", "0,400", "--s", "1", "--pair", "yp-vs-j"],
+        "counterexample-one-ordering": ["counterexample", "--eps", "0.1", "--nu-list", "0.5,5", "--s", "1"],
+        "wronskian-nu0-mu2-json": ["wronskian", "--nu", "0", "--mu", "2", "--smax", "10", "--format", "json"],
+        "wronskian-nu0-mu0.5": ["wronskian", "--nu", "0", "--mu", "0.5", "--smax", "10"],
+        "wronskian-nu1-mu4.5": ["wronskian", "--nu", "1", "--mu", "4.5", "--smax", "6", "--xmax", "40"],
+    }
+    cases += [{"name": name, "argv": argv, "perturb": []} for name, argv in plain.items()]
     return cases
 
 
@@ -103,30 +125,46 @@ def run(case):
     return code, out.getvalue()
 
 
-def record(path):
+def _provenance():
     import numpy
     import scipy
 
     root = Path(__file__).resolve().parent.parent
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, check=True).stdout.strip()
-    cases = []
-    for case in _cases():
+    git = lambda *args: subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True).stdout
+    return {
+        "commit": git("rev-parse", "HEAD").strip(),
+        "src_modified": bool(git("status", "--porcelain", "--", "src").strip()),
+        "argv": ["PYTHONPATH=src", "python", *sys.argv],
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def record(path, names=()):
+    """Record every case into ``path``, or only the named ones into the file there."""
+    cases = [c for c in _cases() if not names or c["name"] in names]
+    if names and len(cases) != len(set(names)):
+        raise SystemExit(f"unknown case names: {sorted(set(names) - {c['name'] for c in cases})}")
+    recorded = []
+    for case in cases:
         code, out = run(case)
         if case["name"].startswith("forced-") and code != 1:
             raise SystemExit(f"{case['name']} forced no violation (exit {code})")
-        cases.append(dict(case, exit=code, stdout=out))
-    doc = {
-        "provenance": {
-            "commit": commit,
-            "argv": ["PYTHONPATH=src", "python", *sys.argv],
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
-        },
-        "cases": cases,
-    }
+        recorded.append(dict(case, exit=code, stdout=out))
+    if not names:
+        doc = {"provenance": _provenance(), "cases": recorded}
+    else:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        index = {c["name"]: i for i, c in enumerate(doc["cases"])}
+        for case in recorded:
+            if case["name"] in index:
+                doc["cases"][index[case["name"]]] = case
+            else:
+                doc["cases"].append(case)
+        doc.setdefault("rerecorded", []).append(dict(_provenance(), cases=list(names)))
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    record(sys.argv[1])
+    record(sys.argv[1], sys.argv[2:])

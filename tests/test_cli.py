@@ -191,6 +191,23 @@ class TestHarness:
         assert (code, out) == (2, "")
         assert "internal error (RuntimeError): boom" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "theorem2", "--nu-grid", "0:1:0.5", "--smax", "0"],
+            ["verify", "--suite", "derivative-chains", "--nu-grid", "0:1:0.5", "--smax", "0"],
+            ["verify", "--suite", "all", "--nu-grid", "0:1:0.5", "--smax", "0"],
+            ["chain", "--nu", "1", "--eps", "0.5", "--smax", "0"],
+            ["zeros", "--kind", "j", "--nu", "0", "--smax", "0"],
+            ["wronskian", "--nu", "0", "--mu", "2", "--smax", "0"],
+        ],
+        ids=["verify-theorem2", "verify-derivative-chains", "verify-all", "chain", "zeros", "wronskian"],
+    )
+    def test_smax_below_one_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "error (--smax)" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "zeros.csv"
         code = main(["zeros", "--kind", "j", "--nu", "0", "--smax", "1", "--out", str(target)])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import fixtures
@@ -13,6 +15,7 @@ from bessel_interlace import (
     check_derivative_chains,
     check_proposition,
     check_theorem1,
+    check_theorem2,
     counterexample_scan,
     find_breaking,
     zero,
@@ -134,6 +137,30 @@ class TestTable:
             ("jp", 3.0): 3,
             ("yp", 3.0): 3,
         }
+
+
+class TestSweepArguments:
+    # An empty rank range or a non-positive increment must be an error,
+    # never a clean result.
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: check_theorem2(1.0, 0.5, 0),
+            lambda: check_derivative_chains(1.0, 0.5, 0),
+            lambda: check_proposition(1.0, 0),
+        ],
+        ids=["theorem2", "derivative-chains", "proposition"],
+    )
+    def test_no_ranks_rejected(self, check):
+        with pytest.raises(DomainError) as exc:
+            check()
+        assert exc.value.code == "DOMAIN_S"
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
+    def test_theorem2_rejects_bad_eps(self, eps):
+        with pytest.raises(DomainError) as exc:
+            check_theorem2(1.0, eps, 3)
+        assert exc.value.code == "DOMAIN_EPS"
 
 
 class TestDerivativeChains:

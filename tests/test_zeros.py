@@ -1,8 +1,12 @@
+import functools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv, jvp, yv, yvp
 
 import fixtures
 import oracle
@@ -17,11 +21,42 @@ from bessel_interlace import (
     zero,
     zeros_upto,
 )
-from bessel_interlace.zeros import _target
+from bessel_interlace.zeros import _FAMILIES, _MIN_GAP, _scan_start
 
 
 def zval(kind, nu, s):
     return zero(ZeroId(kind, nu, s)).value
+
+
+def target(kind, nu):
+    return lambda x: _FAMILIES[kind].f(nu, x)
+
+
+_SCIPY = {ZeroKind.J: jv, ZeroKind.Y: yv, ZeroKind.JPRIME: jvp, ZeroKind.YPRIME: yvp}
+
+
+@functools.lru_cache(maxsize=None)
+def grid_zeros(kind, nu, count):
+    """The first ``count`` positive zeros, found by a scipy grid scan plus
+    vectorized bisection, without the library's root finder.
+
+    No positive zero of J_nu, Y_nu, J'_nu or Y'_nu lies below nu, so the
+    grid starts at nu / 2.
+    """
+    f = _SCIPY[kind]
+    x_max = nu + 8.0 * nu ** (1.0 / 3.0) + (count + 1) * math.pi + 5.0
+    xs = np.arange(max(0.01, 0.5 * nu), x_max, 0.05)
+    with np.errstate(all="ignore"):
+        vals = f(nu, xs)
+        i = np.nonzero(np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & (vals[:-1] * vals[1:] < 0.0))[0][:count]
+        a, b, fa = xs[i], xs[i + 1], vals[i]
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            fm = f(nu, m)
+            left = fa * fm <= 0.0
+            a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+    assert len(i) == count
+    return tuple(0.5 * (a + b))
 
 
 class TestInitialBracket:
@@ -53,7 +88,7 @@ class TestInitialBracket:
     )
     def test_bracket_is_sign_change(self, kind, nu, s):
         b = initial_bracket(ZeroId(kind, nu, s))
-        f = _target(kind, nu)
+        f = target(kind, nu)
         assert f(b.lo) * f(b.hi) < 0.0
         assert b.width <= math.pi
 
@@ -113,7 +148,7 @@ class TestZero:
 
     def test_consecutive_zeros_separated_by_nonzero_point(self):
         records = zeros_upto(ZeroKind.J, 1.5, 10)
-        f = _target(ZeroKind.J, 1.5)
+        f = target(ZeroKind.J, 1.5)
         for a, b in zip(records, records[1:]):
             assert a.bracket.hi < b.bracket.lo
             assert f(0.5 * (a.value + b.value)) != 0.0
@@ -132,6 +167,59 @@ class TestZero:
             zeros_upto(ZeroKind.J, 0.0, 10_001)
         with pytest.raises(DomainError):
             zero(ZeroId(ZeroKind.J, 0.0, 0))
+
+
+class TestLookupCost:
+    def test_zero_indexes_the_cached_sequence(self):
+        # A warm lookup allocates O(1): a copy of the cached prefix alone
+        # would take ~80 KB at rank 10^4.
+        id = ZeroId(ZeroKind.J, 0.0, 10_000)
+        zero(id)
+        tracemalloc.start()
+        try:
+            rec = zero(id)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rec.id.s == 10_000
+        assert peak < 8_000
+
+    def test_zeros_upto_returns_a_copy(self):
+        records = zeros_upto(ZeroKind.J, 1.5, 5)
+        records[0] = None
+        assert zeros_upto(ZeroKind.J, 1.5, 5)[0] is not None
+
+
+class TestRankCertification:
+    # The walk certifies ranks because it starts below the first zero and
+    # steps less than _MIN_GAP, the smallest spacing of consecutive zeros.
+    # Both assumptions are checked against grid_zeros, over orders that
+    # include the small-order j'/y' first gaps and the turning-point region.
+    ORDERS = [0.0, 0.01, 0.1, 0.3, 0.5, 1.0, 2.5, 7.25, 30.0, 120.0, 300.0, 505.0, 599.5, 600.0]
+
+    @staticmethod
+    def ranked(kind, nu):
+        """Ranks 1..8 from grid_zeros, with the conventional j'_{0,1} = 0."""
+        if kind is ZeroKind.JPRIME and nu == 0.0:
+            return (0.0, *grid_zeros(kind, nu, 7))
+        return grid_zeros(kind, nu, 8)
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_gaps_exceed_min_gap(self, kind, nu):
+        assert min(np.diff(self.ranked(kind, nu))) > _MIN_GAP
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_anchor_below_first_zero(self, kind, nu):
+        first = next(z for z in self.ranked(kind, nu) if z > 0.0)
+        assert _scan_start(kind, nu, None) < first
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_ranks_match_the_grid(self, kind, nu):
+        values = [r.value for r in zeros_upto(kind, nu, 8)]
+        assert values == pytest.approx(self.ranked(kind, nu), rel=1e-10, abs=1e-12)
 
 
 class TestOracleScan:
