@@ -5,23 +5,20 @@ Exit codes: 0 all checks passed, 1 mathematical violation found (or a
 requested witness was not found), 2 usage or domain error. Numbers are
 emitted with 17 significant digits in both CSV and JSON, which
 round-trips IEEE doubles exactly, so identical flags produce
-byte-identical output. Every command runs serially; ``--threads`` and
-its environment override are validated and accepted for compatibility.
+byte-identical output. Every command runs serially; ``--threads`` is
+validated and accepted for compatibility.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import asdict
 
 from . import interlace, wronskian
 from .errors import BesselInterlaceError, DomainError, SearchError
 from .zeros import ZeroKind, zeros_upto
-
-THREADS_ENV = "BESSEL_INTERLACE_THREADS"
 
 
 # --- number / structure formatting -----------------------------------------
@@ -128,16 +125,8 @@ def parse_nu_list(text: str) -> list[float]:
 
 
 def validate_threads(flag_value: int | None) -> None:
-    """Reject a bad --threads or THREADS_ENV (which wins); both are otherwise ignored."""
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise DomainError(f"{THREADS_ENV} must be an integer, got {env!r}", code="DOMAIN_THREADS")
-        if n < 1:
-            raise DomainError(f"{THREADS_ENV} must be >= 1, got {n}", code="DOMAIN_THREADS")
-    elif flag_value is not None and flag_value < 1:
+    """Reject --threads below 1; any other value is ignored."""
+    if flag_value is not None and flag_value < 1:
         raise DomainError(f"--threads must be >= 1, got {flag_value}", code="DOMAIN_THREADS")
 
 
@@ -178,10 +167,10 @@ _NODE_COLUMNS = ["jp_v_s", "y_v_s", "y_ve_s", "yp_v_s", "j_v_s", "j_ve_s", "jp_v
 def cmd_chain(args: argparse.Namespace) -> tuple[int, str]:
     if args.smax < 1:
         raise DomainError(f"--smax must be >= 1, got {args.smax}", code="DOMAIN_S")
-    reports = [
-        interlace.check_chain(interlace.build_chain(args.nu, args.eps, s))
-        for s in range(1, args.smax + 1)
-    ]
+    # Top rank first: build_chain rejects an --smax past the cap before any
+    # zero is computed, and the lower ranks then come from the cache.
+    chains = [interlace.build_chain(args.nu, args.eps, s) for s in range(args.smax, 0, -1)]
+    reports = [interlace.check_chain(c) for c in reversed(chains)]
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
         body = to_json(
@@ -271,8 +260,6 @@ def _not_found(output_format: str, exc: SearchError) -> str:
 
 
 def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
-    if not args.eps > 1.0:
-        raise DomainError(f"--eps must exceed 1 for the breaking search, got {args.eps}", code="DOMAIN_EPS")
     try:
         w = interlace.find_breaking(args.nu, args.eps, args.scap)
     except SearchError as exc:
@@ -297,10 +284,6 @@ def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
-    if args.nu == args.mu:
-        raise DomainError("--nu and --mu must differ", code="DOMAIN_NU")
-    if not args.mu > args.nu:
-        raise DomainError("--mu must exceed --nu for the extremal profile", code="DOMAIN_NU")
     profile = wronskian.profile_extrema(args.nu, args.mu, args.smax)
     first_zero = wronskian.has_positive_zero(args.nu, args.mu, args.xmax)
     if args.format == "json":
@@ -392,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, default_fmt="csv"):
         sp.add_argument("--format", choices=("csv", "json"), default=default_fmt)
         sp.add_argument("--out", default="-", help="output path, or - for stdout")
-        sp.add_argument("--threads", type=int, default=None, help=f"ignored, kept for compatibility (env {THREADS_ENV})")
+        sp.add_argument("--threads", type=int, default=None, help="ignored (every command runs serially); must be >= 1")
 
     sp = sub.add_parser("zeros", help="tabulate zeros of one kind and order")
     sp.add_argument("--kind", required=True)

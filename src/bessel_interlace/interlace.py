@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, SearchError
-from .zeros import ZeroId, ZeroKind, zero, zeros_upto
+from .zeros import S_MAX_LIMIT, ZeroId, ZeroKind, zero, zeros_upto
 
 __all__ = [
     "CHAIN_LABELS",
@@ -47,8 +47,10 @@ __all__ = [
 #: pair that is an exact identity at nu = 0, eps = 1 and strict
 #: everywhere else. A chain ending in "< ..." is an interleaving that
 #: continues into rank s + 1; it stops at rank s_max and never reads rank
-#: s_max + 1. A per_rank row reports, like ``check_chain``, only the
-#: first failure of each rank, under its labels as written.
+#: s_max + 1. A closed chain with an s+1 node reads rank s_max + 1, so it
+#: allows s_max <= S_MAX_LIMIT - 1. A per_rank row reports, like
+#: ``check_chain``, only the first failure of each rank, under its labels
+#: as written.
 _TABLE = (
     ("theorem1", "j(v,s) < j(v+e,s) < ...", False),
     ("theorem1", "y(v,s) < y(v+e,s) < ...", False),
@@ -146,21 +148,27 @@ def _zval(kind: ZeroKind, nu: float, s: int) -> float:
     return zero(ZeroId(kind, nu, s)).value
 
 
-def _check_eps_and_rank(eps: float, s: int) -> None:
+def _top_nodes(chain: _Chain) -> tuple[_Node, ...]:
+    """The nodes ``chain`` reads at its top rank: an open chain's last node is left out."""
+    return chain.nodes[:-1] if chain.open else chain.nodes
+
+
+def _check_eps_and_rank(chains, eps: float, s: int) -> None:
+    """Reject a bad eps, or a top rank s at which ``chains`` would read past S_MAX_LIMIT."""
     if not math.isfinite(eps) or eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}", code="DOMAIN_EPS")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
+    cap = S_MAX_LIMIT - max(n.offset for c in chains for n in _top_nodes(c))
+    if s > cap:
+        raise DomainError(f"rank {s} exceeds the supported cap {cap} of the {chains[0].suite} chains", code="DOMAIN_S")
 
 
 def _sequences(chains, nu: float, eps: float, s_max: int) -> dict:
-    """Each node family (kind, shifted) the chains read at ranks 1..s_max, as one record sequence.
-
-    An open chain's last node is left out: it is never read at s_max.
-    """
+    """Each node family (kind, shifted) the chains read at ranks 1..s_max, as one record sequence."""
     need: dict[tuple[ZeroKind, bool], int] = {}
     for chain in chains:
-        for node in chain.nodes[:-1] if chain.open else chain.nodes:
+        for node in _top_nodes(chain):
             family = (node.kind, node.shifted)
             need[family] = max(need.get(family, 0), s_max + node.offset)
     return {
@@ -170,7 +178,7 @@ def _sequences(chains, nu: float, eps: float, s_max: int) -> dict:
 
 def _rank_values(chain: _Chain, seqs: dict, s: int, s_max: int) -> list[float]:
     """Node values of ``chain`` at rank s; an open chain ends one node early at s_max."""
-    nodes = chain.nodes[:-1] if chain.open and s == s_max else chain.nodes
+    nodes = _top_nodes(chain) if s == s_max else chain.nodes
     return [seqs[(n.kind, n.shifted)][s - 1 + n.offset].value for n in nodes]
 
 
@@ -188,8 +196,8 @@ def _failures(chain: _Chain, nu: float, eps: float, values):
 
 def _check(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
     """Violations of the suite's rows at (nu, eps), ranks 1..s_max, in row, rank, pair order."""
-    _check_eps_and_rank(eps, s_max)
     chains = [c for c in _CHAINS if c.suite == suite]
+    _check_eps_and_rank(chains, eps, s_max)
     seqs = _sequences(chains, nu, eps, s_max)
     out = []
     for chain in chains:
@@ -208,7 +216,7 @@ def build_chain(nu: float, eps: float, s: int) -> InterlaceChain:
     """The seven chain nodes at rank s, through the zero finder."""
     nu = float(nu)
     eps = float(eps)
-    _check_eps_and_rank(eps, s)
+    _check_eps_and_rank((_SEVEN_NODE,), eps, s)
     nodes = tuple(_zval(n.kind, nu + eps if n.shifted else nu, s + n.offset) for n in _SEVEN_NODE.nodes)
     return InterlaceChain(nu, eps, s, nodes)
 
@@ -285,8 +293,8 @@ def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:
     eps = float(eps)
     if not eps > 1.0:
         raise DomainError(f"breaking search requires eps > 1, got {eps!r}", code="DOMAIN_EPS")
-    if not isinstance(s_cap, int) or s_cap < 1:
-        raise DomainError(f"s_cap must be a positive integer, got {s_cap!r}", code="DOMAIN_S")
+    if not isinstance(s_cap, int) or not 1 <= s_cap <= S_MAX_LIMIT:
+        raise DomainError(f"s_cap must be in 1..{S_MAX_LIMIT}, got {s_cap!r}", code="DOMAIN_S")
     for s in range(1, s_cap + 1):
         yv = _zval(ZeroKind.Y, nu + eps, s)
         jv = _zval(ZeroKind.J, nu, s)

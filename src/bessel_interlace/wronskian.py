@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import evaluate as ev
 from .errors import DomainError
-from .zeros import ZeroId, ZeroKind, zero, zeros_upto
+from .zeros import S_MAX_LIMIT, ZeroId, ZeroKind, zero, zeros_upto
 
 __all__ = [
     "WronskianProfile",
@@ -106,13 +106,16 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
     # Critical points of x*W up to x_max: zeros of J_nu and Y_mu.
     pts: list[float] = []
     for kind, order in ((ZeroKind.J, nu), (ZeroKind.Y, mu)):
-        s = 1
-        while True:
+        for s in range(1, S_MAX_LIMIT + 1):
             v = zero(ZeroId(kind, order, s)).value
             if v > x_max:
                 break
             pts.append(v)
-            s += 1
+        else:
+            raise DomainError(
+                f"x_max={x_max!r} lies past zero {S_MAX_LIMIT} of {kind.value} at order {order}, the supported rank cap",
+                code="DOMAIN_X",
+            )
     pts.sort()
 
     # Left edge: W(0+) is positive. Find an evaluable point left of the

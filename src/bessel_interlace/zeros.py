@@ -3,10 +3,9 @@
 Every zero is certified by a sign-change bracket. Brackets are found by
 walking from a lower anchor (x = nu for the first zero, the previous
 zero afterwards) in steps strictly below the minimum spacing of
-consecutive zeros, so ranks cannot be skipped; McMahon-type guesses
-only size the steps and are never trusted for correctness. Refinement
-is safeguarded Newton that falls back to bisection whenever a Newton
-step would leave the current bracket.
+consecutive zeros, so ranks cannot be skipped; a walk gives up _REACH
+past its anchor. Refinement is safeguarded Newton that falls back to
+bisection whenever a Newton step would leave the current bracket.
 
 Indexing follows the classical convention: x = 0 counts as the first
 zero of J'_0, so j'_{0,1} = 0 and j'_{0,s} = j_{1,s-1} for s >= 2.
@@ -56,6 +55,12 @@ MAX_REFINE_ITERS = 200
 _MIN_GAP = 2.2
 
 _STEP = 0.55 * _MIN_GAP
+
+# How far a walk may travel past its anchor before it gives up. The
+# furthest zero from its anchor on the supported domain is j_{600,1},
+# 15.8 above nu = 600, so this leaves a wide margin; the tests check the
+# bound against zeros found by a grid scan.
+_REACH = 192.0
 
 
 class ZeroKind(enum.Enum):
@@ -115,52 +120,27 @@ class ZeroRecord:
 
 
 class _Family(NamedTuple):
-    """One zero family: its target C(nu, x), dC/dx, and the constants of
-    McMahon's large-s location b - (4 nu^2 + corr) / (8 b), where
-    b = (s + nu/2 - phase) pi.
-    """
+    """One zero family: its target C(nu, x) and dC/dx."""
 
     f: Callable[[float, float], float]
     df: Callable[[float, float], float]
-    phase: float
-    corr: float
 
 
 # Evaluators are looked up on ``ev`` at call time, so a wrapper installed
 # there sees every call. The primed kinds take their second derivative from
 # the defining ODE C'' = -C'/x - (1 - nu^2/x^2) C.
 _FAMILIES = {
-    ZeroKind.J: _Family(lambda nu, x: ev.bessel_j(nu, x), lambda nu, x: ev.bessel_dj(nu, x), 0.25, -1.0),
-    ZeroKind.Y: _Family(lambda nu, x: ev.bessel_y(nu, x), lambda nu, x: ev.bessel_dy(nu, x), 0.75, -1.0),
+    ZeroKind.J: _Family(lambda nu, x: ev.bessel_j(nu, x), lambda nu, x: ev.bessel_dj(nu, x)),
+    ZeroKind.Y: _Family(lambda nu, x: ev.bessel_y(nu, x), lambda nu, x: ev.bessel_dy(nu, x)),
     ZeroKind.JPRIME: _Family(
         lambda nu, x: ev.bessel_dj(nu, x),
         lambda nu, x: -ev.bessel_dj(nu, x) / x - (1.0 - (nu / x) ** 2) * ev.bessel_j(nu, x),
-        0.75,
-        3.0,
     ),
     ZeroKind.YPRIME: _Family(
         lambda nu, x: ev.bessel_dy(nu, x),
         lambda nu, x: -ev.bessel_dy(nu, x) / x - (1.0 - (nu / x) ** 2) * ev.bessel_y(nu, x),
-        0.25,
-        3.0,
     ),
 }
-
-
-def _mcmahon(kind: ZeroKind, nu: float, s: int) -> float:
-    """Large-s asymptotic location of the s-th zero; an estimate only.
-
-    Used solely to size the scan budget. Near the turning point (small
-    s, large nu) it can overshoot the true zero by several units, which
-    is exactly why brackets come from walking, never from guesses.
-    """
-    if kind is ZeroKind.JPRIME and nu == 0.0:
-        return _mcmahon(ZeroKind.J, 1.0, s - 1)  # j'_{0,s} = j_{1,s-1}
-    family = _FAMILIES[kind]
-    b = (s + 0.5 * nu - family.phase) * math.pi
-    if b <= 0.0:
-        return 0.0
-    return b - (4.0 * nu * nu + family.corr) / (8.0 * b)
 
 
 def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
@@ -180,7 +160,7 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
     Walks from a lower anchor (nu, or the previous zero of the same
     family) in steps below the minimum zero spacing, so the first sign
     change it meets belongs to the requested rank. Raises BracketError
-    if no sign change appears within the scan budget.
+    if no sign change appears within _REACH of the anchor.
     """
     id = id.validate()
     if id.kind is ZeroKind.JPRIME and id.nu == 0.0 and id.s == 1:
@@ -200,10 +180,8 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
         x *= 1.0 + 1e-9
         fx = f(nu, x)
 
-    # Fixed steps below the minimum zero spacing keep the rank certified;
-    # the asymptotic location only bounds how far the scan may run.
-    est = _mcmahon(id.kind, nu, id.s)
-    budget = max(est, x) + 60.0 * (_MIN_GAP + 1.0)
+    # Fixed steps below the minimum zero spacing keep the rank certified.
+    budget = x + _REACH
     while x < budget:
         x2 = min(x + _STEP, budget)
         fx2 = f(nu, x2)
@@ -220,7 +198,7 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
         if fx * fx2 < 0.0:
             return Bracket(x, x2)
         x, fx = x2, fx2
-    raise BracketError(f"no sign change found for {id} within the scan budget", code="BRACKET_NOT_FOUND")
+    raise BracketError(f"no sign change found for {id} within {_REACH} of its anchor", code="BRACKET_NOT_FOUND")
 
 
 def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
@@ -342,8 +320,8 @@ def zeros_upto(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
 def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[float]:
     """Brute-force zero locator: grid sign scan plus plain bisection.
 
-    Deliberately ignorant of brackets, anchors, and McMahon guesses so
-    it can cross-check zeros_upto. Grid evaluation is vectorized; each
+    Deliberately ignorant of brackets, anchors and walk reach so it can
+    cross-check zeros_upto. Grid evaluation is vectorized; each
     sign change is bisected to 1e-12 absolute.
     """
     ev.check_order(nu)

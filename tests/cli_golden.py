@@ -111,6 +111,12 @@ def _cases():
         "wronskian-nu0-mu2-json": ["wronskian", "--nu", "0", "--mu", "2", "--smax", "10", "--format", "json"],
         "wronskian-nu0-mu0.5": ["wronskian", "--nu", "0", "--mu", "0.5", "--smax", "10"],
         "wronskian-nu1-mu4.5": ["wronskian", "--nu", "1", "--mu", "4.5", "--smax", "6", "--xmax", "40"],
+        # The walk that travels furthest from its anchor (j_{600,1}).
+        "zeros-j-nu600": ["zeros", "--kind", "j", "--nu", "600", "--smax", "3"],
+        # Domain errors: exit 2 with nothing on stdout.
+        "break-eps-below-one": ["break", "--nu", "0", "--eps", "0.5"],
+        "wronskian-equal-orders": ["wronskian", "--nu", "1", "--mu", "1"],
+        "wronskian-mu-below-nu": ["wronskian", "--nu", "2", "--mu", "1"],
     }
     cases += [{"name": name, "argv": argv, "perturb": []} for name, argv in plain.items()]
     return cases

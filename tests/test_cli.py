@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import bessel_interlace.zeros as zmod
 import fixtures
 from bessel_interlace import cli
 from bessel_interlace.cli import main, parse_grid, to_json
@@ -67,6 +68,32 @@ class TestChainCommand:
         assert "--eps" in err
 
 
+class TestRankCapUpFront:
+    # Arguments that would read past the rank cap exit 2 naming the flag
+    # the caller passed, before any zero is computed.
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["chain", "--nu", "0.5", "--eps", "0.5", "--smax", "10000"], "--smax"),
+            (["verify", "--suite", "proposition", "--nu-grid", "0.5:0.5:1", "--smax", "10000"], "--smax"),
+            (["break", "--nu", "10", "--eps", "1.0000001", "--scap", "20000"], "--scap"),
+        ],
+        ids=["chain", "verify-proposition", "break"],
+    )
+    def test_rejected_before_any_zero(self, capsys, argv, flag):
+        zmod.clear_cache()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error ({flag})" in err
+        assert zmod._cache == {}
+
+    def test_wronskian_xmax_past_the_cap_names_xmax(self, capsys):
+        # J_0 has its 10^4-th zero near 31,416, below --xmax.
+        code, out, err = run_cli(capsys, "wronskian", "--nu", "0", "--mu", "2", "--xmax", "40000")
+        assert (code, out) == (2, "")
+        assert "error (--xmax)" in err
+
+
 class TestVerifyCommand:
     def test_all_suite_small_grid(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--nu-grid", "0:2:0.5", "--smax", "5")
@@ -92,11 +119,10 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", "all", "--nu-grid", "0:1:1", "--format", "csv")
         assert code == 2
 
-    @pytest.mark.parametrize("flag,env", [("0", None), (None, "0"), (None, "abc")])
+    # BESSEL_INTERLACE_THREADS does not override the flag.
+    @pytest.mark.parametrize("flag,env", [("0", None), ("0", "4")])
     def test_bad_thread_count_exits_two(self, capsys, monkeypatch, flag, env):
-        args = ["verify", "--suite", "theorem2", "--nu-grid", "0:0:1", "--smax", "1"]
-        if flag is not None:
-            args += ["--threads", flag]
+        args = ["verify", "--suite", "theorem2", "--nu-grid", "0:0:1", "--smax", "1", "--threads", flag]
         if env is not None:
             monkeypatch.setenv("BESSEL_INTERLACE_THREADS", env)
         code, out, err = run_cli(capsys, *args)

@@ -156,6 +156,26 @@ class TestSweepArguments:
             check()
         assert exc.value.code == "DOMAIN_S"
 
+    # Closed chains read rank s_max + 1, interleavings stop at s_max; the
+    # error names the s_max the caller passed and comes before any zero is
+    # computed.
+    @pytest.mark.parametrize(
+        "check,message",
+        [
+            (lambda: check_theorem2(0.5, 0.5, 10_000), "rank 10000 exceeds the supported cap 9999 "),
+            (lambda: check_proposition(0.5, 10_000), "rank 10000 exceeds the supported cap 9999 "),
+            (lambda: check_derivative_chains(0.5, 0.5, 10_001), "rank 10001 exceeds the supported cap 10000 "),
+        ],
+        ids=["theorem2", "proposition", "derivative-chains"],
+    )
+    def test_rank_past_the_cap_rejected_up_front(self, check, message):
+        zmod.clear_cache()
+        with pytest.raises(DomainError) as exc:
+            check()
+        assert exc.value.code == "DOMAIN_S"
+        assert str(exc.value).startswith(message)
+        assert zmod._cache == {}
+
     @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
     def test_theorem2_rejects_bad_eps(self, eps):
         with pytest.raises(DomainError) as exc:

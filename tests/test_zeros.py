@@ -21,7 +21,7 @@ from bessel_interlace import (
     zero,
     zeros_upto,
 )
-from bessel_interlace.zeros import _FAMILIES, _MIN_GAP, _scan_start
+from bessel_interlace.zeros import _FAMILIES, _MIN_GAP, _REACH, _scan_start
 
 
 def zval(kind, nu, s):
@@ -191,10 +191,11 @@ class TestLookupCost:
 
 
 class TestRankCertification:
-    # The walk certifies ranks because it starts below the first zero and
-    # steps less than _MIN_GAP, the smallest spacing of consecutive zeros.
-    # Both assumptions are checked against grid_zeros, over orders that
-    # include the small-order j'/y' first gaps and the turning-point region.
+    # The walk certifies ranks because it starts below the first zero,
+    # steps less than _MIN_GAP, the smallest spacing of consecutive zeros,
+    # and meets the zero within _REACH of its anchor. These assumptions are
+    # checked against grid_zeros, over orders that include the small-order
+    # j'/y' first gaps and the turning-point region.
     ORDERS = [0.0, 0.01, 0.1, 0.3, 0.5, 1.0, 2.5, 7.25, 30.0, 120.0, 300.0, 505.0, 599.5, 600.0]
 
     @staticmethod
@@ -214,6 +215,14 @@ class TestRankCertification:
     def test_anchor_below_first_zero(self, kind, nu):
         first = next(z for z in self.ranked(kind, nu) if z > 0.0)
         assert _scan_start(kind, nu, None) < first
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_each_zero_within_reach_of_its_anchor(self, kind, nu):
+        ranked = self.ranked(kind, nu)
+        for prev, z in zip((None, *ranked), ranked):
+            if z > 0.0:  # the conventional j'_{0,1} = 0 is not walked to
+                assert z - _scan_start(kind, nu, prev) < _REACH
 
     @pytest.mark.parametrize("nu", ORDERS)
     @pytest.mark.parametrize("kind", list(ZeroKind))
