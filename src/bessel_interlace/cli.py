@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import asdict
 
+from . import evaluate as ev
 from . import interlace, wronskian
 from .errors import BesselInterlaceError, DomainError, SearchError
 from .zeros import ZeroKind, zeros_upto
@@ -90,6 +91,11 @@ def to_csv(header: list[str], rows: list[list], trailer: str | None = None) -> s
 
 # --- argument parsing -------------------------------------------------------
 
+# The acceptance sweep takes ~30 ms per grid point, so a grid this large
+# already runs for close to an hour.
+_GRID_MAX_POINTS = 100_000
+
+
 def parse_grid(text: str) -> list[float]:
     """Parse lo:hi:step, endpoints inclusive within half a step."""
     parts = text.split(":")
@@ -107,7 +113,11 @@ def parse_grid(text: str) -> list[float]:
         return [lo]
     if step <= 0.0:
         raise DomainError(f"grid step must be positive, got {text!r}", code="DOMAIN_GRID")
-    n = int(math.floor((hi - lo) / step + 0.5))
+    # Counted before any list is built; an infinite span is rejected too.
+    span = (hi - lo) / step + 0.5
+    if not span < _GRID_MAX_POINTS:
+        raise DomainError(f"grid has more than {_GRID_MAX_POINTS} points, got {text!r}", code="DOMAIN_GRID")
+    n = int(math.floor(span))
     points = [lo + i * step for i in range(n + 1)]
     if points and points[-1] > hi + 0.5 * step:
         points.pop()
@@ -122,6 +132,17 @@ def parse_nu_list(text: str) -> list[float]:
     if not values:
         raise DomainError("--nu-list must be nonempty", code="DOMAIN_NU")
     return values
+
+
+def _recode(code: str, check, *args):
+    """check(*args), with any DomainError it raises re-raised under ``code``.
+
+    Names the right flag where two flags of one command share a check.
+    """
+    try:
+        return check(*args)
+    except DomainError as exc:
+        raise DomainError(str(exc), code=code) from None
 
 
 def validate_threads(flag_value: int | None) -> None:
@@ -223,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if suite not in _SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {', '.join(_SUITES)}", code="DOMAIN_SUITE")
     nu_grid = parse_grid(args.nu_grid)
-    eps_grid = parse_grid(args.eps_grid)
+    eps_grid = _recode("DOMAIN_EPS", parse_grid, args.eps_grid)
     for eps in eps_grid:
         if not 0.0 < eps <= 1.0:
             raise DomainError(f"verify eps grid must lie in (0, 1], got {eps}", code="DOMAIN_EPS")
@@ -284,6 +305,7 @@ def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
+    _recode("DOMAIN_MU", ev.check_order, args.mu)
     profile = wronskian.profile_extrema(args.nu, args.mu, args.smax)
     first_zero = wronskian.has_positive_zero(args.nu, args.mu, args.xmax)
     if args.format == "json":
@@ -347,6 +369,7 @@ _HANDLERS = {
 _CODE_FLAGS = {
     "DOMAIN_NU": "--nu",
     "OVERFLOW_NU": "--nu",
+    "DOMAIN_MU": "--mu",
     "DOMAIN_X": "--xmax",
     "DOMAIN_S": "--smax",
     "DOMAIN_EPS": "--eps",
@@ -362,6 +385,10 @@ _CODE_FLAGS_PER_COMMAND = {
     ("break", "DOMAIN_S"): "--scap",
     ("counterexample", "DOMAIN_S"): "--s",
     ("counterexample", "DOMAIN_NU"): "--nu-list",
+    ("counterexample", "OVERFLOW_NU"): "--nu-list",
+    ("verify", "DOMAIN_NU"): "--nu-grid",
+    ("verify", "OVERFLOW_NU"): "--nu-grid",
+    ("verify", "DOMAIN_EPS"): "--eps-grid",
 }
 
 

@@ -5,7 +5,8 @@ walking from a lower anchor (x = nu for the first zero, the previous
 zero afterwards) in steps strictly below the minimum spacing of
 consecutive zeros, so ranks cannot be skipped; a walk gives up _REACH
 past its anchor. Refinement is safeguarded Newton that falls back to
-bisection whenever a Newton step would leave the current bracket.
+bisection whenever a Newton step would leave the current bracket; each
+iterate takes its value and slope from one pair C_nu(x), C_{nu+1}(x).
 
 Indexing follows the classical convention: x = 0 counts as the first
 zero of J'_0, so j'_{0,1} = 0 and j'_{0,s} = j_{1,s-1} for s >= 2.
@@ -18,7 +19,6 @@ import enum
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,28 +119,29 @@ class ZeroRecord:
     iterations: int
 
 
-class _Family(NamedTuple):
-    """One zero family: its target C(nu, x) and dC/dx."""
-
-    f: Callable[[float, float], float]
-    df: Callable[[float, float], float]
-
-
-# Evaluators are looked up on ``ev`` at call time, so a wrapper installed
-# there sees every call. The primed kinds take their second derivative from
-# the defining ODE C'' = -C'/x - (1 - nu^2/x^2) C.
+# Per kind: the name of its C_nu evaluator on ``ev``, looked up at each call
+# so a wrapper installed there sees every call, and whether the target is C'_nu.
 _FAMILIES = {
-    ZeroKind.J: _Family(lambda nu, x: ev.bessel_j(nu, x), lambda nu, x: ev.bessel_dj(nu, x)),
-    ZeroKind.Y: _Family(lambda nu, x: ev.bessel_y(nu, x), lambda nu, x: ev.bessel_dy(nu, x)),
-    ZeroKind.JPRIME: _Family(
-        lambda nu, x: ev.bessel_dj(nu, x),
-        lambda nu, x: -ev.bessel_dj(nu, x) / x - (1.0 - (nu / x) ** 2) * ev.bessel_j(nu, x),
-    ),
-    ZeroKind.YPRIME: _Family(
-        lambda nu, x: ev.bessel_dy(nu, x),
-        lambda nu, x: -ev.bessel_dy(nu, x) / x - (1.0 - (nu / x) ** 2) * ev.bessel_y(nu, x),
-    ),
+    ZeroKind.J: ("bessel_j", False),
+    ZeroKind.Y: ("bessel_y", False),
+    ZeroKind.JPRIME: ("bessel_j", True),
+    ZeroKind.YPRIME: ("bessel_y", True),
 }
+
+
+def _target(kind: ZeroKind, nu: float, x):
+    """The kind's target F and dF/dx at x, both from C_nu(x) and C_{nu+1}(x).
+
+    C' = -C_{nu+1} + (nu/x) C (A&S 9.1.27); the primed kinds take their
+    slope C'' = -C'/x - (1 - nu^2/x^2) C from Bessel's equation (A&S 9.1.1).
+    """
+    name, primed = _FAMILIES[kind]
+    bessel = getattr(ev, name)
+    c0, c1 = bessel(nu, x), bessel(nu + 1.0, x)
+    d = -c1 + (nu / x) * c0
+    if primed:
+        return d, -d / x - (1.0 - (nu / x) ** 2) * c0
+    return c0, d
 
 
 def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
@@ -173,18 +174,18 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
     if prev is None and id.s > 1:
         prev = zero(ZeroId(id.kind, id.nu, id.s - 1)).value
 
-    f, nu = _FAMILIES[id.kind].f, id.nu
-    x = _scan_start(id.kind, nu, prev)
-    fx = f(nu, x)
+    kind, nu = id.kind, id.nu
+    x = _scan_start(kind, nu, prev)
+    fx = _target(kind, nu, x)[0]
     if fx == 0.0 or math.isnan(fx):
         x *= 1.0 + 1e-9
-        fx = f(nu, x)
+        fx = _target(kind, nu, x)[0]
 
     # Fixed steps below the minimum zero spacing keep the rank certified.
     budget = x + _REACH
     while x < budget:
         x2 = min(x + _STEP, budget)
-        fx2 = f(nu, x2)
+        fx2 = _target(kind, nu, x2)[0]
         if math.isnan(fx2):
             raise BracketError(
                 f"evaluator returned NaN at x={x2} while bracketing {id}",
@@ -193,7 +194,7 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
         if fx2 == 0.0:
             # Exact zero hit: widen symmetrically into a genuine bracket.
             eps = max(1e-12, 1e-12 * x2)
-            if f(nu, x2 - eps) * f(nu, x2 + eps) < 0.0:
+            if _target(kind, nu, x2 - eps)[0] * _target(kind, nu, x2 + eps)[0] < 0.0:
                 return Bracket(x2 - eps, x2 + eps)
         if fx * fx2 < 0.0:
             return Bracket(x, x2)
@@ -213,10 +214,9 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
             return ZeroRecord(id, 0.0, bracket, 0.0, 0)
         raise DomainError("degenerate bracket is reserved for j'_{0,1}", code="DOMAIN_S")
 
-    family, nu = _FAMILIES[id.kind], id.nu
-    f, df = family.f, family.df
+    kind, nu = id.kind, id.nu
     a, b = bracket.lo, bracket.hi
-    fa, fb = f(nu, a), f(nu, b)
+    fa, fb = _target(kind, nu, a)[0], _target(kind, nu, b)[0]
     if fa == 0.0:
         return ZeroRecord(id, a, Bracket(a, a), 0.0, 0)
     if fb == 0.0:
@@ -225,10 +225,10 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         raise ConvergenceError(f"bracket {bracket} has no sign change for {id}", code="NO_CONVERGENCE")
 
     x = 0.5 * (a + b)
-    fx = f(nu, x)
     dx_old = b - a
     iterations = 0
     while True:
+        fx, d = _target(kind, nu, x)
         if fx == 0.0:
             a = b = x
             break
@@ -241,7 +241,6 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         iterations += 1
         if iterations > MAX_REFINE_ITERS:
             raise ConvergenceError(f"no convergence for {id} after {MAX_REFINE_ITERS} iterations", code="NO_CONVERGENCE")
-        d = df(nu, x)
         # Bisect when Newton would leave the bracket or crawl (rtsafe rule);
         # either way the bracket width at least halves every other step.
         newton_ok = d != 0.0 and abs(2.0 * fx) <= abs(dx_old * d)
@@ -253,10 +252,10 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         dx_old = abs(x_new - x)
         if x_new == x:
             break
-        x, fx = x_new, f(nu, x_new)
+        x = x_new
 
-    x = min(max(x, a), b)
-    return ZeroRecord(id, float(x), Bracket(float(a), float(b)), float(f(nu, x)), iterations)
+    # Every exit leaves x at a or b with fx = F(x) already evaluated.
+    return ZeroRecord(id, float(x), Bracket(float(a), float(b)), float(fx), iterations)
 
 
 # --- cached sequential enumeration ----------------------------------------
@@ -330,9 +329,8 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
     if not math.isfinite(x_max) or x_max <= step:
         raise DomainError(f"x_max must exceed step, got {x_max!r}", code="DOMAIN_X")
 
-    f = _FAMILIES[kind].f
     xs = np.arange(step, x_max + 0.5 * step, step)
-    vals = np.asarray(f(nu, xs), dtype=float)
+    vals = np.asarray(_target(kind, nu, xs)[0], dtype=float)
     ok = np.isfinite(vals)
     sign_flip = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0.0))[0]
 
@@ -342,7 +340,7 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
         fa = float(vals[i])
         while b - a > 1e-12:
             m = 0.5 * (a + b)
-            fm = f(nu, m)
+            fm = _target(kind, nu, m)[0]
             if fm == 0.0:
                 a = b = m
                 break

@@ -113,6 +113,11 @@ def _cases():
         "wronskian-nu1-mu4.5": ["wronskian", "--nu", "1", "--mu", "4.5", "--smax", "6", "--xmax", "40"],
         # The walk that travels furthest from its anchor (j_{600,1}).
         "zeros-j-nu600": ["zeros", "--kind", "j", "--nu", "600", "--smax", "3"],
+        # The primed kinds deep into the oscillatory range; j'_{0.3,1} sits
+        # near sqrt(2 nu), below the usual anchor at nu.
+        "zeros-jp-nu0.3": ["zeros", "--kind", "jp", "--nu", "0.3", "--smax", "40"],
+        "zeros-yp-nu30-json": ["zeros", "--kind", "yp", "--nu", "30", "--smax", "40", "--format", "json"],
+        "zeros-j-nu7.25": ["zeros", "--kind", "j", "--nu", "7.25", "--smax", "40"],
         # Domain errors: exit 2 with nothing on stdout.
         "break-eps-below-one": ["break", "--nu", "0", "--eps", "0.5"],
         "wronskian-equal-orders": ["wronskian", "--nu", "1", "--mu", "1"],

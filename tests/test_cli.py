@@ -8,6 +8,7 @@ import bessel_interlace.zeros as zmod
 import fixtures
 from bessel_interlace import cli
 from bessel_interlace.cli import main, parse_grid, to_json
+from bessel_interlace.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +95,28 @@ class TestRankCapUpFront:
         assert "error (--xmax)" in err
 
 
+class TestFlagAtFault:
+    # Each argv has one bad flag, which the error must name.
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "--suite", "all", "--nu-grid", "0:1:1", "--eps-grid", "a:b:c"], "--eps-grid"),
+            (["verify", "--suite", "all", "--nu-grid", "0:1:1", "--eps-grid", "0.5:2:0.5"], "--eps-grid"),
+            (["verify", "--suite", "theorem2", "--nu-grid", "700:700:1"], "--nu-grid"),
+            (["wronskian", "--nu", "0", "--mu", "700"], "--mu"),
+            (["counterexample", "--eps", "1", "--nu-list", "0,700", "--s", "1"], "--nu-list"),
+            (["verify", "--suite", "all", "--nu-grid=-1e308:1e308:1"], "--nu-grid"),
+            (["verify", "--suite", "all", "--nu-grid", "0:1:1", "--eps-grid", "0:1:1e-6"], "--eps-grid"),
+        ],
+        ids=["eps-grid-format", "eps-grid-range", "nu-grid-order", "mu-order", "nu-list-order", "nu-grid-overflow", "eps-grid-size"],
+    )
+    def test_error_names_the_flag_at_fault(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error ({flag})" in err
+        assert "internal error" not in err
+
+
 class TestVerifyCommand:
     def test_all_suite_small_grid(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--nu-grid", "0:2:0.5", "--smax", "5")
@@ -129,12 +152,14 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert "--threads" in err
 
-    def test_thread_determinism(self, capsys, monkeypatch):
+    def test_same_bytes_cold_warm_and_with_two_threads(self, capsys):
         args = ("verify", "--suite", "theorem2", "--nu-grid", "0:3:0.5", "--smax", "6")
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("BESSEL_INTERLACE_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert serial == threaded
+        zmod.clear_cache()
+        cold = run_cli(capsys, *args)
+        warm = run_cli(capsys, *args)
+        threaded = run_cli(capsys, *args, "--threads", "2")
+        assert cold[0] == 0
+        assert cold == warm == threaded
 
 
 class TestBreakCommand:
@@ -254,6 +279,13 @@ class TestHarness:
         assert parse_grid("2:2:1") == [2.0]
         with pytest.raises(Exception):
             parse_grid("1:0:0.5")
+
+    def test_grid_size_capped_before_building(self):
+        assert len(parse_grid("0:99999:1")) == 100_000
+        for text in ("0:100000:1", "0:1:1e-6"):
+            with pytest.raises(DomainError) as info:
+                parse_grid(text)
+            assert info.value.code == "DOMAIN_GRID"
 
     def test_console_script_entry(self):
         proc = subprocess.run(

@@ -21,7 +21,7 @@ from bessel_interlace import (
     zero,
     zeros_upto,
 )
-from bessel_interlace.zeros import _FAMILIES, _MIN_GAP, _REACH, _scan_start
+from bessel_interlace.zeros import _MIN_GAP, _REACH, _scan_start, _target
 
 
 def zval(kind, nu, s):
@@ -29,7 +29,7 @@ def zval(kind, nu, s):
 
 
 def target(kind, nu):
-    return lambda x: _FAMILIES[kind].f(nu, x)
+    return lambda x: _target(kind, nu, x)[0]
 
 
 _SCIPY = {ZeroKind.J: jv, ZeroKind.Y: yv, ZeroKind.JPRIME: jvp, ZeroKind.YPRIME: yvp}
@@ -91,6 +91,29 @@ class TestInitialBracket:
         f = target(kind, nu)
         assert f(b.lo) * f(b.hi) < 0.0
         assert b.width <= math.pi
+
+
+class TestTarget:
+    # _target gives each kind's value and slope from one pair C_nu, C_{nu+1};
+    # scipy's jvp/yvp (the n-th derivative, n = 0 the function) form the
+    # derivatives their own way.
+    DERIVATIVES = {ZeroKind.J: (jv, jvp, 0), ZeroKind.Y: (yv, yvp, 0), ZeroKind.JPRIME: (jv, jvp, 1), ZeroKind.YPRIME: (yv, yvp, 1)}
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 2.5, 30.0, 505.0])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_value_and_slope_match_scipy(self, kind, nu):
+        c, dc, n = self.DERIVATIVES[kind]
+        for x in (nu + 1.0, nu + 7.3, 1.5 * nu + 40.0):  # past the turning point
+            value, slope = _target(kind, nu, x)
+            # Every term is at most |C_nu| + |C_{nu+1}| in size for x >= max(nu, 1).
+            tol = 1e-12 * (abs(c(nu, x)) + abs(c(nu + 1.0, x)))
+            assert value == pytest.approx(dc(nu, x, n), abs=tol)
+            assert slope == pytest.approx(dc(nu, x, n + 1), abs=tol)
+
+    @pytest.mark.parametrize("kind,nu", [(ZeroKind.J, 2.5), (ZeroKind.Y, 0.3), (ZeroKind.JPRIME, 30.0), (ZeroKind.YPRIME, 505.0)])
+    def test_residual_is_the_target_at_the_value(self, kind, nu):
+        for rec in zeros_upto(kind, nu, 12):
+            assert rec.residual == _target(kind, nu, rec.value)[0]
 
 
 class TestRefine:
