@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import evaluate as ev
 from .errors import DomainError, SearchError
 from .zeros import S_MAX_LIMIT, ZeroId, ZeroKind, zero, zeros_upto
 
@@ -335,7 +336,11 @@ def counterexample_scan(
     greater = None
     less = None
     for nu in nu_list:
-        nu = float(nu)
+        # Checked as the scan reaches each entry, so a list may run past
+        # NU_MAX beyond the orders the scan needs; errors name the entry.
+        nu = ev.check_order(nu)
+        if nu + eps > ev.NU_MAX:
+            raise DomainError(f"nu_list entry {nu!r} plus eps={eps!r} exceeds NU_MAX={ev.NU_MAX}", code="OVERFLOW_NU")
         lval = _zval(left_kind, nu + eps, s)
         rval = _zval(right_kind, nu, s)
         witness = ViolationWitness(nu, eps, s, llab.format(s=s), rlab.format(s=s), lval, rval)

@@ -7,6 +7,10 @@ consecutive zeros, so ranks cannot be skipped; a walk gives up _REACH
 past its anchor. Refinement is safeguarded Newton that falls back to
 bisection whenever a Newton step would leave the current bracket; each
 iterate takes its value and slope from one pair C_nu(x), C_{nu+1}(x).
+Newton runs until its step |F/F'| is at most tol / 16, or at most tol
+twice running, with tol = WIDTH_TOL/2 * max(1, x); one probe tol past
+the iterate, on the root's side, then certifies it when F changes sign
+there, and the record's bracket is {iterate, probe}.
 
 Indexing follows the classical convention: x = 0 counts as the first
 zero of J'_0, so j'_{0,1} = 0 and j'_{0,s} = j_{1,s-1} for s >= 2.
@@ -40,7 +44,9 @@ __all__ = [
 
 S_MAX_LIMIT = 10_000
 
-#: Bracket width shrinks below this (relative) before refinement stops.
+#: Widest bracket a ZeroRecord may carry, relative to max(1, root): a
+#: converged Newton iterate is certified by a probe half this far away,
+#: and refinement also stops once the bracket narrows to this width.
 WIDTH_TOL = 1e-14
 
 #: |f(root)| certified by every ZeroRecord, relative to max(1, root).
@@ -205,8 +211,17 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
 def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
     """Polish a bracketed zero with Newton safeguarded by bisection.
 
-    Stops once the bracket width drops below WIDTH_TOL * max(1, |root|);
-    raises ConvergenceError after MAX_REFINE_ITERS iterations.
+    Newton runs until its step |F/F'| is at most tol / 16 or, twice
+    running, at most tol, where tol = WIDTH_TOL/2 * max(1, |x|). One
+    probe tol past that iterate x, on the root's side, then returns x
+    with the bracket {x, probe} if F changes sign there; otherwise the
+    probe narrows the bracket and the loop goes on. It also stops once
+    the bracket is at most WIDTH_TOL * max(1, |x|) wide, and raises
+    ConvergenceError after MAX_REFINE_ITERS iterations.
+
+    ``iterations`` counts the iterates, except one that ends the loop by
+    an exact zero or the width stop, and not the probes: a zero certified
+    by its first probe costs iterations + 3 evaluations.
     """
     id = id.validate()
     if bracket.lo == 0.0 and bracket.hi == 0.0:
@@ -241,6 +256,21 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         iterations += 1
         if iterations > MAX_REFINE_ITERS:
             raise ConvergenceError(f"no convergence for {id} after {MAX_REFINE_ITERS} iterations", code="NO_CONVERGENCE")
+        # tol / 16 is one to three ulps of an x >= 1; a second step within
+        # tol means F is down to its rounding noise. Tested before the
+        # in-bracket test below, which a sub-ulp Newton step never passes.
+        tol = 0.5 * WIDTH_TOL * max(1.0, abs(x))
+        if 16.0 * abs(fx) <= tol * abs(d) or (abs(fx) <= tol * abs(d) and dx_old <= tol):
+            probe = x - math.copysign(tol, fx / d)
+            if a < probe < b:
+                fp = _target(kind, nu, probe)[0]
+                if fp * fx < 0.0:
+                    a, b = min(x, probe), max(x, probe)
+                    break
+                if fp * fa > 0.0:
+                    a, fa = probe, fp
+                elif fp * fb > 0.0:
+                    b, fb = probe, fp
         # Bisect when Newton would leave the bracket or crawl (rtsafe rule);
         # either way the bracket width at least halves every other step.
         newton_ok = d != 0.0 and abs(2.0 * fx) <= abs(dx_old * d)

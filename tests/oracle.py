@@ -68,6 +68,24 @@ def zeros_by_scan(kind: str, nu, x_max, step="0.05", bisections=140) -> list[mp.
 
 
 @_with_dps
+def root_near(kind: str, nu, value: float, delta: float, bisections: int = 40) -> mp.mpf:
+    """The zero in [value-delta, value+delta], by plain bisection from a sign check."""
+    f = _func(kind, str(nu))
+    a, b = mp.mpf(repr(value)) - mp.mpf(repr(delta)), mp.mpf(repr(value)) + mp.mpf(repr(delta))
+    fa = f(a)
+    if fa * f(b) >= 0:
+        raise ValueError(f"no sign change of {kind} at order {nu} within {delta} of {value!r}")
+    for _ in range(bisections):
+        m = (a + b) / 2
+        fm = f(m)
+        if fa * fm <= 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return (a + b) / 2
+
+
+@_with_dps
 def certify_zero(kind: str, nu, value: float, delta: float = 1e-9) -> bool:
     """True when the target flips sign across [value-delta, value+delta]."""
     f = _func(kind, str(nu))

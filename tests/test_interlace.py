@@ -284,6 +284,18 @@ class TestCounterexampleScan:
         with pytest.raises(DomainError):
             counterexample_scan(1.5, [0.5, 5.0], 1)
 
+    @pytest.mark.parametrize(
+        "eps,nu_list,named",
+        [(1.0, [0.0, 700.0], "700.0"), (1.0, [599.5, 0.0], "599.5 plus eps=1.0")],
+        ids=["entry-past-cap", "shift-past-cap"],
+    )
+    def test_order_error_names_the_entry_passed(self, eps, nu_list, named):
+        # Not the shifted order nu + eps (701.0, 600.5), which the caller never passed.
+        with pytest.raises(DomainError) as exc:
+            counterexample_scan(eps, nu_list, 1)
+        assert exc.value.code == "OVERFLOW_NU"
+        assert named in str(exc.value)
+
 
 class TestTheorem2Sweep:
     def test_quarter_grid(self):

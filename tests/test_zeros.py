@@ -1,5 +1,6 @@
 import functools
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,8 @@ from bessel_interlace import (
     zero,
     zeros_upto,
 )
-from bessel_interlace.zeros import _MIN_GAP, _REACH, _scan_start, _target
+import bessel_interlace.zeros as zmod
+from bessel_interlace.zeros import _MIN_GAP, _REACH, WIDTH_TOL, _scan_start, _target
 
 
 def zval(kind, nu, s):
@@ -137,6 +139,54 @@ class TestRefine:
     def test_degenerate_bracket_rejected_elsewhere(self):
         with pytest.raises(DomainError):
             refine(Bracket(0.0, 0.0), ZeroId(ZeroKind.J, 0.0, 1))
+
+
+class TestStraddleProbe:
+    # Once Newton's step is within tol = WIDTH_TOL/2 * max(1, x), refine
+    # probes tol past x. A slope reported 64 times too steep makes Newton
+    # claim convergence while the root is still several tol away, so the
+    # probe shows no sign change and the loop must go on to a record that
+    # still meets the contract.
+    def test_record_after_a_missed_probe(self, monkeypatch):
+        kind, nu = ZeroKind.J, 0.0
+        id = ZeroId(kind, nu, 1)
+        bracket = initial_bracket(id)
+        seen = []
+
+        def too_steep(kind, nu, x):
+            value, slope = _target(kind, nu, x)
+            seen.append((x, value))
+            return value, 64.0 * slope
+
+        monkeypatch.setattr(zmod, "_target", too_steep)
+        rec = refine(bracket, id)
+        monkeypatch.undo()
+        tol = lambda x: 0.5 * WIDTH_TOL * max(1.0, x)
+        missed = [
+            (x0, x1)
+            for (x0, f0), (x1, f1) in zip(seen[2:], seen[3:])
+            if f0 * f1 > 0.0 and abs(abs(x1 - x0) - tol(x0)) <= 2.0 * math.ulp(x0)
+        ]
+        assert missed
+        lo, hi = rec.bracket.lo, rec.bracket.hi
+        assert _target(kind, nu, lo)[0] * _target(kind, nu, hi)[0] < 0.0
+        assert hi - lo <= WIDTH_TOL * max(1.0, rec.value)
+        assert rec.value in (lo, hi)
+        assert rec.residual == _target(kind, nu, rec.value)[0]
+
+
+class TestAccuracyAgainstOracle:
+    # A converged Newton iterate sits within a few ulps of the root; the
+    # extended-precision oracle bisects each root from a sign check.
+    @pytest.mark.parametrize("nu", [0.3, 2.5, 30.3])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_ulps_from_the_oracle_root(self, kind, nu):
+        ulps = []
+        for rec in zeros_upto(kind, nu, 37)[::6]:
+            root = oracle.root_near(kind.value, nu, rec.value, 1e-12 * max(1.0, rec.value))
+            ulps.append(float(abs(root - rec.value)) / math.ulp(rec.value))
+        assert statistics.median(ulps) <= 2.0
+        assert max(ulps) <= 32.0
 
 
 class TestZero:
