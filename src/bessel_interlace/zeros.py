@@ -4,9 +4,11 @@ Every zero is certified by a sign-change bracket. Brackets are found by
 walking from a lower anchor (x = nu for the first zero, the previous
 zero afterwards) in steps strictly below the minimum spacing of
 consecutive zeros, so ranks cannot be skipped; a walk gives up _REACH
-past its anchor. Refinement is safeguarded Newton that falls back to
-bisection whenever a Newton step would leave the current bracket; each
-iterate takes its value and slope from one pair C_nu(x), C_{nu+1}(x).
+past its anchor. A walk step evaluates F alone (C_nu for J and Y), and
+the walk's bracket brings F at its ends, so no point is evaluated twice.
+Refinement is safeguarded Newton that falls back to bisection whenever a
+Newton step would leave the current bracket; each iterate takes its
+value and slope from one pair C_nu(x), C_{nu+1}(x).
 Newton runs until its step |F/F'| is at most tol / 16, or at most tol
 twice running, with tol = WIDTH_TOL/2 * max(1, x); one probe tol past
 the iterate, on the root's side, then certifies it when F changes sign
@@ -20,6 +22,7 @@ Y-family zeros are all strictly positive.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -117,6 +120,15 @@ class Bracket:
 
 
 @dataclass(frozen=True)
+class _WalkBracket(Bracket):
+    """A walk's bracket for ``id`` with F(lo), F(hi); never kept in a ZeroRecord."""
+
+    flo: float
+    fhi: float
+    id: ZeroId
+
+
+@dataclass(frozen=True)
 class ZeroRecord:
     id: ZeroId
     value: float
@@ -125,8 +137,7 @@ class ZeroRecord:
     iterations: int
 
 
-# Per kind: the name of its C_nu evaluator on ``ev``, looked up at each call
-# so a wrapper installed there sees every call, and whether the target is C'_nu.
+# Per kind: the name of its C_nu evaluator on ``ev``, and whether F is C'_nu.
 _FAMILIES = {
     ZeroKind.J: ("bessel_j", False),
     ZeroKind.Y: ("bessel_y", False),
@@ -135,19 +146,23 @@ _FAMILIES = {
 }
 
 
-def _target(kind: ZeroKind, nu: float, x):
-    """The kind's target F and dF/dx at x, both from C_nu(x) and C_{nu+1}(x).
+def _target(kind: ZeroKind, nu: float):
+    """Functions of x giving the kind's F, and F with dF/dx, at order nu.
 
-    C' = -C_{nu+1} + (nu/x) C (A&S 9.1.27); the primed kinds take their
-    slope C'' = -C'/x - (1 - nu^2/x^2) C from Bessel's equation (A&S 9.1.1).
+    F is C_nu for J and Y; all else comes from C_nu(x), C_{nu+1}(x): C' =
+    -C_{nu+1} + (nu/x) C (A&S 9.1.27), and the primed kinds' slope C'' =
+    -C'/x - (1 - nu^2/x^2) C is Bessel's equation (A&S 9.1.1). ``ev`` is
+    read here, per call, so a wrapper installed there sees every evaluation.
     """
     name, primed = _FAMILIES[kind]
     bessel = getattr(ev, name)
-    c0, c1 = bessel(nu, x), bessel(nu + 1.0, x)
-    d = -c1 + (nu / x) * c0
-    if primed:
-        return d, -d / x - (1.0 - (nu / x) ** 2) * c0
-    return c0, d
+
+    def value_slope(x):
+        c0 = bessel(nu, x)
+        d = -bessel(nu + 1.0, x) + (nu / x) * c0
+        return (d, -d / x - (1.0 - (nu / x) ** 2) * c0) if primed else (c0, d)
+
+    return ((lambda x: value_slope(x)[0]) if primed else functools.partial(bessel, nu)), value_slope
 
 
 def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
@@ -180,18 +195,18 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
     if prev is None and id.s > 1:
         prev = zero(ZeroId(id.kind, id.nu, id.s - 1)).value
 
-    kind, nu = id.kind, id.nu
-    x = _scan_start(kind, nu, prev)
-    fx = _target(kind, nu, x)[0]
+    value = _target(id.kind, id.nu)[0]
+    x = _scan_start(id.kind, id.nu, prev)
+    fx = value(x)
     if fx == 0.0 or math.isnan(fx):
         x *= 1.0 + 1e-9
-        fx = _target(kind, nu, x)[0]
+        fx = value(x)
 
     # Fixed steps below the minimum zero spacing keep the rank certified.
     budget = x + _REACH
     while x < budget:
         x2 = min(x + _STEP, budget)
-        fx2 = _target(kind, nu, x2)[0]
+        fx2 = value(x2)
         if math.isnan(fx2):
             raise BracketError(
                 f"evaluator returned NaN at x={x2} while bracketing {id}",
@@ -200,10 +215,11 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
         if fx2 == 0.0:
             # Exact zero hit: widen symmetrically into a genuine bracket.
             eps = max(1e-12, 1e-12 * x2)
-            if _target(kind, nu, x2 - eps)[0] * _target(kind, nu, x2 + eps)[0] < 0.0:
-                return Bracket(x2 - eps, x2 + eps)
+            flo, fhi = value(x2 - eps), value(x2 + eps)
+            if flo * fhi < 0.0:
+                return _WalkBracket(x2 - eps, x2 + eps, flo, fhi, id)
         if fx * fx2 < 0.0:
-            return Bracket(x, x2)
+            return _WalkBracket(x, x2, fx, fx2, id)
         x, fx = x2, fx2
     raise BracketError(f"no sign change found for {id} within {_REACH} of its anchor", code="BRACKET_NOT_FOUND")
 
@@ -220,8 +236,10 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
     ConvergenceError after MAX_REFINE_ITERS iterations.
 
     ``iterations`` counts the iterates, except one that ends the loop by
-    an exact zero or the width stop, and not the probes: a zero certified
-    by its first probe costs iterations + 3 evaluations.
+    an exact zero or the width stop, and not the probes. A walk's bracket
+    for the same ``id`` brings F at its ends, so a zero certified by its
+    first probe costs iterations + 1 points (any other bracket, two more):
+    C_nu and C_{nu+1} at an iterate, F alone (C_nu for J, Y) at a probe.
     """
     id = id.validate()
     if bracket.lo == 0.0 and bracket.hi == 0.0:
@@ -229,9 +247,10 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
             return ZeroRecord(id, 0.0, bracket, 0.0, 0)
         raise DomainError("degenerate bracket is reserved for j'_{0,1}", code="DOMAIN_S")
 
-    kind, nu = id.kind, id.nu
+    value, value_slope = _target(id.kind, id.nu)
     a, b = bracket.lo, bracket.hi
-    fa, fb = _target(kind, nu, a)[0], _target(kind, nu, b)[0]
+    walked = isinstance(bracket, _WalkBracket) and bracket.id == id
+    fa, fb = (bracket.flo, bracket.fhi) if walked else (value(a), value(b))
     if fa == 0.0:
         return ZeroRecord(id, a, Bracket(a, a), 0.0, 0)
     if fb == 0.0:
@@ -243,7 +262,7 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
     dx_old = b - a
     iterations = 0
     while True:
-        fx, d = _target(kind, nu, x)
+        fx, d = value_slope(x)
         if fx == 0.0:
             a = b = x
             break
@@ -263,7 +282,7 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         if 16.0 * abs(fx) <= tol * abs(d) or (abs(fx) <= tol * abs(d) and dx_old <= tol):
             probe = x - math.copysign(tol, fx / d)
             if a < probe < b:
-                fp = _target(kind, nu, probe)[0]
+                fp = value(probe)
                 if fp * fx < 0.0:
                     a, b = min(x, probe), max(x, probe)
                     break
@@ -360,7 +379,8 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
         raise DomainError(f"x_max must exceed step, got {x_max!r}", code="DOMAIN_X")
 
     xs = np.arange(step, x_max + 0.5 * step, step)
-    vals = np.asarray(_target(kind, nu, xs)[0], dtype=float)
+    value = _target(kind, nu)[0]
+    vals = np.asarray(value(xs), dtype=float)
     ok = np.isfinite(vals)
     sign_flip = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0.0))[0]
 
@@ -370,7 +390,7 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
         fa = float(vals[i])
         while b - a > 1e-12:
             m = 0.5 * (a + b)
-            fm = _target(kind, nu, m)[0]
+            fm = value(m)
             if fm == 0.0:
                 a = b = m
                 break

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import jv, jvp, yv, yvp
 
 import fixtures
@@ -22,6 +23,7 @@ from bessel_interlace import (
     zero,
     zeros_upto,
 )
+import bessel_interlace.evaluate as ev
 import bessel_interlace.zeros as zmod
 from bessel_interlace.zeros import _MIN_GAP, _REACH, WIDTH_TOL, _scan_start, _target
 
@@ -31,7 +33,7 @@ def zval(kind, nu, s):
 
 
 def target(kind, nu):
-    return lambda x: _target(kind, nu, x)[0]
+    return _target(kind, nu)[0]
 
 
 _SCIPY = {ZeroKind.J: jv, ZeroKind.Y: yv, ZeroKind.JPRIME: jvp, ZeroKind.YPRIME: yvp}
@@ -43,10 +45,13 @@ def grid_zeros(kind, nu, count):
     vectorized bisection, without the library's root finder.
 
     No positive zero of J_nu, Y_nu, J'_nu or Y'_nu lies below nu, so the
-    grid starts at nu / 2.
+    grid starts at nu / 2. It ends where the Debye phase
+    sqrt(x^2 - nu^2) - nu arccos(nu/x), which gains about pi per zero,
+    reaches (count + 2) pi.
     """
     f = _SCIPY[kind]
-    x_max = nu + 8.0 * nu ** (1.0 / 3.0) + (count + 1) * math.pi + 5.0
+    phase = lambda t: t - nu * math.atan2(t, nu) - (count + 2) * math.pi  # t = sqrt(x^2 - nu^2)
+    x_max = math.hypot(nu, brentq(phase, 0.0, (count + 2) * math.pi * (1.0 + nu))) + 5.0
     xs = np.arange(max(0.01, 0.5 * nu), x_max, 0.05)
     with np.errstate(all="ignore"):
         vals = f(nu, xs)
@@ -96,17 +101,20 @@ class TestInitialBracket:
 
 
 class TestTarget:
-    # _target gives each kind's value and slope from one pair C_nu, C_{nu+1};
-    # scipy's jvp/yvp (the n-th derivative, n = 0 the function) form the
-    # derivatives their own way.
+    # _target gives each kind's value and slope from one pair C_nu, C_{nu+1},
+    # and the value alone bit-for-bit as the pair gives it; scipy's jvp/yvp
+    # (the n-th derivative, n = 0 the function) form the derivatives their
+    # own way.
     DERIVATIVES = {ZeroKind.J: (jv, jvp, 0), ZeroKind.Y: (yv, yvp, 0), ZeroKind.JPRIME: (jv, jvp, 1), ZeroKind.YPRIME: (yv, yvp, 1)}
 
     @pytest.mark.parametrize("nu", [0.0, 0.3, 2.5, 30.0, 505.0])
     @pytest.mark.parametrize("kind", list(ZeroKind))
     def test_value_and_slope_match_scipy(self, kind, nu):
         c, dc, n = self.DERIVATIVES[kind]
+        f, f_and_slope = _target(kind, nu)
         for x in (nu + 1.0, nu + 7.3, 1.5 * nu + 40.0):  # past the turning point
-            value, slope = _target(kind, nu, x)
+            value, slope = f_and_slope(x)
+            assert f(x) == value
             # Every term is at most |C_nu| + |C_{nu+1}| in size for x >= max(nu, 1).
             tol = 1e-12 * (abs(c(nu, x)) + abs(c(nu + 1.0, x)))
             assert value == pytest.approx(dc(nu, x, n), abs=tol)
@@ -115,7 +123,7 @@ class TestTarget:
     @pytest.mark.parametrize("kind,nu", [(ZeroKind.J, 2.5), (ZeroKind.Y, 0.3), (ZeroKind.JPRIME, 30.0), (ZeroKind.YPRIME, 505.0)])
     def test_residual_is_the_target_at_the_value(self, kind, nu):
         for rec in zeros_upto(kind, nu, 12):
-            assert rec.residual == _target(kind, nu, rec.value)[0]
+            assert rec.residual == target(kind, nu)(rec.value)
 
 
 class TestRefine:
@@ -151,28 +159,85 @@ class TestStraddleProbe:
         kind, nu = ZeroKind.J, 0.0
         id = ZeroId(kind, nu, 1)
         bracket = initial_bracket(id)
-        seen = []
+        seen = []  # (what, x, F(x)) for every point refine evaluates
 
-        def too_steep(kind, nu, x):
-            value, slope = _target(kind, nu, x)
-            seen.append((x, value))
-            return value, 64.0 * slope
+        def too_steep(kind, nu):
+            f, f_and_slope = _target(kind, nu)
+
+            def value(x):
+                seen.append(("value", x, f(x)))
+                return seen[-1][2]
+
+            def value_slope(x):
+                fx, slope = f_and_slope(x)
+                seen.append(("iterate", x, fx))
+                return fx, 64.0 * slope
+
+            return value, value_slope
 
         monkeypatch.setattr(zmod, "_target", too_steep)
         rec = refine(bracket, id)
         monkeypatch.undo()
+        # The walk's bracket brings F at its ends: refine starts at the midpoint.
+        assert seen[0][:2] == ("iterate", 0.5 * (bracket.lo + bracket.hi))
         tol = lambda x: 0.5 * WIDTH_TOL * max(1.0, x)
         missed = [
             (x0, x1)
-            for (x0, f0), (x1, f1) in zip(seen[2:], seen[3:])
-            if f0 * f1 > 0.0 and abs(abs(x1 - x0) - tol(x0)) <= 2.0 * math.ulp(x0)
+            for (w0, x0, f0), (w1, x1, f1) in zip(seen, seen[1:])
+            if (w0, w1) == ("iterate", "value") and f0 * f1 > 0.0 and abs(abs(x1 - x0) - tol(x0)) <= 2.0 * math.ulp(x0)
         ]
         assert missed
+        f = target(kind, nu)
         lo, hi = rec.bracket.lo, rec.bracket.hi
-        assert _target(kind, nu, lo)[0] * _target(kind, nu, hi)[0] < 0.0
+        assert f(lo) * f(hi) < 0.0
         assert hi - lo <= WIDTH_TOL * max(1.0, rec.value)
         assert rec.value in (lo, hi)
-        assert rec.residual == _target(kind, nu, rec.value)[0]
+        assert rec.residual == f(rec.value)
+
+
+class TestEvaluatedOnce:
+    # Building a sequence evaluates no (function, order, x) twice: the walk
+    # reads F alone, and refine takes F at the bracket ends from the walk.
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 2.5, 30.0, 505.0])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_no_point_evaluated_twice(self, monkeypatch, kind, nu):
+        calls = []  # (function, order, x, inside the walk)
+        walking = [False]
+
+        def counted(name):
+            bessel = getattr(ev, name)
+
+            def wrapper(order, x):
+                calls.append((name, order, x, walking[0]))
+                return bessel(order, x)
+
+            return wrapper
+
+        def walk(*args, **kwargs):
+            walking[0] = True
+            try:
+                return initial_bracket(*args, **kwargs)
+            finally:
+                walking[0] = False
+
+        zmod.clear_cache()
+        for name in ("bessel_j", "bessel_y"):
+            monkeypatch.setattr(ev, name, counted(name))
+        monkeypatch.setattr(zmod, "initial_bracket", walk)
+        zeros_upto(kind, nu, 30)
+        monkeypatch.undo()
+        zmod.clear_cache()
+
+        points = [c[:3] for c in calls]
+        assert len(set(points)) == len(points)
+        walk_points = {}
+        for _, order, x, in_walk in calls:
+            if in_walk:
+                walk_points.setdefault(x, []).append(order)
+        assert walk_points
+        # One C_nu call per J or Y walk point; C_nu and C_{nu+1} for J', Y'.
+        per_point = [nu] if kind in (ZeroKind.J, ZeroKind.Y) else [nu, nu + 1.0]
+        assert all(sorted(orders) == per_point for orders in walk_points.values())
 
 
 class TestAccuracyAgainstOracle:
@@ -269,14 +334,18 @@ class TestRankCertification:
     # and meets the zero within _REACH of its anchor. These assumptions are
     # checked against grid_zeros, over orders that include the small-order
     # j'/y' first gaps and the turning-point region.
-    ORDERS = [0.0, 0.01, 0.1, 0.3, 0.5, 1.0, 2.5, 7.25, 30.0, 120.0, 300.0, 505.0, 599.5, 600.0]
+    ORDERS = [
+        0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.5, 4.0, 7.25,
+        15.0, 30.0, 60.0, 120.0, 200.0, 300.0, 450.0, 505.0, 550.0, 599.5, 600.0,
+    ]
+    RANKS = 40
 
-    @staticmethod
-    def ranked(kind, nu):
-        """Ranks 1..8 from grid_zeros, with the conventional j'_{0,1} = 0."""
+    @classmethod
+    def ranked(cls, kind, nu):
+        """Ranks 1..RANKS from grid_zeros, with the conventional j'_{0,1} = 0."""
         if kind is ZeroKind.JPRIME and nu == 0.0:
-            return (0.0, *grid_zeros(kind, nu, 7))
-        return grid_zeros(kind, nu, 8)
+            return (0.0, *grid_zeros(kind, nu, cls.RANKS - 1))
+        return grid_zeros(kind, nu, cls.RANKS)
 
     @pytest.mark.parametrize("nu", ORDERS)
     @pytest.mark.parametrize("kind", list(ZeroKind))
@@ -300,7 +369,7 @@ class TestRankCertification:
     @pytest.mark.parametrize("nu", ORDERS)
     @pytest.mark.parametrize("kind", list(ZeroKind))
     def test_ranks_match_the_grid(self, kind, nu):
-        values = [r.value for r in zeros_upto(kind, nu, 8)]
+        values = [r.value for r in zeros_upto(kind, nu, self.RANKS)]
         assert values == pytest.approx(self.ranked(kind, nu), rel=1e-10, abs=1e-12)
 
 
