@@ -75,10 +75,11 @@ def to_json(obj) -> str:
 
 
 def _csv_cell(value) -> str:
-    text = fmt(value)
-    if any(ch in text for ch in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    if isinstance(value, float):
+        return format(value, ".17g")  # as fmt: format already spells nan, inf, -inf
+    if isinstance(value, str) and any(ch in value for ch in ',"\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return str(value)
 
 
 def to_csv(header: list[str], rows: list[list], trailer: str | None = None) -> str:

@@ -4,8 +4,15 @@ Every zero is certified by a sign-change bracket. Brackets are found by
 walking from a lower anchor (x = nu for the first zero, the previous
 zero afterwards) in steps strictly below the minimum spacing of
 consecutive zeros, so ranks cannot be skipped; a walk gives up _REACH
-past its anchor. A walk step evaluates F alone (C_nu for J and Y), and
-the walk's bracket brings F at its ends, so no point is evaluated twice.
+past its anchor. No two zeros lie within twice that spacing of the
+previous one, so the first step from it may reach that far. From rank 4
+the walk's first points after the previous zero are g - h and g + 2h
+when those steps keep within both bounds, where g extrapolates the last
+three zeros quadratically and h bounds its error; the guess only places
+sign checks and never certifies a rank.
+A walk step evaluates F alone (C_nu for J and Y), and the walk's
+bracket brings F at its ends, so no point is evaluated twice: a guessed
+J or Y zero costs ~8 scipy calls (3 walk points, 2 iterates, 1 probe).
 Refinement is safeguarded Newton that falls back to bisection whenever a
 Newton step would leave the current bracket; each iterate takes its
 value and slope from one pair C_nu(x), C_{nu+1}(x).
@@ -60,7 +67,8 @@ MAX_REFINE_ITERS = 200
 # No two consecutive zeros of any one target family sit closer than
 # this on x > 0 (zero spacing tends to pi from either side and only
 # widens near the turning point), so a walk step below it cannot
-# straddle two sign changes.
+# straddle two sign changes, nor can a first step of up to twice this
+# from the previous zero.
 _MIN_GAP = 2.2
 
 _STEP = 0.55 * _MIN_GAP
@@ -176,13 +184,21 @@ def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
     return max(nu, 1e-6)
 
 
-def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
+def initial_bracket(id: ZeroId, _prev: float | None = None, _guess: tuple[float, float] | None = None) -> Bracket:
     """Sign-change bracket certified to contain exactly the s-th zero.
 
     Walks from a lower anchor (nu, or the previous zero of the same
     family) in steps below the minimum zero spacing, so the first sign
     change it meets belongs to the requested rank. Raises BracketError
     if no sign change appears within _REACH of the anchor.
+
+    From a previous zero the walk may first visit g - h and g + 2h, for
+    a guess ``_guess`` = (g, h) at the zero. No two zeros lie within
+    2 * _MIN_GAP of the previous one, so the first step may reach that
+    far; the step between the two points stays below _MIN_GAP. A guess
+    that would break either bound is not used. The guess only places
+    sign checks: the ranks rest on the spacing alone, and a bracket
+    [g - h, g + 2h] puts refine's first iterate h/2 off g.
     """
     id = id.validate()
     if id.kind is ZeroKind.JPRIME and id.nu == 0.0 and id.s == 1:
@@ -202,10 +218,17 @@ def initial_bracket(id: ZeroId, _prev: float | None = None) -> Bracket:
         x *= 1.0 + 1e-9
         fx = value(x)
 
-    # Fixed steps below the minimum zero spacing keep the rank certified.
+    # Steps below the minimum zero spacing keep the rank certified; only
+    # the first step from a previous zero may reach 2 * _MIN_GAP past it.
+    ahead = []
+    if _guess is not None and prev is not None:
+        g, h = _guess
+        lo, hi = g - h, g + 2.0 * h
+        if x < lo <= prev + 2.0 * _MIN_GAP and lo < hi and hi - lo < _MIN_GAP:
+            ahead = [hi, lo]
     budget = x + _REACH
     while x < budget:
-        x2 = min(x + _STEP, budget)
+        x2 = ahead.pop() if ahead else min(x + _STEP, budget)
         fx2 = value(x2)
         if math.isnan(fx2):
             raise BracketError(
@@ -321,6 +344,17 @@ def clear_cache() -> None:
         _cache.clear()
 
 
+def _predict(records: list[ZeroRecord]) -> tuple[float, float] | None:
+    """A guess (g, h) at the next zero: g extrapolates the last three
+    quadratically, and h, the gap to the linear extrapolation, bounds
+    its error (at least ~2e-11 relative)."""
+    if len(records) < 3:
+        return None
+    z1, z2, z3 = records[-3].value, records[-2].value, records[-1].value
+    g = 3.0 * (z3 - z2) + z1
+    return g, max(abs(g - (2.0 * z3 - z2)), 2e-11 * max(1.0, g))
+
+
 def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
     """The cached records of (kind, nu), extended to at least s_max ranks.
 
@@ -336,7 +370,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
                 records.append(ZeroRecord(id, 0.0, Bracket(0.0, 0.0), 0.0, 0))
                 continue
             prev = records[-1].value if records else None
-            rec = refine(initial_bracket(id, _prev=prev), id)
+            rec = refine(initial_bracket(id, _prev=prev, _guess=_predict(records)), id)
             if records and not rec.value > records[-1].value:
                 raise ConvergenceError(
                     f"zeros of {kind.name} nu={nu} failed to increase at s={s}",

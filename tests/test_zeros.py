@@ -253,6 +253,42 @@ class TestAccuracyAgainstOracle:
         assert statistics.median(ulps) <= 2.0
         assert max(ulps) <= 32.0
 
+    # Deep in a sequence the walk's guess is right to ~1e-10 relative, so
+    # refine must still move off it: a bracket centred on the guess
+    # returns it unrefined, 1.41 ulps off at y_{2.5,7500}.
+    @pytest.mark.parametrize(
+        "kind,nu,s",
+        [(ZeroKind.Y, 2.5, s) for s in (500, 1000, 2000, 5000, 7500, 10_000)] + [(ZeroKind.J, 10.0, s) for s in (500, 1000, 2000)],
+    )
+    def test_high_ranks_within_an_ulp(self, kind, nu, s):
+        value = zval(kind, nu, s)
+        root = oracle.root_near(kind.value, nu, value, 1e-12 * value)
+        assert float(abs(root - value)) <= math.ulp(value)
+
+
+class TestEvaluationBudget:
+    # The walk's first points after the previous zero sit at the zero the
+    # last three predict: x0, g - h and g + 2h, then two Newton iterates
+    # and the probe come to ~8 scipy calls per J or Y zero (13 without).
+    @pytest.mark.parametrize("kind,nu,ranks", [(ZeroKind.Y, 2.5, 2000), (ZeroKind.J, 10.0, 1500)])
+    def test_scipy_calls_per_zero(self, monkeypatch, kind, nu, ranks):
+        calls = [0]
+
+        def counted(bessel):
+            def wrapper(order, x):
+                calls[0] += 1
+                return bessel(order, x)
+
+            return wrapper
+
+        zmod.clear_cache()
+        for name in ("bessel_j", "bessel_y"):
+            monkeypatch.setattr(ev, name, counted(getattr(ev, name)))
+        zeros_upto(kind, nu, ranks)
+        monkeypatch.undo()
+        zmod.clear_cache()
+        assert calls[0] <= 9 * ranks
+
 
 class TestZero:
     def test_conventional_jprime_zero(self):
@@ -371,6 +407,54 @@ class TestRankCertification:
     def test_ranks_match_the_grid(self, kind, nu):
         values = [r.value for r in zeros_upto(kind, nu, self.RANKS)]
         assert values == pytest.approx(self.ranked(kind, nu), rel=1e-10, abs=1e-12)
+
+
+class TestWrongGuess:
+    # The guess (g, h) from _predict only places the walk's sign checks, so
+    # no guess may cost a rank: each wrong one below is either not used or
+    # leaves the walk to find the zero, and every rank and value matches
+    # grid_zeros and a walk without guesses. Guesses start at rank 2, the
+    # first with a previous zero. z is 0-based: z[s - 1] is rank s.
+    RANKS = 30
+    GUESSES = {
+        "half-a-spacing-low": lambda z, s: (z[s - 1] - 0.5 * (z[s - 1] - z[s - 2]), 1e-9),
+        "half-a-spacing-high": lambda z, s: (z[s - 1] + 0.5 * (z[s] - z[s - 1]), 1e-9),
+        "at-the-next-zero": lambda z, s: (z[s], 1e-9),
+        # Its first step holds two zeros: only the 2 * _MIN_GAP bound rejects it.
+        "two-zeros-ahead": lambda z, s: (z[s + 1], 1e-9),
+        "below-the-anchor": lambda z, s: (z[s - 2] - 1.0, 1e-9),
+        "h-above-min-gap": lambda z, s: (z[s - 1] - 0.1 + 1.1 * _MIN_GAP, 1.1 * _MIN_GAP),
+        # g - h just below the zero, g + 2h past the next one.
+        "h-spans-two-zeros": lambda z, s: (z[s - 1] - 0.1 + 0.6 * _MIN_GAP, 0.6 * _MIN_GAP),
+    }
+
+    @staticmethod
+    def values(kind, nu, count):
+        zmod.clear_cache()
+        try:
+            return [r.value for r in zeros_upto(kind, nu, count)]
+        finally:
+            zmod.clear_cache()
+
+    @pytest.mark.parametrize("guess", list(GUESSES))
+    @pytest.mark.parametrize("nu", [0.0, 2.5, 30.0])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_a_wrong_guess_never_costs_a_rank(self, monkeypatch, kind, nu, guess):
+        z = TestRankCertification.ranked(kind, nu)
+        asked = []
+
+        def predict(records):
+            s = len(records) + 1
+            asked.append(s)
+            return self.GUESSES[guess](z, s) if s > 1 else None
+
+        monkeypatch.setattr(zmod, "_predict", lambda records: None)
+        cold = self.values(kind, nu, self.RANKS)
+        monkeypatch.setattr(zmod, "_predict", predict)
+        guessed = self.values(kind, nu, self.RANKS)
+        assert asked[1 - self.RANKS :] == list(range(2, self.RANKS + 1))
+        assert guessed == pytest.approx(z[: self.RANKS], rel=1e-10, abs=1e-12)
+        assert all(abs(g - c) <= 2.0 * WIDTH_TOL * max(1.0, c) for g, c in zip(guessed, cold))
 
 
 class TestOracleScan:
