@@ -5,6 +5,12 @@ Values are IEEE doubles backed by scipy.special (AMOS), which holds
 relative accuracy near 1e-13 across the supported range, including
 large orders where uniform asymptotic expansions take over.
 
+Scalar calls go through scipy's typed ``cython_special.jv``/``yv``
+entry points: the same code as the ``scipy.special.jv``/``yv`` ufuncs,
+so the same bits, without the ufunc's per-call dispatch. They take
+doubles only: the public functions, ``ZeroId.validate`` and ``refine``
+convert an order or argument to float once, at the boundary.
+
 Derivatives are formed from the downward recurrence
 C'_nu(x) = -C_{nu+1}(x) + (nu/x) C_nu(x), the same relation the
 interlacing analysis relies on, so derivative values are consistent
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import jv as _jv, yv as _yv
+from scipy.special.cython_special import jv as _jv, yv as _yv
 
 from .errors import DomainError
 
@@ -62,37 +68,37 @@ def check_argument(x: float) -> float:
     return x
 
 
-# Bare-float fast paths; the zero finder calls these in tight loops.
+# Scalar fast paths on floats; the zero finder calls these in tight loops.
 
 # Below this the backend misevaluates subnormal orders; snapping to 0
 # changes the value by O(nu), far under the accuracy contract.
 _TINY_ORDER = 1e-290
 
 
-def bessel_j(nu: float, x):
+def bessel_j(nu: float, x: float) -> float:
     if 0.0 < nu < _TINY_ORDER:
         nu = 0.0
     return _jv(nu, x)
 
 
-def bessel_y(nu: float, x):
+def bessel_y(nu: float, x: float) -> float:
     if 0.0 < nu < _TINY_ORDER:
         nu = 0.0
     return _yv(nu, x)
 
 
-def bessel_dj(nu: float, x):
+def bessel_dj(nu: float, x: float) -> float:
     if nu < _TINY_ORDER:
         return -_jv(1.0, x)
     return -_jv(nu + 1.0, x) + (nu / x) * _jv(nu, x)
 
 
-def bessel_dy(nu: float, x):
+def bessel_dy(nu: float, x: float) -> float:
     if nu < _TINY_ORDER:
         return -_yv(1.0, x)
     v = -_yv(nu + 1.0, x) + (nu / x) * _yv(nu, x)
     # inf - inf below the turning point: Y is negative and rising there.
-    if isinstance(v, float) and math.isnan(v) and x < nu:
+    if math.isnan(v) and x < nu:
         return math.inf
     return v
 
@@ -109,7 +115,7 @@ def eval_J(nu: float, x: float) -> EvalResult:
     """J_nu(x) for nu in [0, NU_MAX], x > 0."""
     nu = check_order(nu)
     x = check_argument(x)
-    v = float(bessel_j(nu, x))
+    v = bessel_j(nu, x)
     return EvalResult(v, _error_estimate(nu, x, v))
 
 
@@ -121,7 +127,7 @@ def eval_Y(nu: float, x: float) -> EvalResult:
     """
     nu = check_order(nu)
     x = check_argument(x)
-    v = float(bessel_y(nu, x))
+    v = bessel_y(nu, x)
     return EvalResult(v, _error_estimate(nu, x, v))
 
 
@@ -129,7 +135,7 @@ def eval_dJ(nu: float, x: float) -> EvalResult:
     """J'_nu(x) = -J_{nu+1}(x) + (nu/x) J_nu(x)."""
     nu = check_order(nu)
     x = check_argument(x)
-    v = float(bessel_dj(nu, x))
+    v = bessel_dj(nu, x)
     return EvalResult(v, _error_estimate(nu, x, v))
 
 
@@ -137,7 +143,7 @@ def eval_dY(nu: float, x: float) -> EvalResult:
     """Y'_nu(x) = -Y_{nu+1}(x) + (nu/x) Y_nu(x)."""
     nu = check_order(nu)
     x = check_argument(x)
-    v = float(bessel_dy(nu, x))
+    v = bessel_dy(nu, x)
     return EvalResult(v, _error_estimate(nu, x, v))
 
 
@@ -153,7 +159,7 @@ def eval_cylinder(alpha: float, nu: float, x: float) -> EvalResult:
     # Skip zero-coefficient terms so a saturated Y can't poison a pure-J mix.
     v = 0.0
     if ca != 0.0:
-        v += ca * float(bessel_j(nu, x))
+        v += ca * bessel_j(nu, x)
     if sa != 0.0:
-        v -= sa * float(bessel_y(nu, x))
+        v -= sa * bessel_y(nu, x)
     return EvalResult(v, _error_estimate(nu, x, v))

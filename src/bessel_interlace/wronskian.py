@@ -61,7 +61,7 @@ def eval_W(nu: float, mu: float, x: float) -> float:
     nu = ev.check_order(nu)
     mu = ev.check_order(mu)
     x = ev.check_argument(x)
-    return float(ev.bessel_j(nu, x) * ev.bessel_dy(mu, x) - ev.bessel_dj(nu, x) * ev.bessel_y(mu, x))
+    return ev.bessel_j(nu, x) * ev.bessel_dy(mu, x) - ev.bessel_dj(nu, x) * ev.bessel_y(mu, x)
 
 
 def _extremal_points(nu: float, mu: float, s_max: int) -> list[tuple[float, str]]:

@@ -95,7 +95,7 @@ class ZeroKind(enum.Enum):
         raise DomainError(f"unknown zero kind {text!r} (expected j, y, jp, yp)", code="DOMAIN_KIND")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroId:
     """Names one zero: the s-th positive zero of the kind's function at order nu."""
 
@@ -104,15 +104,18 @@ class ZeroId:
     s: int
 
     def validate(self) -> "ZeroId":
-        ev.check_order(self.nu)
+        """This id, with its order as a float; raises DomainError."""
+        nu = ev.check_order(self.nu)
         if not isinstance(self.s, int) or self.s < 1:
             raise DomainError(f"rank must be a positive integer, got {self.s!r}", code="DOMAIN_S")
         if self.s > S_MAX_LIMIT:
             raise DomainError(f"rank {self.s} exceeds the supported cap {S_MAX_LIMIT}", code="DOMAIN_S")
-        return self
+        # The scalar evaluators take floats only (scipy's typed entry
+        # points have no int signature), so an int order is converted here.
+        return self if type(self.nu) is float else ZeroId(self.kind, nu, self.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bracket:
     """Interval whose endpoints carry opposite function signs.
 
@@ -127,7 +130,7 @@ class Bracket:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _WalkBracket(Bracket):
     """A walk's bracket for ``id`` with F(lo), F(hi); never kept in a ZeroRecord."""
 
@@ -136,7 +139,7 @@ class _WalkBracket(Bracket):
     id: ZeroId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroRecord:
     id: ZeroId
     value: float
@@ -271,7 +274,7 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         raise DomainError("degenerate bracket is reserved for j'_{0,1}", code="DOMAIN_S")
 
     value, value_slope = _target(id.kind, id.nu)
-    a, b = bracket.lo, bracket.hi
+    a, b = float(bracket.lo), float(bracket.hi)
     walked = isinstance(bracket, _WalkBracket) and bracket.id == id
     fa, fb = (bracket.flo, bracket.fhi) if walked else (value(a), value(b))
     if fa == 0.0:
@@ -327,7 +330,7 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         x = x_new
 
     # Every exit leaves x at a or b with fx = F(x) already evaluated.
-    return ZeroRecord(id, float(x), Bracket(float(a), float(b)), float(fx), iterations)
+    return ZeroRecord(id, x, Bracket(a, b), fx, iterations)
 
 
 # --- cached sequential enumeration ----------------------------------------
@@ -362,7 +365,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
     modify it.
     """
     with _cache_lock:
-        records = _cache.setdefault((kind, float(nu)), [])
+        records = _cache.setdefault((kind, nu), [])
         while len(records) < s_max:
             s = len(records) + 1
             id = ZeroId(kind, nu, s)
@@ -395,18 +398,17 @@ def zeros_upto(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
     """Records for ranks 1..s_max, strictly increasing in value."""
     if not isinstance(s_max, int) or s_max < 1 or s_max > S_MAX_LIMIT:
         raise DomainError(f"s_max must be in 1..{S_MAX_LIMIT}, got {s_max!r}", code="DOMAIN_S")
-    ev.check_order(nu)
-    return _extend_sequence(kind, float(nu), s_max)[:s_max]
+    return _extend_sequence(kind, ev.check_order(nu), s_max)[:s_max]
 
 
 def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[float]:
     """Brute-force zero locator: grid sign scan plus plain bisection.
 
     Deliberately ignorant of brackets, anchors and walk reach so it can
-    cross-check zeros_upto. Grid evaluation is vectorized; each
-    sign change is bisected to 1e-12 absolute.
+    cross-check zeros_upto. The grid is evaluated point by point with the
+    kind's scalar F; each sign change is bisected to 1e-12 absolute.
     """
-    ev.check_order(nu)
+    nu = ev.check_order(nu)
     if not 0.0 < step <= 0.01:
         raise DomainError(f"step must be in (0, 0.01], got {step!r}", code="DOMAIN_STEP")
     if not math.isfinite(x_max) or x_max <= step:
@@ -414,7 +416,7 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
 
     xs = np.arange(step, x_max + 0.5 * step, step)
     value = _target(kind, nu)[0]
-    vals = np.asarray(value(xs), dtype=float)
+    vals = np.array([value(x) for x in xs.tolist()])
     ok = np.isfinite(vals)
     sign_flip = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0.0))[0]
 

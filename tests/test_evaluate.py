@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv, yv
 
 import fixtures
 import oracle
@@ -16,6 +17,7 @@ from bessel_interlace import (
     eval_dJ,
     eval_dY,
 )
+import bessel_interlace.evaluate as ev
 
 J01 = fixtures.ORACLE_ZEROS[("j", 0.0, 1)]
 J11 = fixtures.ORACLE_ZEROS[("j", 1.0, 1)]
@@ -100,6 +102,65 @@ class TestDomain:
     def test_cylinder_rejects_bad_alpha(self):
         with pytest.raises(DomainError):
             eval_cylinder(math.inf, 1.0, 1.0)
+
+
+def _bits(v):
+    """A float's exact identity: its hex form, with every NaN alike."""
+    return "nan" if math.isnan(v) else v.hex()
+
+
+class TestUfuncParity:
+    # The scalar paths call scipy's typed cython_special entry points; the
+    # reference is the scipy.special.jv/yv ufuncs, with the same order snap,
+    # recurrence and NaN rule. x runs from 1e-6 to 3000 and straddles each
+    # order, so Y saturates to -inf below the turning point.
+    ORDERS = [0.0, 1e-300, 0.01, 0.5, 1.0, 2.0, 2.5, 30.0, 120.0, 505.0, 600.0]
+
+    @staticmethod
+    def reference(name, nu, x):
+        c = jv if name in ("bessel_j", "bessel_dj") else yv
+        if nu < ev._TINY_ORDER:
+            nu = 0.0
+            if name in ("bessel_dj", "bessel_dy"):
+                return float(-c(1.0, x))
+        if name in ("bessel_j", "bessel_y"):
+            return float(c(nu, x))
+        with np.errstate(invalid="ignore"):
+            v = float(-c(nu + 1.0, x) + (nu / x) * c(nu, x))
+        return math.inf if name == "bessel_dy" and math.isnan(v) and x < nu else v
+
+    @staticmethod
+    def grid(nu):
+        xs = np.geomspace(1e-6, 3000.0, 301).tolist()
+        return xs + [nu * f for f in (0.1, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0) if nu > 0.0]
+
+    @pytest.mark.parametrize("name", ["bessel_j", "bessel_y", "bessel_dj", "bessel_dy"])
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_bit_for_bit(self, name, nu):
+        fn = getattr(ev, name)
+        for x in self.grid(nu):
+            got = fn(nu, x)
+            assert type(got) is float, (name, nu, x)
+            assert _bits(got) == _bits(self.reference(name, nu, x)), (name, nu, x)
+
+    def test_saturation_is_covered(self):
+        # The grid reaches Y = -inf, and Y' = inf - inf before the NaN rule.
+        assert -math.inf in [ev.bessel_y(505.0, x) for x in self.grid(505.0)]
+        assert math.inf in [ev.bessel_dy(600.0, x) for x in self.grid(600.0)]
+
+
+class TestIntInputs:
+    # The typed entry points have no integer signature; ints must give
+    # exactly the float results.
+    @pytest.mark.parametrize("fn", [eval_J, eval_Y, eval_dJ, eval_dY])
+    @pytest.mark.parametrize("nu,x", [(0, 3), (2, 3), (3, 1), (30, 40)])
+    def test_eval(self, fn, nu, x):
+        assert _bits(fn(nu, x).value) == _bits(fn(float(nu), float(x)).value)
+
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_cylinder(self, alpha):
+        got = eval_cylinder(alpha, 2, 5).value
+        assert _bits(got) == _bits(eval_cylinder(float(alpha), 2.0, 5.0).value)
 
 
 def _quality_grid(n=500, seed=20260809):

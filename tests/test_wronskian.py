@@ -30,6 +30,10 @@ class TestEvalW:
         expect = -eval_dJ(0.0, x).value * eval_Y(1.0, x).value
         assert w == pytest.approx(expect, rel=1e-12)
 
+    def test_int_orders_and_argument(self):
+        # The typed evaluators take no int; ints give the float bits.
+        assert eval_W(0, 2, 3).hex() == eval_W(0.0, 2.0, 3.0).hex()
+
     def test_nonzero_for_small_gap(self):
         assert eval_W(0.0, 0.5, 10.0) != 0.0
 

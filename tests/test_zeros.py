@@ -358,10 +358,63 @@ class TestLookupCost:
         assert rec.id.s == 10_000
         assert peak < 8_000
 
+    def test_cached_record_size(self):
+        # A cold J_1 sequence to rank 2,000; a record with a __dict__ takes
+        # ~430 bytes, a slotted one ~285.
+        zmod.clear_cache()
+        tracemalloc.start()
+        try:
+            zero(ZeroId(ZeroKind.J, 1.0, 2000))
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            zmod.clear_cache()
+        assert current / 2000 <= 300
+        assert not hasattr(zero(ZeroId(ZeroKind.J, 1.0, 1)), "__dict__")
+
     def test_zeros_upto_returns_a_copy(self):
         records = zeros_upto(ZeroKind.J, 1.5, 5)
         records[0] = None
         assert zeros_upto(ZeroKind.J, 1.5, 5)[0] is not None
+
+
+def _record_bits(rec):
+    floats = (rec.id.nu, rec.value, rec.bracket.lo, rec.bracket.hi, rec.residual)
+    return (rec.id.kind, rec.id.s, rec.iterations, *(v.hex() for v in floats))
+
+
+class TestIntOrders:
+    # scipy's typed entry points take no int; an int order or bracket end
+    # must give exactly the records of the float one, with a float order.
+    @staticmethod
+    def cold(fn):
+        zmod.clear_cache()
+        try:
+            return fn()
+        finally:
+            zmod.clear_cache()
+
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    @pytest.mark.parametrize("nu", [0, 2, 30])
+    def test_zero_and_zeros_upto(self, kind, nu):
+        for s in (1, 5):
+            got = self.cold(lambda: zero(ZeroId(kind, nu, s)))
+            assert _record_bits(got) == _record_bits(self.cold(lambda: zero(ZeroId(kind, float(nu), s))))
+        got = self.cold(lambda: zeros_upto(kind, nu, 6))
+        assert [_record_bits(r) for r in got] == [_record_bits(r) for r in self.cold(lambda: zeros_upto(kind, float(nu), 6))]
+
+    @pytest.mark.parametrize("kind", [ZeroKind.J, ZeroKind.YPRIME])
+    def test_initial_bracket(self, kind):
+        got = self.cold(lambda: initial_bracket(ZeroId(kind, 2, 3)))
+        want = self.cold(lambda: initial_bracket(ZeroId(kind, 2.0, 3)))
+        fields = lambda b: [v.hex() for v in (b.lo, b.hi, b.flo, b.fhi)]  # noqa: E731
+        assert fields(got) == fields(want)
+        assert type(got.id.nu) is float
+
+    def test_refine(self):
+        got = refine(Bracket(5, 6), ZeroId(ZeroKind.J, 2, 1))
+        assert _record_bits(got) == _record_bits(refine(Bracket(5.0, 6.0), ZeroId(ZeroKind.J, 2.0, 1)))
+        assert got.value == 5.135622301840682
 
 
 class TestRankCertification:
