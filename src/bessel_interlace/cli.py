@@ -92,8 +92,8 @@ def to_csv(header: list[str], rows: list[list], trailer: str | None = None) -> s
 
 # --- argument parsing -------------------------------------------------------
 
-# The acceptance sweep takes ~30 ms per grid point, so a grid this large
-# already runs for close to an hour.
+# A `verify --suite all` grid point costs 2-7 ms after import (2-vCPU Xeon,
+# --smax 20), so a grid this large already runs for several minutes.
 _GRID_MAX_POINTS = 100_000
 
 

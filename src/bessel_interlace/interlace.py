@@ -13,7 +13,10 @@ those pairs. For eps > 1 the chain breaks: some rank has
 y_{nu+eps,s} > j_{nu,s}.
 
 All node values come from the shared zero-finder cache, so a value
-reused across chains is bit-for-bit identical.
+reused across chains is bit-for-bit identical. A sweep reads each node
+family once through ``zeros_upto`` as a list of floats and checks each
+row as one pass over its node columns, each column sliced by its node's
+rank offset; witnesses are built only for the failing ranks.
 """
 
 from __future__ import annotations
@@ -64,11 +67,6 @@ _TABLE = (
     ("derivative-chains", "yp(v,s) < yp(v+e,s) < ...", False),
     ("theorem2", "jp(v,s) < y(v,s) < y(v+e,s) <= yp(v,s) < j(v,s) < j(v+e,s) <= jp(v,s+1)", True),
 )
-
-
-def strict_tol(right_value: float) -> float:
-    """Margin a gap must exceed to count as strictly ordered."""
-    return max(1e-9, 1e-12 * abs(right_value))
 
 
 #: |gap| at or below this is an exact-equality degeneracy, not a violation.
@@ -165,51 +163,46 @@ def _check_eps_and_rank(chains, eps: float, s: int) -> None:
         raise DomainError(f"rank {s} exceeds the supported cap {cap} of the {chains[0].suite} chains", code="DOMAIN_S")
 
 
-def _sequences(chains, nu: float, eps: float, s_max: int) -> dict:
-    """Each node family (kind, shifted) the chains read at ranks 1..s_max, as one record sequence."""
-    need: dict[tuple[ZeroKind, bool], int] = {}
-    for chain in chains:
-        for node in _top_nodes(chain):
-            family = (node.kind, node.shifted)
-            need[family] = max(need.get(family, 0), s_max + node.offset)
-    return {
-        (kind, shifted): zeros_upto(kind, nu + eps if shifted else nu, n) for (kind, shifted), n in need.items()
-    }
+def _failing(chain: _Chain, nu: float, eps: float, columns) -> list[tuple[int, int]]:
+    """(rank, pair) of each failed columns[i] < columns[i + 1], ranks from 1, sorted.
 
-
-def _rank_values(chain: _Chain, seqs: dict, s: int, s_max: int) -> list[float]:
-    """Node values of ``chain`` at rank s; an open chain ends one node early at s_max."""
-    nodes = _top_nodes(chain) if s == s_max else chain.nodes
-    return [seqs[(n.kind, n.shifted)][s - 1 + n.offset].value for n in nodes]
-
-
-def _failures(chain: _Chain, nu: float, eps: float, values):
-    """Positions i where values[i] < values[i + 1] fails, identities exempt at nu = 0, eps = 1."""
+    A pass needs a gap above max(1e-9, 1e-12 |right|), so NaN and inf fail;
+    an identity pair at nu = 0, eps = 1 forgives |gap| <= EQ_TOL.
+    """
     at_identity = nu == 0.0 and eps == 1.0
-    for i, (left, right) in enumerate(zip(values, values[1:])):
-        gap = right - left
-        if gap > strict_tol(right):
-            continue
-        if at_identity and i in chain.identities and abs(gap) <= EQ_TOL:
-            continue
-        yield i
+    failing = []
+    for i, (lefts, rights) in enumerate(zip(columns, columns[1:])):
+        exempt = at_identity and i in chain.identities
+        failing += [
+            (s, i)
+            for s, (left, right) in enumerate(zip(lefts, rights), 1)
+            if not ((gap := right - left) > 1e-9 and gap > 1e-12 * abs(right))
+            and not (exempt and abs(gap) <= EQ_TOL)
+        ]
+    return sorted(failing)
 
 
 def _check(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
     """Violations of the suite's rows at (nu, eps), ranks 1..s_max, in row, rank, pair order."""
     chains = [c for c in _CHAINS if c.suite == suite]
     _check_eps_and_rank(chains, eps, s_max)
-    seqs = _sequences(chains, nu, eps, s_max)
+    # Each node family (kind, shifted), read once up to the highest rank a row needs.
+    need: dict[tuple[ZeroKind, bool], int] = {}
+    for node in (n for c in chains for n in _top_nodes(c)):
+        need[node.kind, node.shifted] = max(need.get((node.kind, node.shifted), 0), s_max + node.offset)
+    families = {(k, sh): [r.value for r in zeros_upto(k, nu + eps if sh else nu, n)] for (k, sh), n in need.items()}
     out = []
     for chain in chains:
-        for s in range(1, s_max + 1):
-            values = _rank_values(chain, seqs, s, s_max)
-            for i in _failures(chain, nu, eps, values):
-                left, right = chain.nodes[i], chain.nodes[i + 1]
-                labels = (left.text, right.text) if chain.per_rank else (left.label(s), right.label(s))
-                out.append(ViolationWitness(nu, eps, s, *labels, values[i], values[i + 1]))
-                if chain.per_rank:
-                    break
+        columns = [families[n.kind, n.shifted][n.offset : s_max + n.offset] for n in chain.nodes]
+        if chain.open:
+            columns[-1] = columns[-1][: s_max - 1]  # an interleaving stops at rank s_max
+        failing = _failing(chain, nu, eps, columns)
+        if chain.per_rank:  # each rank's first failure only; reversed, the lowest pair is written last
+            failing = sorted(dict(reversed(failing)).items())
+        for s, i in failing:
+            left, right = chain.nodes[i], chain.nodes[i + 1]
+            labels = (left.text, right.text) if chain.per_rank else (left.label(s), right.label(s))
+            out.append(ViolationWitness(nu, eps, s, *labels, columns[i][s - 1], columns[i + 1][s - 1]))
     return out
 
 
@@ -226,7 +219,8 @@ def check_chain(chain: InterlaceChain) -> ChainReport:
     """Strict ordering of the seven nodes, with the nu=0, eps=1 exemption."""
     nodes = chain.nodes
     margins = tuple(b - a for a, b in zip(nodes, nodes[1:]))
-    first_failure = next(_failures(_SEVEN_NODE, chain.nu, chain.eps, nodes), None)
+    failing = _failing(_SEVEN_NODE, chain.nu, chain.eps, [(v,) for v in nodes])
+    first_failure = failing[0][1] if failing else None
     return ChainReport(chain, first_failure is None, first_failure, margins)
 
 

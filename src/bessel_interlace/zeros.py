@@ -35,6 +35,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import evaluate as ev
 from .errors import BracketError, ConvergenceError, DomainError
@@ -405,8 +406,9 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
     """Brute-force zero locator: grid sign scan plus plain bisection.
 
     Deliberately ignorant of brackets, anchors and walk reach so it can
-    cross-check zeros_upto. The grid is evaluated point by point with the
-    kind's scalar F; each sign change is bisected to 1e-12 absolute.
+    cross-check zeros_upto. F comes from the scipy.special jv/yv ufuncs,
+    not the library's evaluators, with the same order snap and recurrence,
+    on the whole grid at once; each sign change is bisected to 1e-12.
     """
     nu = ev.check_order(nu)
     if not 0.0 < step <= 0.01:
@@ -414,11 +416,15 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
     if not math.isfinite(x_max) or x_max <= step:
         raise DomainError(f"x_max must exceed step, got {x_max!r}", code="DOMAIN_X")
 
+    name, primed = _FAMILIES[kind]
+    c = special.jv if name == "bessel_j" else special.yv
+    c_nu = 0.0 if 0.0 < nu < ev._TINY_ORDER else nu
+    value = (lambda x: -c(nu + 1.0, x) + (nu / x) * c(c_nu, x)) if primed else functools.partial(c, c_nu)
     xs = np.arange(step, x_max + 0.5 * step, step)
-    value = _target(kind, nu)[0]
-    vals = np.array([value(x) for x in xs.tolist()])
-    ok = np.isfinite(vals)
-    sign_flip = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0.0))[0]
+    with np.errstate(invalid="ignore", over="ignore"):  # Y saturates to -inf: inf - inf, inf * inf
+        vals = value(xs)
+        ok = np.isfinite(vals)
+        sign_flip = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0.0))[0]
 
     roots = []
     for i in sign_flip:
@@ -426,7 +432,7 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
         fa = float(vals[i])
         while b - a > 1e-12:
             m = 0.5 * (a + b)
-            fm = value(m)
+            fm = float(value(m))
             if fm == 0.0:
                 a = b = m
                 break
@@ -435,6 +441,5 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
             else:
                 a, fa = m, fm
         roots.append(0.5 * (a + b))
-    exact = np.nonzero(vals == 0.0)[0]
-    roots.extend(float(xs[i]) for i in exact)
+    roots.extend(float(xs[i]) for i in np.nonzero(vals == 0.0)[0])
     return sorted(roots)

@@ -3,11 +3,14 @@ import math
 import pytest
 
 import fixtures
+import bessel_interlace.interlace as imod
 import bessel_interlace.zeros as zmod
 from bessel_interlace import (
     CHAIN_LABELS,
     DomainError,
+    InterlaceChain,
     SearchError,
+    ViolationWitness,
     ZeroId,
     ZeroKind,
     build_chain,
@@ -137,6 +140,242 @@ class TestTable:
             ("jp", 3.0): 3,
             ("yp", 3.0): 3,
         }
+
+
+def per_rank_reference(suite, nu, eps, s_max):
+    """The checker the column pass replaced: a list of node values per row and rank.
+
+    Reads the node families through ``interlace.zeros_upto``, so it sees
+    the same substitutions as the checks.
+    """
+    chains = [c for c in imod._CHAINS if c.suite == suite]
+    need = {}
+    for chain in chains:
+        for node in chain.nodes[:-1] if chain.open else chain.nodes:
+            need[node.kind, node.shifted] = max(need.get((node.kind, node.shifted), 0), s_max + node.offset)
+    seqs = {(k, sh): imod.zeros_upto(k, nu + eps if sh else nu, n) for (k, sh), n in need.items()}
+    out = []
+    for chain in chains:
+        for s in range(1, s_max + 1):
+            nodes = chain.nodes[:-1] if chain.open and s == s_max else chain.nodes
+            values = [seqs[n.kind, n.shifted][s - 1 + n.offset].value for n in nodes]
+            for i, (left, right) in enumerate(zip(values, values[1:])):
+                gap = right - left
+                if gap > max(1e-9, 1e-12 * abs(right)):
+                    continue
+                if nu == 0.0 and eps == 1.0 and i in chain.identities and abs(gap) <= imod.EQ_TOL:
+                    continue
+                a, b = chain.nodes[i], chain.nodes[i + 1]
+                labels = (a.text, b.text) if chain.per_rank else (a.label(s), b.label(s))
+                out.append(ViolationWitness(nu, eps, s, *labels, left, right))
+                if chain.per_rank:
+                    break
+    return out
+
+
+def theorem1_reference(nu, eps, s_max):
+    jp1 = imod.zero(ZeroId(ZeroKind.JPRIME, nu, 1)).value
+    lead = [ViolationWitness(nu, 1.0, 1, "nu", "jp(v,1)", nu, jp1)] if jp1 < nu - 1e-12 * max(1.0, nu) else []
+    return lead + per_rank_reference("theorem1", nu, 1.0, s_max)
+
+
+# Per public check: how it is called at (nu, eps, s_max), and the per-rank reference.
+CHECKS = {
+    "theorem1": (lambda nu, eps, s_max: check_theorem1(nu, s_max), theorem1_reference),
+    "proposition": (
+        lambda nu, eps, s_max: check_proposition(nu, s_max),
+        lambda nu, eps, s_max: per_rank_reference("proposition", nu, 1.0, s_max),
+    ),
+    "derivative-chains": (
+        check_derivative_chains,
+        lambda nu, eps, s_max: per_rank_reference("derivative-chains", nu, eps, s_max),
+    ),
+    "theorem2": (check_theorem2, lambda nu, eps, s_max: per_rank_reference("theorem2", nu, eps, s_max)),
+}
+
+
+def exact_gaps():
+    """Node pairs (left, right) whose gap right - left is exactly at the strict bound.
+
+    The first gap is 1e-9 itself; the second is 1e-12 * right, above 1e-9.
+    """
+    for m in range(4800, 6000):
+        gap = m * 2.0**-42  # a multiple of the spacing of doubles in [1024, 2048)
+        right = gap * 1e12
+        if 1024.0 <= right < 2048.0 and 1e-12 * right == gap:
+            return [(0.0, 1e-9), (right - gap, right)]
+    raise AssertionError("no exact relative gap found")
+
+
+def witnesses(found):
+    return [(w.left_label, w.right_label, w.s) for w in found]
+
+
+class TestColumnPass:
+    """The column pass against the per-rank checker it replaced, under substituted zeros."""
+
+    CASES = {
+        "clean": ("theorem2", 0.5, 0.5, 6, {}),
+        "top-rank-open-chain": ("theorem1", 0.5, 1.0, 4, {("j", 1.5, 4): lambda v: v - 10.0}),
+        "top-rank-derivative-chain": ("derivative-chains", 2.0, 0.5, 3, {("jp", 2.5, 3): lambda v: v - 10.0}),
+        "above-top-rank-only-in-closed-chain": ("theorem1", 0.5, 1.0, 4, {("jp", 0.5, 5): lambda v: v - 10.0}),
+        "two-pairs-one-rank": (
+            "theorem2",
+            0.5,
+            0.5,
+            4,
+            {("y", 1.0, 3): lambda v: v + 100.0, ("j", 0.5, 3): lambda v: v - 100.0},
+        ),
+        "rows-and-ranks": (
+            "theorem1",
+            1.0,
+            1.0,
+            5,
+            {
+                ("y", 2.0, 2): lambda v: v + 100.0,
+                ("j", 1.0, 3): lambda v: v - 100.0,
+                ("yp", 1.0, 4): lambda v: v + 100.0,
+                ("y", 1.0, 4): lambda v: v + 200.0,
+            },
+        ),
+        "nan-and-inf": (
+            "theorem2",
+            0.5,
+            0.5,
+            4,
+            {("y", 1.0, 2): lambda v: math.nan, ("j", 1.0, 3): lambda v: math.inf},
+        ),
+        "identity-gap-negative-inside-tolerance": ("theorem2", 0.0, 1.0, 3, {("y", 1.0, 2): lambda v: v + 0.9e-10}),
+        "identity-gap-positive-inside-tolerance": ("proposition", 0.0, 1.0, 3, {("y", 1.0, 2): lambda v: v - 0.9e-10}),
+        "identity-gap-negative-outside-tolerance": ("theorem2", 0.0, 1.0, 3, {("y", 1.0, 2): lambda v: v + 1.1e-10}),
+        "identity-gap-positive-outside-tolerance": ("proposition", 0.0, 1.0, 3, {("j", 1.0, 2): lambda v: v - 1.1e-10}),
+        # An identity pair forced to gap 0 away from nu = 0, eps = 1 is not exempt.
+        "identity-pair-off-identity-order": (
+            "proposition",
+            0.5,
+            1.0,
+            3,
+            {("y", 1.5, 2): lambda v: zval(ZeroKind.YPRIME, 0.5, 2)},
+        ),
+        "identity-pair-off-identity-eps": (
+            "theorem2",
+            0.0,
+            0.5,
+            3,
+            {("y", 0.5, 2): lambda v: zval(ZeroKind.YPRIME, 0.0, 2)},
+        ),
+    }
+
+    # What the cases with failures must report, in this order.
+    EXPECT = {
+        "clean": [],
+        "top-rank-open-chain": [("j(v,4)", "j(v+e,4)", 4)],
+        "top-rank-derivative-chain": [("jp(v,3)", "jp(v+e,3)", 3)],
+        "above-top-rank-only-in-closed-chain": [("j(v,4)", "jp(v,5)", 4)],
+        "two-pairs-one-rank": [("y(v+e,s)", "yp(v,s)", 3)],
+        "rows-and-ranks": [
+            ("j(v+e,2)", "j(v,3)", 2),
+            ("y(v+e,2)", "y(v,3)", 2),
+            ("y(v,4)", "y(v+e,4)", 4),
+            ("yp(v,3)", "j(v,3)", 3),
+            ("y(v,4)", "yp(v,4)", 4),
+            ("yp(v,4)", "j(v,4)", 4),
+            ("yp(v,4)", "yp(v+e,4)", 4),
+        ],
+        "nan-and-inf": [("y(v,s)", "y(v+e,s)", 2), ("j(v,s)", "j(v+e,s)", 3)],
+        "identity-gap-negative-inside-tolerance": [],
+        "identity-gap-positive-inside-tolerance": [],
+        "identity-gap-negative-outside-tolerance": [("y(v+e,s)", "yp(v,s)", 2)],
+        "identity-gap-positive-outside-tolerance": [("j(v+e,2)", "jp(v,3)", 2)],
+        "identity-pair-off-identity-order": [("y(v+e,2)", "yp(v,2)", 2)],
+        "identity-pair-off-identity-eps": [("y(v+e,s)", "yp(v,s)", 2)],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_per_rank_reference(self, case):
+        suite, nu, eps, s_max, changes = self.CASES[case]
+        check, reference = CHECKS[suite]
+        with substituted_zeros(changes):
+            found = check(nu, eps, s_max)
+            expect = reference(nu, eps, s_max)
+        assert found == expect
+        assert witnesses(found) == self.EXPECT[case]
+
+    @pytest.mark.parametrize("suite", list(CHECKS))
+    @pytest.mark.parametrize("nu,eps", [(0.0, 1.0), (0.0, 0.5), (2.5, 0.75)])
+    def test_true_zeros_match_per_rank_reference(self, suite, nu, eps):
+        check, reference = CHECKS[suite]
+        assert check(nu, eps, 12) == reference(nu, eps, 12) == []
+
+    @pytest.mark.parametrize("at_bound", [0, 1], ids=["absolute", "relative"])
+    def test_gap_exactly_at_the_bound_fails(self, at_bound):
+        left, right = exact_gaps()[at_bound]
+        assert right - left == max(1e-9, 1e-12 * abs(right))
+        # j(v+e,1) <= jp(v,2) is the only pair either node is in at nu = 1.
+        for right_value, fails in [(right, True), (math.nextafter(right, math.inf), False)]:
+            changes = {("j", 2.0, 1): lambda v: left, ("jp", 1.0, 2): lambda v: right_value}
+            with substituted_zeros(changes):
+                found = check_proposition(1.0, 2)
+                assert found == per_rank_reference("proposition", 1.0, 1.0, 2)
+            assert witnesses(found) == ([("j(v+e,1)", "jp(v,2)", 1)] if fails else [])
+            # The same bound in check_chain, at its last pair.
+            nodes = (*(left - 10.0 * k for k in range(5, 0, -1)), left, right_value)
+            rep = check_chain(InterlaceChain(1.0, 0.5, 1, nodes))
+            assert (rep.ok, rep.first_failure) == ((False, 5) if fails else (True, None))
+
+    def test_check_chain_reports_the_first_failing_pair(self):
+        with substituted_zeros(self.CASES["two-pairs-one-rank"][4]):
+            rep = check_chain(build_chain(0.5, 0.5, 3))
+        assert (rep.ok, rep.first_failure) == (False, 2)
+        assert rep.margins[2] < 0.0 and rep.margins[3] < 0.0
+
+
+class _SealedCache:
+    """Stands in for ``zeros._cache``: any direct read fails the test."""
+
+    def _read(self, *args):
+        raise AssertionError("zeros._cache read outside zeros_upto/zero")
+
+    __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = _read
+
+
+class TestLookups:
+    """Each check reads each node family once, through the lookup boundary only."""
+
+    FAMILIES = {
+        "theorem1": {(kind, nu) for kind in ("j", "y", "jp", "yp") for nu in (2.0, 3.0)},
+        "proposition": {("j", 3.0), ("jp", 2.0), ("y", 3.0), ("yp", 2.0)},
+        "derivative-chains": {("jp", 2.0), ("jp", 2.5), ("yp", 2.0), ("yp", 2.5)},
+        "theorem2": {("jp", 2.0), ("y", 2.0), ("y", 2.5), ("yp", 2.0), ("j", 2.0), ("j", 2.5)},
+    }
+
+    @pytest.mark.parametrize("suite", list(CHECKS))
+    def test_one_read_per_family_and_no_cache_access(self, suite, monkeypatch):
+        real = zmod._cache
+        reads, single = [], []
+
+        def spy(fn, log):
+            def read(*args):
+                log.append(args)
+                zmod._cache = real
+                try:
+                    return fn(*args)
+                finally:
+                    zmod._cache = sealed
+
+            return read
+
+        sealed = _SealedCache()
+        monkeypatch.setattr(imod, "zeros_upto", spy(imod.zeros_upto, reads))
+        monkeypatch.setattr(imod, "zero", spy(imod.zero, single))
+        monkeypatch.setattr(zmod, "_cache", sealed)
+        found = CHECKS[suite][0](2.0, 0.5, 20)
+        assert found == []
+        families = [(kind.value, nu) for kind, nu, _ in reads]
+        assert sorted(families) == sorted(self.FAMILIES[suite])  # each exactly once
+        # Only Theorem 1's leading bound nu <= j'_{nu,1} reads a single zero.
+        expect_single = [(ZeroId(ZeroKind.JPRIME, 2.0, 1),)] if suite == "theorem1" else []
+        assert single == expect_single
 
 
 class TestSweepArguments:

@@ -529,6 +529,42 @@ class TestOracleScan:
         with pytest.raises(DomainError):
             oracle_scan(ZeroKind.J, 0.0, 10.0, 0.1)
 
+    @staticmethod
+    def point_by_point(kind, nu, x_max, step):
+        """The same scan with the library's scalar F evaluated at each grid point."""
+        xs = np.arange(step, x_max + 0.5 * step, step)
+        value = _target(kind, nu)[0]
+        vals = np.array([value(x) for x in xs.tolist()])
+        ok = np.isfinite(vals)
+        with np.errstate(over="ignore"):
+            flips = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0.0))[0]
+        roots = []
+        for i in flips:
+            a, b, fa = float(xs[i]), float(xs[i + 1]), float(vals[i])
+            while b - a > 1e-12:
+                m = 0.5 * (a + b)
+                fm = value(m)
+                if fm == 0.0:
+                    a = b = m
+                    break
+                if fa * fm < 0.0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append(0.5 * (a + b))
+        roots.extend(float(xs[i]) for i in np.nonzero(vals == 0.0)[0])
+        return sorted(roots)
+
+    # Orders at 0, subnormal (snapped to 0), away from 0, and one where
+    # Y saturates to -inf and Y' to inf - inf at the small end of the grid.
+    @pytest.mark.parametrize("nu", [0.0, 1e-310, 2.7, 30.0])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_ufunc_grid_matches_point_by_point_scan(self, kind, nu):
+        scanned = oracle_scan(kind, nu, 45.0, 0.01)
+        assert [r.hex() for r in scanned] == [r.hex() for r in self.point_by_point(kind, nu, 45.0, 0.01)]
+        assert all(type(r) is float for r in scanned)
+        assert len(scanned) >= 2
+
 
 class TestOrderingInvariants:
     @pytest.mark.parametrize("nu", [0.0, 0.5, 2.7, 10.0, 50.0])
