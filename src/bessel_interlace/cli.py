@@ -25,14 +25,9 @@ from .zeros import ZeroKind, zeros_upto
 # --- number / structure formatting -----------------------------------------
 
 def fmt(x) -> str:
-    """17-significant-digit decimal rendering (lossless for doubles)."""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
-    return str(x)
+    """17-significant-digit decimal rendering (lossless for doubles);
+    non-finite floats read nan, inf, -inf."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _json_render(obj, out: list[str]) -> None:
@@ -75,11 +70,9 @@ def to_json(obj) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")  # as fmt: format already spells nan, inf, -inf
     if isinstance(value, str) and any(ch in value for ch in ',"\n'):
         return '"' + value.replace('"', '""') + '"'
-    return str(value)
+    return fmt(value)
 
 
 def to_csv(header: list[str], rows: list[list], trailer: str | None = None) -> str:

@@ -8,8 +8,8 @@ large orders where uniform asymptotic expansions take over.
 Scalar calls go through scipy's typed ``cython_special.jv``/``yv``
 entry points: the same code as the ``scipy.special.jv``/``yv`` ufuncs,
 so the same bits, without the ufunc's per-call dispatch. They take
-doubles only: the public functions, ``ZeroId.validate`` and ``refine``
-convert an order or argument to float once, at the boundary.
+doubles only: the public functions, the ``ZeroId`` constructor and
+``refine`` convert an order or argument to float once, at the boundary.
 
 Derivatives are formed from the downward recurrence
 C'_nu(x) = -C_{nu+1}(x) + (nu/x) C_nu(x), the same relation the

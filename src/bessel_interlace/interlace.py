@@ -1,7 +1,9 @@
 """Interlacing chains for Bessel zeros, their checks, and breaking searches.
 
-Every inequality the package checks is one row of ``_TABLE`` below. The
-unified seven-node chain at order nu, increment eps, rank s is
+Every inequality between zeros that the package checks is one row of
+``_TABLE`` below; ``check_theorem1`` also checks its leading bound
+nu <= j'_{nu,1}, which is not a row. The unified seven-node chain at
+order nu, increment eps, rank s is
 
     j'_{nu,s} < y_{nu,s} < y_{nu+eps,s} < y'_{nu,s}
              < j_{nu,s} < j_{nu+eps,s} < j'_{nu,s+1}

@@ -9,7 +9,9 @@ previous one, so the first step from it may reach that far. From rank 4
 the walk's first points after the previous zero are g - h and g + 2h
 when those steps keep within both bounds, where g extrapolates the last
 three zeros quadratically and h bounds its error; the guess only places
-sign checks and never certifies a rank.
+sign checks and never certifies a rank. A walk point where F is exactly
+0.0 ends the walk with that point as its bracket's upper end, and refine
+returns it with the bracket [x, x].
 A walk step evaluates F alone (C_nu for J and Y), and the walk's
 bracket brings F at its ends, so no point is evaluated twice: a guessed
 J or Y zero costs ~8 scipy calls (3 walk points, 2 iterates, 1 probe).
@@ -104,23 +106,23 @@ class ZeroId:
     nu: float
     s: int
 
-    def validate(self) -> "ZeroId":
-        """This id, with its order as a float; raises DomainError."""
-        nu = ev.check_order(self.nu)
+    def __post_init__(self) -> None:
+        """Raises DomainError on an order or rank outside the supported domain."""
+        # The scalar evaluators take floats only (scipy's typed entry
+        # points have no int signature), so an int order is converted here.
+        object.__setattr__(self, "nu", ev.check_order(self.nu))
         if not isinstance(self.s, int) or self.s < 1:
             raise DomainError(f"rank must be a positive integer, got {self.s!r}", code="DOMAIN_S")
         if self.s > S_MAX_LIMIT:
             raise DomainError(f"rank {self.s} exceeds the supported cap {S_MAX_LIMIT}", code="DOMAIN_S")
-        # The scalar evaluators take floats only (scipy's typed entry
-        # points have no int signature), so an int order is converted here.
-        return self if type(self.nu) is float else ZeroId(self.kind, nu, self.s)
 
 
 @dataclass(frozen=True, slots=True)
 class Bracket:
     """Interval whose endpoints carry opposite function signs.
 
-    The conventional j'_{0,1} zero uses the degenerate bracket [0, 0].
+    The conventional j'_{0,1} zero uses the degenerate bracket [0, 0],
+    and a zero hit exactly at a point, the bracket [x, x].
     """
 
     lo: float
@@ -193,8 +195,10 @@ def initial_bracket(id: ZeroId, _prev: float | None = None, _guess: tuple[float,
 
     Walks from a lower anchor (nu, or the previous zero of the same
     family) in steps below the minimum zero spacing, so the first sign
-    change it meets belongs to the requested rank. Raises BracketError
-    if no sign change appears within _REACH of the anchor.
+    change it meets belongs to the requested rank. A walk point where F
+    is exactly 0.0 is such a zero: it ends the walk as the bracket's
+    upper end, and refine returns it with the bracket [x, x]. Raises
+    BracketError if no sign change appears within _REACH of the anchor.
 
     From a previous zero the walk may first visit g - h and g + 2h, for
     a guess ``_guess`` = (g, h) at the zero. No two zeros lie within
@@ -204,7 +208,6 @@ def initial_bracket(id: ZeroId, _prev: float | None = None, _guess: tuple[float,
     sign checks: the ranks rest on the spacing alone, and a bracket
     [g - h, g + 2h] puts refine's first iterate h/2 off g.
     """
-    id = id.validate()
     if id.kind is ZeroKind.JPRIME and id.nu == 0.0 and id.s == 1:
         raise DomainError(
             "j'_{0,1} = 0 by convention and has no sign-change bracket",
@@ -239,13 +242,7 @@ def initial_bracket(id: ZeroId, _prev: float | None = None, _guess: tuple[float,
                 f"evaluator returned NaN at x={x2} while bracketing {id}",
                 code="BRACKET_NOT_FOUND",
             )
-        if fx2 == 0.0:
-            # Exact zero hit: widen symmetrically into a genuine bracket.
-            eps = max(1e-12, 1e-12 * x2)
-            flo, fhi = value(x2 - eps), value(x2 + eps)
-            if flo * fhi < 0.0:
-                return _WalkBracket(x2 - eps, x2 + eps, flo, fhi, id)
-        if fx * fx2 < 0.0:
+        if fx2 == 0.0 or fx * fx2 < 0.0:
             return _WalkBracket(x, x2, fx, fx2, id)
         x, fx = x2, fx2
     raise BracketError(f"no sign change found for {id} within {_REACH} of its anchor", code="BRACKET_NOT_FOUND")
@@ -268,7 +265,6 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
     first probe costs iterations + 1 points (any other bracket, two more):
     C_nu and C_{nu+1} at an iterate, F alone (C_nu for J, Y) at a probe.
     """
-    id = id.validate()
     if bracket.lo == 0.0 and bracket.hi == 0.0:
         if id.kind is ZeroKind.JPRIME and id.nu == 0.0 and id.s == 1:
             return ZeroRecord(id, 0.0, bracket, 0.0, 0)
@@ -391,15 +387,13 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
 
 def zero(id: ZeroId) -> ZeroRecord:
     """The zero named by ``id``, with its certifying bracket."""
-    id = id.validate()
     return _extend_sequence(id.kind, id.nu, id.s)[id.s - 1]
 
 
 def zeros_upto(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
     """Records for ranks 1..s_max, strictly increasing in value."""
-    if not isinstance(s_max, int) or s_max < 1 or s_max > S_MAX_LIMIT:
-        raise DomainError(f"s_max must be in 1..{S_MAX_LIMIT}, got {s_max!r}", code="DOMAIN_S")
-    return _extend_sequence(kind, ev.check_order(nu), s_max)[:s_max]
+    id = ZeroId(kind, nu, s_max)
+    return _extend_sequence(kind, id.nu, s_max)[:s_max]
 
 
 def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[float]:
@@ -425,6 +419,11 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
         vals = value(xs)
         ok = np.isfinite(vals)
         sign_flip = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0.0))[0]
+        # Far below the turning point J_nu underflows to 0.0 on long
+        # stretches, so an exact 0.0 is a root only between finite,
+        # nonzero values of opposite sign.
+        sign = np.sign(vals)
+        exact = 1 + np.nonzero(ok[:-2] & ok[2:] & (sign[:-2] * sign[2:] < 0.0) & (vals[1:-1] == 0.0))[0]
 
     roots = []
     for i in sign_flip:
@@ -441,5 +440,5 @@ def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[fl
             else:
                 a, fa = m, fm
         roots.append(0.5 * (a + b))
-    roots.extend(float(xs[i]) for i in np.nonzero(vals == 0.0)[0])
+    roots.extend(float(xs[i]) for i in exact)
     return sorted(roots)

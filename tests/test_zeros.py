@@ -2,6 +2,7 @@ import functools
 import math
 import statistics
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from bessel_interlace import (
 )
 import bessel_interlace.evaluate as ev
 import bessel_interlace.zeros as zmod
-from bessel_interlace.zeros import _MIN_GAP, _REACH, WIDTH_TOL, _scan_start, _target
+from bessel_interlace.zeros import _MIN_GAP, _REACH, _STEP, WIDTH_TOL, _scan_start, _target
 
 
 def zval(kind, nu, s):
@@ -64,6 +65,29 @@ def grid_zeros(kind, nu, count):
             a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
     assert len(i) == count
     return tuple(0.5 * (a + b))
+
+
+class TestZeroIdDomain:
+    # The constructor holds the one domain rule for a zero's order and rank.
+    @pytest.mark.parametrize(
+        "nu,s,code",
+        [
+            (math.nan, 1, "DOMAIN_NU"),
+            (-1.0, 1, "DOMAIN_NU"),
+            (600.5, 1, "OVERFLOW_NU"),
+            (2.0, 0, "DOMAIN_S"),
+            (2.0, 1.5, "DOMAIN_S"),
+            (2.0, 10_001, "DOMAIN_S"),
+        ],
+    )
+    def test_out_of_domain_rejected_on_construction(self, nu, s, code):
+        with pytest.raises(DomainError) as err:
+            ZeroId(ZeroKind.J, nu, s)
+        assert err.value.code == code
+
+    def test_int_order_stored_as_float(self):
+        nu = ZeroId(ZeroKind.J, 2, 1).nu
+        assert type(nu) is float and nu == 2.0
 
 
 class TestInitialBracket:
@@ -124,6 +148,40 @@ class TestTarget:
     def test_residual_is_the_target_at_the_value(self, kind, nu):
         for rec in zeros_upto(kind, nu, 12):
             assert rec.residual == target(kind, nu)(rec.value)
+
+
+class TestWalkStop:
+    # A walk point where F is exactly 0.0 ends the walk, and refine returns
+    # it with the bracket [r, r], evaluating F nowhere else.
+    def test_exact_zero_at_a_walk_point(self, monkeypatch):
+        id = ZeroId(ZeroKind.J, 2.0, 1)
+        x0 = _scan_start(id.kind, id.nu, None)
+        r = (x0 + _STEP) + _STEP  # the walk's third point, as the walk forms it
+        seen = []
+
+        def line(kind, nu):
+            def value(x):
+                seen.append(x)
+                return x - r
+
+            return value, lambda x: (value(x), 1.0)
+
+        monkeypatch.setattr(zmod, "_target", line)
+        rec = refine(initial_bracket(id), id)
+        assert (rec.value, rec.bracket, rec.residual, rec.iterations) == (r, Bracket(r, r), 0.0, 0)
+        assert seen == [x0, x0 + _STEP, r]
+
+    def test_underflowing_product_is_no_bracket(self, monkeypatch):
+        # F(x) F(x + _STEP) underflows to 0.0 at the first walk points, though
+        # both are negative; the walk must go on to the sign change at 10.
+        id = ZeroId(ZeroKind.J, 2.0, 1)
+        slope = lambda x: 1e-170 if x < 10.0 else 1.0  # noqa: E731
+        line = lambda x: slope(x) * (x - 10.0)  # noqa: E731
+        monkeypatch.setattr(zmod, "_target", lambda kind, nu: (line, lambda x: (line(x), slope(x))))
+        assert line(2.0) * line(2.0 + _STEP) == 0.0
+        rec = refine(initial_bracket(id), id)
+        assert rec.bracket.lo <= 10.0 <= rec.bracket.hi
+        assert rec.value == pytest.approx(10.0, abs=1e-13)
 
 
 class TestRefine:
@@ -334,6 +392,24 @@ class TestZero:
         beta = (10_000 - 0.25) * math.pi
         assert vals[-1] == pytest.approx(beta + 1.0 / (8.0 * beta), abs=1e-9)
 
+    # McMahon's expansion (A&S 9.5.13), mu = 4 nu^2: j'_{nu,s} at
+    # beta' = (s + nu/2 - 3/4) pi (so j'_{0,1} = 0 counts as rank 1) and
+    # y'_{nu,s} at (s + nu/2 - 1/4) pi. A skipped rank moves a value by ~pi.
+    @pytest.mark.parametrize("nu", [0.0, 2.5, 30.0])
+    @pytest.mark.parametrize("kind,shift", [(ZeroKind.JPRIME, 0.75), (ZeroKind.YPRIME, 0.25)])
+    def test_deep_primed_ranks_match_mcmahon(self, kind, shift, nu):
+        mu = 4.0 * nu * nu
+        recs = zeros_upto(kind, nu, 10_000)
+        for s in (2_000, 10_000):
+            b8 = 8.0 * (s + 0.5 * nu - shift) * math.pi
+            mcmahon = (
+                b8 / 8.0
+                - (mu + 3.0) / b8
+                - 4.0 * (7.0 * mu**2 + 82.0 * mu - 9.0) / (3.0 * b8**3)
+                - 32.0 * (83.0 * mu**3 + 2075.0 * mu**2 - 3039.0 * mu + 3537.0) / (15.0 * b8**5)
+            )
+            assert recs[s - 1].value == pytest.approx(mcmahon, abs=1e-9)
+
     def test_rank_cap_enforced(self):
         with pytest.raises(DomainError):
             zeros_upto(ZeroKind.J, 0.0, 0)
@@ -529,6 +605,28 @@ class TestOracleScan:
         with pytest.raises(DomainError):
             oracle_scan(ZeroKind.J, 0.0, 10.0, 0.1)
 
+    # Far below the turning point J_505 and J'_505 underflow to 0.0 on
+    # thousands of grid points; none of them is a root.
+    @pytest.mark.parametrize("kind", [ZeroKind.J, ZeroKind.JPRIME])
+    def test_underflow_is_not_a_root(self, kind):
+        scanned = oracle_scan(kind, 505.0, 560.0, 0.01)
+        enumerated = [r.value for r in zeros_upto(kind, 505.0, 10) if r.value < 560.0]
+        assert len(enumerated) >= 2
+        assert scanned == pytest.approx(enumerated, abs=1e-10)
+
+    @staticmethod
+    def stubbed_scan(monkeypatch, f):
+        # F is C_nu for J, so a stubbed jv makes the scan read F = f(x).
+        monkeypatch.setattr(zmod, "special", types.SimpleNamespace(jv=lambda nu, x: f(x), yv=None))
+        return oracle_scan(ZeroKind.J, 0.0, 3.0, 2.0**-7)
+
+    def test_exact_zero_on_the_grid_counted_once(self, monkeypatch):
+        # 1.0 is a point of the dyadic grid, where F is exactly 0.0.
+        assert self.stubbed_scan(monkeypatch, lambda x: x - 1.0) == [1.0]
+
+    def test_flat_zero_stretch_counts_nothing(self, monkeypatch):
+        assert self.stubbed_scan(monkeypatch, lambda x: np.maximum(x - 1.0, 0.0)) == []
+
     @staticmethod
     def point_by_point(kind, nu, x_max, step):
         """The same scan with the library's scalar F evaluated at each grid point."""
@@ -552,7 +650,10 @@ class TestOracleScan:
                 else:
                     a, fa = m, fm
             roots.append(0.5 * (a + b))
-        roots.extend(float(xs[i]) for i in np.nonzero(vals == 0.0)[0])
+        # An exact 0.0 counts only between finite, nonzero values of opposite sign.
+        for i in range(1, len(xs) - 1):
+            if vals[i] == 0.0 and ok[i - 1] and ok[i + 1] and np.sign(vals[i - 1]) * np.sign(vals[i + 1]) == -1.0:
+                roots.append(float(xs[i]))
         return sorted(roots)
 
     # Orders at 0, subnormal (snapped to 0), away from 0, and one where
