@@ -1,23 +1,27 @@
 """Enumeration of positive real zeros j_{nu,s}, y_{nu,s}, j'_{nu,s}, y'_{nu,s}.
 
 Every zero is certified by a sign-change bracket. Brackets are found by
-walking from a lower anchor (x = nu for the first zero, the previous
-zero afterwards) in steps strictly below the minimum spacing of
-consecutive zeros, so ranks cannot be skipped; a walk gives up _REACH
-past its anchor. No two zeros lie within twice that spacing of the
-previous one, so the first step from it may reach that far. From rank 4
-the walk's first points after the previous zero are g - h and g + 2h
-when those steps keep within both bounds, where g extrapolates the last
-three zeros quadratically and h bounds its error; the guess only places
-sign checks and never certifies a rank. A walk point where F is exactly
-0.0 ends the walk with that point as its bracket's upper end, and refine
-returns it with the bracket [x, x].
+walking from a lower anchor (x = nu for the first zero, then the upper
+end of the previous walk's bracket, which held the previous zero alone,
+so no zero lies between them) in steps strictly below the minimum
+spacing of consecutive zeros, so ranks cannot be skipped; a walk gives up
+_REACH past its anchor. No two zeros lie within twice that spacing of the
+previous one, so the first step from the anchor may reach that far past
+the previous zero. From rank 4 the walk's first points after the anchor
+are g - h and g + 2h when those steps keep within both bounds, where g
+extrapolates the last three zeros quadratically and h bounds its error;
+the guess only places sign checks and never certifies a rank. A walk
+point where F is exactly 0.0 ends the walk with that point as its
+bracket's upper end, and refine returns it with the bracket [x, x]; the
+next walk then starts just past that zero.
 A walk step evaluates F alone (C_nu for J and Y), and the walk's
-bracket brings F at its ends, so no point is evaluated twice: a guessed
-J or Y zero costs ~8 scipy calls (3 walk points, 2 iterates, 1 probe).
-Refinement is safeguarded Newton that falls back to bisection whenever a
-Newton step would leave the current bracket; each iterate takes its
-value and slope from one pair C_nu(x), C_{nu+1}(x).
+bracket brings F at its ends, as the anchor brings F at the walk's start,
+so no point is evaluated twice: a guessed J or Y zero costs ~5 scipy
+calls (2 walk points, 1 iterate, 1 probe).
+Refinement is safeguarded Newton, started at the bracket's secant point,
+that falls back to bisection whenever a Newton step would leave the
+current bracket; each iterate takes its value and slope from one pair
+C_nu(x), C_{nu+1}(x).
 Newton runs until its step |F/F'| is at most tol / 16, or at most tol
 twice running, with tol = WIDTH_TOL/2 * max(1, x); one probe tol past
 the iterate, on the root's side, then certifies it when F changes sign
@@ -190,23 +194,29 @@ def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
     return max(nu, 1e-6)
 
 
-def initial_bracket(id: ZeroId, _prev: float | None = None, _guess: tuple[float, float] | None = None) -> Bracket:
+def initial_bracket(
+    id: ZeroId, _prev: float | tuple[float, float, float] | None = None, _guess: tuple[float, float] | None = None
+) -> Bracket:
     """Sign-change bracket certified to contain exactly the s-th zero.
 
-    Walks from a lower anchor (nu, or the previous zero of the same
-    family) in steps below the minimum zero spacing, so the first sign
-    change it meets belongs to the requested rank. A walk point where F
-    is exactly 0.0 is such a zero: it ends the walk as the bracket's
-    upper end, and refine returns it with the bracket [x, x]. Raises
-    BracketError if no sign change appears within _REACH of the anchor.
+    Walks from a lower anchor in steps below the minimum zero spacing, so
+    the first sign change it meets belongs to the requested rank: nu for
+    the first zero, else a point just past the previous zero of the same
+    family (``_prev``, looked up when not given). A ``_prev`` of (z, x,
+    F(x)) names the previous zero z and an anchor x > z with no zero in
+    (z, x], the upper end of z's own walk bracket, where the walk starts
+    without evaluating F. A walk point where F is exactly 0.0 is such a
+    zero: it ends the walk as the bracket's upper end, and refine returns
+    it with the bracket [x, x]. Raises BracketError if no sign change
+    appears within _REACH of the anchor.
 
     From a previous zero the walk may first visit g - h and g + 2h, for
     a guess ``_guess`` = (g, h) at the zero. No two zeros lie within
     2 * _MIN_GAP of the previous one, so the first step may reach that
-    far; the step between the two points stays below _MIN_GAP. A guess
-    that would break either bound is not used. The guess only places
-    sign checks: the ranks rest on the spacing alone, and a bracket
-    [g - h, g + 2h] puts refine's first iterate h/2 off g.
+    far past it; the step between the two points stays below _MIN_GAP. A
+    guess that would break either bound, or whose g - h is not past the
+    anchor, is not used. The guess only places sign checks: the ranks
+    rest on the spacing alone.
     """
     if id.kind is ZeroKind.JPRIME and id.nu == 0.0 and id.s == 1:
         raise DomainError(
@@ -219,11 +229,14 @@ def initial_bracket(id: ZeroId, _prev: float | None = None, _guess: tuple[float,
         prev = zero(ZeroId(id.kind, id.nu, id.s - 1)).value
 
     value = _target(id.kind, id.nu)[0]
-    x = _scan_start(id.kind, id.nu, prev)
-    fx = value(x)
-    if fx == 0.0 or math.isnan(fx):
-        x *= 1.0 + 1e-9
+    if isinstance(prev, tuple):
+        prev, x, fx = prev
+    else:
+        x = _scan_start(id.kind, id.nu, prev)
         fx = value(x)
+        if fx == 0.0 or math.isnan(fx):
+            x *= 1.0 + 1e-9
+            fx = value(x)
 
     # Steps below the minimum zero spacing keep the rank certified; only
     # the first step from a previous zero may reach 2 * _MIN_GAP past it.
@@ -251,13 +264,17 @@ def initial_bracket(id: ZeroId, _prev: float | None = None, _guess: tuple[float,
 def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
     """Polish a bracketed zero with Newton safeguarded by bisection.
 
-    Newton runs until its step |F/F'| is at most tol / 16 or, twice
+    Newton starts at the secant point a - F(a) (b - a) / (F(b) - F(a)) of
+    the bracket [a, b], or at its midpoint when that point is not strictly
+    inside. It runs until its step |F/F'| is at most tol / 16 or, twice
     running, at most tol, where tol = WIDTH_TOL/2 * max(1, |x|). One
     probe tol past that iterate x, on the root's side, then returns x
     with the bracket {x, probe} if F changes sign there; otherwise the
     probe narrows the bracket and the loop goes on. It also stops once
     the bracket is at most WIDTH_TOL * max(1, |x|) wide, and raises
-    ConvergenceError after MAX_REFINE_ITERS iterations.
+    ConvergenceError after MAX_REFINE_ITERS iterations. The value is the
+    evaluated iterate x, not x - F/F': that last step (one to three ulps)
+    is not applied, so ``residual`` is exactly F(value) at no extra call.
 
     ``iterations`` counts the iterates, except one that ends the loop by
     an exact zero or the width stop, and not the probes. A walk's bracket
@@ -281,7 +298,9 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
     if fa * fb > 0.0:
         raise ConvergenceError(f"bracket {bracket} has no sign change for {id}", code="NO_CONVERGENCE")
 
-    x = 0.5 * (a + b)
+    x = a - fa * (b - a) / (fb - fa)
+    if not a < x < b:
+        x = 0.5 * (a + b)
     dx_old = b - a
     iterations = 0
     while True:
@@ -333,6 +352,10 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
 # --- cached sequential enumeration ----------------------------------------
 
 _cache: dict[tuple[ZeroKind, float], list[ZeroRecord]] = {}
+# Per cached sequence whose last walk ended on a nonzero F: (z, x, F(x))
+# with z its last zero and x that walk's upper end, where the next walk
+# starts. The previous walk's bracket held z alone, so (z, x] holds no zero.
+_anchors: dict[tuple[ZeroKind, float], tuple[float, float, float]] = {}
 # Guards every read and extension of the cache. Extending a sequence never
 # looks up another one, so holding it across the refinement cannot deadlock.
 _cache_lock = threading.Lock()
@@ -342,6 +365,7 @@ def clear_cache() -> None:
     """Drop all memoized zero sequences (mainly for tests)."""
     with _cache_lock:
         _cache.clear()
+        _anchors.clear()
 
 
 def _predict(records: list[ZeroRecord]) -> tuple[float, float] | None:
@@ -361,16 +385,21 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
     Returns the cache's own list, which only ever grows: read it, never
     modify it.
     """
+    key = (kind, nu)
     with _cache_lock:
-        records = _cache.setdefault((kind, nu), [])
+        records = _cache.setdefault(key, [])
+        # Taken out for an extension and put back at its end, so one that
+        # raises leaves no anchor and the next walk starts past the zero.
+        anchor = _anchors.pop(key, None) if len(records) < s_max else None
         while len(records) < s_max:
             s = len(records) + 1
             id = ZeroId(kind, nu, s)
             if kind is ZeroKind.JPRIME and nu == 0.0 and s == 1:
                 records.append(ZeroRecord(id, 0.0, Bracket(0.0, 0.0), 0.0, 0))
                 continue
-            prev = records[-1].value if records else None
-            rec = refine(initial_bracket(id, _prev=prev, _guess=_predict(records)), id)
+            prev = anchor or (records[-1].value if records else None)
+            bracket = initial_bracket(id, _prev=prev, _guess=_predict(records))
+            rec = refine(bracket, id)
             if records and not rec.value > records[-1].value:
                 raise ConvergenceError(
                     f"zeros of {kind.name} nu={nu} failed to increase at s={s}",
@@ -382,6 +411,9 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
                     code="NO_CONVERGENCE",
                 )
             records.append(rec)
+            anchor = (rec.value, bracket.hi, bracket.fhi) if bracket.fhi != 0.0 else None
+        if anchor:
+            _anchors[key] = anchor
         return records
 
 

@@ -14,7 +14,8 @@ the same records exactly when their dumps are byte-identical:
 ``--compare`` asserts that both dumps name the same (kind, order, rank)
 in the same order, then prints per field how many records differ and
 the largest move: in ulps of the first dump's value for value, lo and
-hi, and absolute for residual and iterations.
+hi, and absolute for residual and iterations. It ends with each dump's
+total of iterations.
 
 Only the public API is used, so the script also runs against a tree
 that predates it. Not a test module: pytest does not collect it.
@@ -53,7 +54,8 @@ def _read(path):
 
 
 def compare(path_a, path_b, out) -> None:
-    """Per field: records that differ between the dumps, and the largest move."""
+    """Per field: records that differ between the dumps, and the largest move;
+    then each dump's total of iterations."""
     ranks_a, a = _read(path_a)
     ranks_b, b = _read(path_b)
     assert ranks_a == ranks_b, "the dumps name different ranks"
@@ -67,6 +69,7 @@ def compare(path_a, path_b, out) -> None:
             worst = max((abs(x - y) for x, y, _ in moved), default=0)
             unit = "absolute"
         out.write(f"{name}: {len(moved)} differ, largest move {worst:.3g} {unit}\n")
+    out.write(f"iterations in total: {sum(r[4] for r in a):,} -> {sum(r[4] for r in b):,}\n")
 
 
 if __name__ == "__main__":

@@ -236,8 +236,12 @@ class TestStraddleProbe:
         monkeypatch.setattr(zmod, "_target", too_steep)
         rec = refine(bracket, id)
         monkeypatch.undo()
-        # The walk's bracket brings F at its ends: refine starts at the midpoint.
-        assert seen[0][:2] == ("iterate", 0.5 * (bracket.lo + bracket.hi))
+        # The walk's bracket brings F at its ends: refine starts at their
+        # secant point.
+        a, b = bracket.lo, bracket.hi
+        fa, fb = target(kind, nu)(a), target(kind, nu)(b)
+        assert a < a - fa * (b - a) / (fb - fa) < b
+        assert seen[0][:2] == ("iterate", a - fa * (b - a) / (fb - fa))
         tol = lambda x: 0.5 * WIDTH_TOL * max(1.0, x)
         missed = [
             (x0, x1)
@@ -325,11 +329,22 @@ class TestAccuracyAgainstOracle:
 
 
 class TestEvaluationBudget:
-    # The walk's first points after the previous zero sit at the zero the
-    # last three predict: x0, g - h and g + 2h, then two Newton iterates
-    # and the probe come to ~8 scipy calls per J or Y zero (13 without).
-    @pytest.mark.parametrize("kind,nu,ranks", [(ZeroKind.Y, 2.5, 2000), (ZeroKind.J, 10.0, 1500)])
-    def test_scipy_calls_per_zero(self, monkeypatch, kind, nu, ranks):
+    # Each walk starts where the last one ended, with F there known, and
+    # its new points g - h and g + 2h sit around the zero the last three
+    # predict; one Newton iterate from the bracket's secant point and the
+    # probe bring a J or Y zero to ~5 scipy calls (8 starting the walk past
+    # the previous zero and Newton at the midpoint). A J' or Y' walk point
+    # costs two calls, so those zeros take ~8.
+    @pytest.mark.parametrize(
+        "kind,nu,ranks,budget",
+        [
+            (ZeroKind.Y, 2.5, 2000, 6),
+            (ZeroKind.J, 10.0, 1500, 6),
+            (ZeroKind.JPRIME, 10.0, 1500, 9),
+            (ZeroKind.YPRIME, 2.5, 2000, 9),
+        ],
+    )
+    def test_scipy_calls_per_zero(self, monkeypatch, kind, nu, ranks, budget):
         calls = [0]
 
         def counted(bessel):
@@ -345,7 +360,7 @@ class TestEvaluationBudget:
         zeros_upto(kind, nu, ranks)
         monkeypatch.undo()
         zmod.clear_cache()
-        assert calls[0] <= 9 * ranks
+        assert calls[0] <= budget * ranks
 
 
 class TestZero:
@@ -584,6 +599,97 @@ class TestWrongGuess:
         assert asked[1 - self.RANKS :] == list(range(2, self.RANKS + 1))
         assert guessed == pytest.approx(z[: self.RANKS], rel=1e-10, abs=1e-12)
         assert all(abs(g - c) <= 2.0 * WIDTH_TOL * max(1.0, c) for g, c in zip(guessed, cold))
+
+
+class TestCarriedAnchor:
+    # Each walk after the first starts at the previous walk's upper end x,
+    # with F(x) known: that walk's bracket held the previous zero z alone,
+    # so (z, x] holds no zero. It evaluates F at _scan_start(kind, nu, z) =
+    # z + max(1e-7, 1e-9 z) only when the previous walk ended on an exact
+    # 0.0, which leaves no point past z, or after the conventional j'_{0,1}.
+    RANKS = 30
+
+    @staticmethod
+    def build(monkeypatch, kind, nu, forced_zero=None):
+        """Ranks 1..RANKS from a cold cache, and every x where F alone is
+        evaluated; F reads exactly 0.0 at ``forced_zero``."""
+        seen = []
+
+        def traced(kind, nu):
+            f, f_and_slope = _target(kind, nu)
+
+            def value(x):
+                seen.append(x)
+                return 0.0 if x == forced_zero else f(x)
+
+            return value, f_and_slope
+
+        zmod.clear_cache()
+        monkeypatch.setattr(zmod, "_target", traced)
+        try:
+            return zeros_upto(kind, nu, TestCarriedAnchor.RANKS), set(seen)
+        finally:
+            monkeypatch.undo()
+            zmod.clear_cache()
+
+    @pytest.mark.parametrize("nu", [0.0, 2.5, 30.0])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_no_walk_restarts_past_the_previous_zero(self, monkeypatch, kind, nu):
+        records, seen = self.build(monkeypatch, kind, nu)
+        grid = TestRankCertification.ranked(kind, nu)[: self.RANKS]
+        assert [r.value for r in records] == pytest.approx(grid, rel=1e-10, abs=1e-12)
+        restarts = {_scan_start(kind, nu, r.value) for r in records[:-1] if r.value > 0.0}
+        assert not restarts & seen
+
+    @pytest.mark.parametrize("kind,nu", [(ZeroKind.J, 2.5), (ZeroKind.Y, 0.0), (ZeroKind.JPRIME, 30.0), (ZeroKind.YPRIME, 2.5)])
+    def test_exact_walk_hit_falls_back(self, monkeypatch, kind, nu):
+        # Rank s's guess puts the walk's point g + 2h on the zero's own value
+        # z, where F is made to read exactly 0.0: rank s is z with the
+        # bracket [z, z], and rank s + 1's walk starts at _scan_start(z).
+        s = 10
+        z = zval(kind, nu, s)
+        h = 2.0**-30  # a power of two, so z - 2h and back are exact here
+        assert (z - 2.0 * h) + 2.0 * h == z
+        predict = zmod._predict
+        monkeypatch.setattr(zmod, "_predict", lambda records: (z - 2.0 * h, h) if len(records) == s - 1 else predict(records))
+        records, seen = self.build(monkeypatch, kind, nu, forced_zero=z)
+        hit = records[s - 1]
+        assert (hit.value, hit.bracket, hit.residual, hit.iterations) == (z, Bracket(z, z), 0.0, 0)
+        grid = TestRankCertification.ranked(kind, nu)[: self.RANKS]
+        assert [r.value for r in records] == pytest.approx(grid, rel=1e-10, abs=1e-12)
+        restarts = {_scan_start(kind, nu, r.value) for r in records[:-1]}
+        assert restarts & seen == {_scan_start(kind, nu, z)}
+
+    def test_failed_extension_leaves_no_anchor(self, monkeypatch):
+        # The records kept before a refine that raises are followed by a walk
+        # from just past the last of them, and every rank comes out as cold.
+        zmod.clear_cache()
+        cold = zeros_upto(ZeroKind.J, 2.5, 8)
+        zmod.clear_cache()
+        real_refine = zmod.refine
+
+        def failing(bracket, id):
+            if id.s == 6:
+                raise zmod.ConvergenceError("forced", code="NO_CONVERGENCE")
+            return real_refine(bracket, id)
+
+        monkeypatch.setattr(zmod, "refine", failing)
+        with pytest.raises(zmod.ConvergenceError):
+            zeros_upto(ZeroKind.J, 2.5, 8)
+        monkeypatch.undo()
+        assert not zmod._anchors
+        assert zeros_upto(ZeroKind.J, 2.5, 8) == cold
+        zmod.clear_cache()
+
+    def test_clear_cache_drops_the_anchors(self):
+        # A stale anchor would start rank 1's walk past the first zero.
+        zmod.clear_cache()
+        first = zeros_upto(ZeroKind.Y, 2.5, 5)
+        assert zmod._anchors
+        zmod.clear_cache()
+        assert not zmod._anchors
+        assert zeros_upto(ZeroKind.Y, 2.5, 5) == first
+        zmod.clear_cache()
 
 
 class TestOracleScan:
