@@ -1,99 +1,13 @@
 """Bessel-function evaluation, certified zero enumeration, and numerical
 verification of the interlacing inequalities among those zeros."""
 
-from .errors import (
-    BesselInterlaceError,
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    SearchError,
-)
-from .evaluate import (
-    NU_MAX,
-    EvalResult,
-    eval_J,
-    eval_Y,
-    eval_cylinder,
-    eval_dJ,
-    eval_dY,
-)
-from .interlace import (
-    CHAIN_LABELS,
-    ChainReport,
-    InterlaceChain,
-    ViolationWitness,
-    build_chain,
-    check_chain,
-    check_derivative_chains,
-    check_proposition,
-    check_theorem1,
-    check_theorem2,
-    counterexample_scan,
-    find_breaking,
-)
-from .wronskian import (
-    SignIntervalReport,
-    WronskianProfile,
-    eq19_residual,
-    eval_W,
-    has_positive_zero,
-    profile_extrema,
-    sign_agreement,
-)
-from .zeros import (
-    Bracket,
-    ZeroId,
-    ZeroKind,
-    ZeroRecord,
-    initial_bracket,
-    oracle_scan,
-    refine,
-    zero,
-    zeros_upto,
-)
+from . import errors, evaluate, interlace, wronskian, zeros
+from .errors import *
+from .evaluate import *
+from .interlace import *
+from .wronskian import *
+from .zeros import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NU_MAX",
-    "BesselInterlaceError",
-    "DomainError",
-    "BracketError",
-    "ConvergenceError",
-    "SearchError",
-    "EvalResult",
-    "eval_J",
-    "eval_Y",
-    "eval_dJ",
-    "eval_dY",
-    "eval_cylinder",
-    "ZeroKind",
-    "ZeroId",
-    "Bracket",
-    "ZeroRecord",
-    "initial_bracket",
-    "refine",
-    "zero",
-    "zeros_upto",
-    "oracle_scan",
-    "CHAIN_LABELS",
-    "InterlaceChain",
-    "ChainReport",
-    "ViolationWitness",
-    "build_chain",
-    "check_chain",
-    "check_theorem1",
-    "check_proposition",
-    "check_derivative_chains",
-    "check_theorem2",
-    "find_breaking",
-    "counterexample_scan",
-    "WronskianProfile",
-    "SignIntervalReport",
-    "eval_W",
-    "profile_extrema",
-    "has_positive_zero",
-    "sign_agreement",
-    "eq19_residual",
-    "__version__",
-]
+__all__ = [*errors.__all__, *evaluate.__all__, *zeros.__all__, *interlace.__all__, *wronskian.__all__, "__version__"]

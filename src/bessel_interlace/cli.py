@@ -217,7 +217,7 @@ def cmd_chain(args: argparse.Namespace) -> tuple[int, str]:
 
 # Per suite: its check at one grid point, the one eps it is stated at (None:
 # each eps of the grid), and the note verify adds at nu = 0, eps = 1 for the
-# suites with identity pairs.
+# suites with identity pairs. Checks are looked up on ``interlace`` per call.
 _SUITE_CHECKS = {
     "theorem1": (lambda nu, eps, smax: interlace.check_theorem1(nu, smax), 1.0, None),
     "proposition": (
@@ -225,28 +225,29 @@ _SUITE_CHECKS = {
         1.0,
         "j(1,s)=jp(0,s+1) and y(1,s)=yp(0,s) exactly; equalities exempt",
     ),
-    "derivative-chains": (interlace.check_derivative_chains, None, None),
-    "theorem2": (interlace.check_theorem2, None, "nu=0, eps=1 equality pairs exempt"),
+    "derivative-chains": (lambda nu, eps, smax: interlace.check_derivative_chains(nu, eps, smax), None, None),
+    "theorem2": (lambda nu, eps, smax: interlace.check_theorem2(nu, eps, smax), None, "nu=0, eps=1 equality pairs exempt"),
 }
 _SUITES = (*_SUITE_CHECKS, "all")
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    if args.format != "json":
-        raise DomainError("verify emits a JSON summary; use --format json", code="DOMAIN_FORMAT")
     suite = args.suite
-    if suite not in _SUITES:
-        raise DomainError(f"unknown suite {suite!r}; expected one of {', '.join(_SUITES)}", code="DOMAIN_SUITE")
     nu_grid = parse_grid(args.nu_grid)
     eps_grid = _recode("DOMAIN_EPS", parse_grid, args.eps_grid)
     for eps in eps_grid:
         if not 0.0 < eps <= 1.0:
             raise DomainError(f"verify eps grid must lie in (0, 1], got {eps}", code="DOMAIN_EPS")
     smax = args.smax
+    names = tuple(_SUITE_CHECKS) if suite == "all" else (suite,)
+    # Every order read, nu and nu + eps, is checked before any zero is computed.
+    top_eps = max(_SUITE_CHECKS[name][1] or max(eps_grid) for name in names)
+    for nu in nu_grid:
+        _recode("DOMAIN_NU", interlace.check_orders, nu, top_eps)
 
     violations = []
     notes = []
-    for name in _SUITE_CHECKS if suite == "all" else (suite,):
+    for name in names:
         check, fixed_eps, note = _SUITE_CHECKS[name]
         for nu in nu_grid:
             for eps in eps_grid if fixed_eps is None else (fixed_eps,):
@@ -368,12 +369,8 @@ _CODE_FLAGS = {
     "DOMAIN_S": "--smax",
     "DOMAIN_EPS": "--eps",
     "DOMAIN_KIND": "--kind",
-    "DOMAIN_STEP": "--step",
     "DOMAIN_GRID": "--nu-grid",
-    "DOMAIN_SUITE": "--suite",
-    "DOMAIN_PAIR": "--pair",
     "DOMAIN_THREADS": "--threads",
-    "DOMAIN_FORMAT": "--format",
 }
 _CODE_FLAGS_PER_COMMAND = {
     ("break", "DOMAIN_S"): "--scap",
@@ -381,7 +378,6 @@ _CODE_FLAGS_PER_COMMAND = {
     ("counterexample", "DOMAIN_NU"): "--nu-list",
     ("counterexample", "OVERFLOW_NU"): "--nu-list",
     ("verify", "DOMAIN_NU"): "--nu-grid",
-    ("verify", "OVERFLOW_NU"): "--nu-grid",
     ("verify", "DOMAIN_EPS"): "--eps-grid",
 }
 
@@ -393,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, default_fmt="csv"):
-        sp.add_argument("--format", choices=("csv", "json"), default=default_fmt)
+    def common(sp, formats=("csv", "json")):
+        sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", default="-", help="output path, or - for stdout")
         sp.add_argument("--threads", type=int, default=None, help="ignored (every command runs serially); must be >= 1")
 
@@ -411,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("verify", help="run inequality sweeps over an order grid")
-    sp.add_argument("--suite", required=True)
+    sp.add_argument("--suite", choices=_SUITES, required=True)
     sp.add_argument("--nu-grid", dest="nu_grid", required=True, help="lo:hi:step")
     sp.add_argument("--eps-grid", dest="eps_grid", default="0.25:1.0:0.25", help="lo:hi:step, in (0,1]")
     sp.add_argument("--smax", type=int, default=20)
-    common(sp, default_fmt="json")
+    common(sp, formats=("json",))
 
     sp = sub.add_parser("break", help="find the rank where an eps>1 chain breaks")
     sp.add_argument("--nu", type=float, required=True)

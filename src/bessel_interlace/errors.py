@@ -6,6 +6,8 @@ CLI) can branch on failures without parsing messages.
 
 from __future__ import annotations
 
+__all__ = ["BesselInterlaceError", "DomainError", "BracketError", "ConvergenceError", "SearchError"]
+
 
 class BesselInterlaceError(Exception):
     """Base class for all library errors."""
@@ -21,8 +23,10 @@ class BesselInterlaceError(Exception):
 class DomainError(BesselInterlaceError):
     """Input outside the supported domain.
 
-    Codes: DOMAIN_NU (order invalid), DOMAIN_X (argument invalid),
-    OVERFLOW_NU (order above the library cap).
+    Codes: DOMAIN_NU, OVERFLOW_NU (an order above NU_MAX), DOMAIN_EPS (also
+    nu + eps above NU_MAX), DOMAIN_X, DOMAIN_S, DOMAIN_ALPHA, DOMAIN_KIND,
+    DOMAIN_PAIR, DOMAIN_STEP, DOMAIN_N; from the CLI, DOMAIN_GRID, DOMAIN_MU
+    and DOMAIN_THREADS. Each message names the input at fault.
     """
 
     code = "DOMAIN"

@@ -30,6 +30,8 @@ from scipy.special.cython_special import jv as _jv, yv as _yv
 
 from .errors import DomainError
 
+__all__ = ["NU_MAX", "EvalResult", "eval_J", "eval_Y", "eval_dJ", "eval_dY", "eval_cylinder"]
+
 #: Order cap. Counterexample searches need orders of several hundred;
 #: evaluation accuracy is unverified above this.
 NU_MAX = 600.0

@@ -154,10 +154,17 @@ def _top_nodes(chain: _Chain) -> tuple[_Node, ...]:
     return chain.nodes[:-1] if chain.open else chain.nodes
 
 
-def _check_eps_and_rank(chains, eps: float, s: int) -> None:
-    """Reject a bad eps, or a top rank s at which ``chains`` would read past S_MAX_LIMIT."""
+def check_orders(nu: float, eps: float) -> None:
+    """Reject a bad order nu, or nu + eps above NU_MAX, before any zero is computed."""
+    if ev.check_order(nu) + eps > ev.NU_MAX:
+        raise DomainError(f"order nu={nu!r} plus eps={eps!r} exceeds NU_MAX={ev.NU_MAX}", code="DOMAIN_EPS")
+
+
+def _check_eps_and_rank(chains, nu: float, eps: float, s: int) -> None:
+    """Reject a bad eps or order, or a top rank s at which ``chains`` would read past S_MAX_LIMIT."""
     if not math.isfinite(eps) or eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}", code="DOMAIN_EPS")
+    check_orders(nu, eps)
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
     cap = S_MAX_LIMIT - max(n.offset for c in chains for n in _top_nodes(c))
@@ -187,7 +194,7 @@ def _failing(chain: _Chain, nu: float, eps: float, columns) -> list[tuple[int, i
 def _check(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
     """Violations of the suite's rows at (nu, eps), ranks 1..s_max, in row, rank, pair order."""
     chains = [c for c in _CHAINS if c.suite == suite]
-    _check_eps_and_rank(chains, eps, s_max)
+    _check_eps_and_rank(chains, nu, eps, s_max)
     # Each node family (kind, shifted), read once up to the highest rank a row needs.
     need: dict[tuple[ZeroKind, bool], int] = {}
     for node in (n for c in chains for n in _top_nodes(c)):
@@ -212,7 +219,7 @@ def build_chain(nu: float, eps: float, s: int) -> InterlaceChain:
     """The seven chain nodes at rank s, through the zero finder."""
     nu = float(nu)
     eps = float(eps)
-    _check_eps_and_rank((_SEVEN_NODE,), eps, s)
+    _check_eps_and_rank((_SEVEN_NODE,), nu, eps, s)
     nodes = tuple(_zval(n.kind, nu + eps if n.shifted else nu, s + n.offset) for n in _SEVEN_NODE.nodes)
     return InterlaceChain(nu, eps, s, nodes)
 
@@ -237,12 +244,12 @@ def check_theorem1(nu: float, s_max: int) -> list[ViolationWitness]:
     nu = float(nu)
     if not isinstance(s_max, int) or not 1 <= s_max <= 100:
         raise DomainError(f"s_max must be in 1..100, got {s_max!r}", code="DOMAIN_S")
-    violations = []
+    violations = _check("theorem1", nu, 1.0, s_max)
     # Leading bound of the mixed chain: nu <= j'_{nu,1} (equality allowed).
     jp1 = _zval(ZeroKind.JPRIME, nu, 1)
     if jp1 < nu - 1e-12 * max(1.0, nu):
-        violations.append(ViolationWitness(nu, 1.0, 1, "nu", "jp(v,1)", nu, jp1))
-    return violations + _check("theorem1", nu, 1.0, s_max)
+        violations.insert(0, ViolationWitness(nu, 1.0, 1, "nu", "jp(v,1)", nu, jp1))
+    return violations
 
 
 def check_proposition(nu: float, s_max: int) -> list[ViolationWitness]:
@@ -292,6 +299,7 @@ def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:
         raise DomainError(f"breaking search requires eps > 1, got {eps!r}", code="DOMAIN_EPS")
     if not isinstance(s_cap, int) or not 1 <= s_cap <= S_MAX_LIMIT:
         raise DomainError(f"s_cap must be in 1..{S_MAX_LIMIT}, got {s_cap!r}", code="DOMAIN_S")
+    check_orders(nu, eps)
     for s in range(1, s_cap + 1):
         yv = _zval(ZeroKind.Y, nu + eps, s)
         jv = _zval(ZeroKind.J, nu, s)

@@ -56,7 +56,6 @@ __all__ = [
     "zero",
     "zeros_upto",
     "oracle_scan",
-    "clear_cache",
 ]
 
 S_MAX_LIMIT = 10_000
@@ -189,8 +188,9 @@ def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
         # clears rounding noise, far short of the next zero.
         return prev + max(1e-7, 1e-9 * prev)
     if kind is ZeroKind.JPRIME and 0.0 < nu < 1.0:
-        # j'_{nu,1} can sit arbitrarily close to 0 (~ sqrt(2 nu)).
-        return 1e-6
+        # j'_{nu,1} ~ sqrt(2 nu) can sit arbitrarily close to 0, but above
+        # sqrt(nu (nu + 2)) > sqrt(nu), a bound the checks never test.
+        return min(1e-6, math.sqrt(nu))
     return max(nu, 1e-6)
 
 

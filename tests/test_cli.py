@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import bessel_interlace.interlace as imod
 import bessel_interlace.zeros as zmod
 import fixtures
 from bessel_interlace import cli
@@ -70,22 +71,28 @@ class TestChainCommand:
 
 
 class TestRankCapUpFront:
-    # Arguments that would read past the rank cap exit 2 naming the flag
-    # the caller passed, before any zero is computed.
+    # Arguments that would read past the rank cap, or an order nu + eps past
+    # NU_MAX, exit 2 naming the flag the caller passed and the values at
+    # fault, before any zero is computed.
     @pytest.mark.parametrize(
-        "argv,flag",
+        "argv,flag,values",
         [
-            (["chain", "--nu", "0.5", "--eps", "0.5", "--smax", "10000"], "--smax"),
-            (["verify", "--suite", "proposition", "--nu-grid", "0.5:0.5:1", "--smax", "10000"], "--smax"),
-            (["break", "--nu", "10", "--eps", "1.0000001", "--scap", "20000"], "--scap"),
+            (["chain", "--nu", "0.5", "--eps", "0.5", "--smax", "10000"], "--smax", "10000"),
+            (["verify", "--suite", "proposition", "--nu-grid", "0.5:0.5:1", "--smax", "10000"], "--smax", "10000"),
+            (["break", "--nu", "10", "--eps", "1.0000001", "--scap", "20000"], "--scap", "20000"),
+            (["chain", "--nu", "0", "--eps", "700", "--smax", "200"], "--eps", "nu=0.0 plus eps=700.0"),
+            (["verify", "--suite", "all", "--nu-grid", "0:700:100"], "--nu-grid", "nu=600.0 plus eps=1.0"),
+            (["break", "--nu", "0", "--eps", "700"], "--eps", "nu=0.0 plus eps=700.0"),
+            (["verify", "--suite", "theorem2", "--nu-grid", "599:599.75:0.25", "--eps-grid", "0.25:0.5:0.25"], "--nu-grid", "nu=599.75 plus eps=0.5"),
         ],
-        ids=["chain", "verify-proposition", "break"],
+        ids=["chain", "verify-proposition", "break", "chain-shifted-order", "verify-shifted-order", "break-shifted-order", "verify-eps-grid-top"],
     )
-    def test_rejected_before_any_zero(self, capsys, argv, flag):
+    def test_rejected_before_any_zero(self, capsys, argv, flag, values):
         zmod.clear_cache()
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"error ({flag})" in err
+        assert values in err
         assert zmod._cache == {}
 
     def test_wronskian_xmax_past_the_cap_names_xmax(self, capsys):
@@ -134,13 +141,30 @@ class TestVerifyCommand:
         assert any(n["suite"] == "proposition" for n in doc["exemptions"])
 
     def test_bogus_suite(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--suite", "bogus", "--nu-grid", "0:1:1")
-        assert code == 2
-        assert "--suite" in err
+        code, out, err = run_cli(capsys, "verify", "--suite", "bogus", "--nu-grid", "0:1:1")
+        assert (code, out) == (2, "")
+        assert "argument --suite: invalid choice: 'bogus'" in err
 
     def test_csv_format_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--suite", "all", "--nu-grid", "0:1:1", "--format", "csv")
-        assert code == 2
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--nu-grid", "0:1:1", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'csv'" in err
+
+    @pytest.mark.parametrize(
+        "suite,checker,args",
+        [
+            ("theorem1", "check_theorem1", (0.5, 2)),
+            ("proposition", "check_proposition", (0.5, 2)),
+            ("derivative-chains", "check_derivative_chains", (0.5, 1.0, 2)),
+            ("theorem2", "check_theorem2", (0.5, 1.0, 2)),
+        ],
+    )
+    def test_suite_checks_looked_up_at_call_time(self, capsys, monkeypatch, suite, checker, args):
+        calls = []
+        monkeypatch.setattr(imod, checker, lambda *a: calls.append(a) or [])
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--nu-grid", "0.5:0.5:1", "--eps-grid", "1:1:1", "--smax", "2")
+        assert (code, calls) == (0, [args])
+        assert json.loads(out)["violations"] == []
 
     # BESSEL_INTERLACE_THREADS does not override the flag.
     @pytest.mark.parametrize("flag,env", [("0", None), ("0", "4")])

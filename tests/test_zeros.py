@@ -41,24 +41,26 @@ _SCIPY = {ZeroKind.J: jv, ZeroKind.Y: yv, ZeroKind.JPRIME: jvp, ZeroKind.YPRIME:
 
 
 @functools.lru_cache(maxsize=None)
-def grid_zeros(kind, nu, count):
+def grid_zeros(kind, nu, count, step=0.05, bisections=60):
     """The first ``count`` positive zeros, found by a scipy grid scan plus
     vectorized bisection, without the library's root finder.
 
     No positive zero of J_nu, Y_nu, J'_nu or Y'_nu lies below nu, so the
     grid starts at nu / 2. It ends where the Debye phase
     sqrt(x^2 - nu^2) - nu arccos(nu/x), which gains about pi per zero,
-    reaches (count + 2) pi.
+    reaches (count + 2) pi. A ``step`` below the smallest zero spacing
+    (2.2) keeps each grid cell to one zero; each zero is then bisected
+    ``bisections`` times.
     """
     f = _SCIPY[kind]
     phase = lambda t: t - nu * math.atan2(t, nu) - (count + 2) * math.pi  # t = sqrt(x^2 - nu^2)
     x_max = math.hypot(nu, brentq(phase, 0.0, (count + 2) * math.pi * (1.0 + nu))) + 5.0
-    xs = np.arange(max(0.01, 0.5 * nu), x_max, 0.05)
+    xs = np.arange(max(0.01, 0.5 * nu), x_max, step)
     with np.errstate(all="ignore"):
         vals = f(nu, xs)
         i = np.nonzero(np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & (vals[:-1] * vals[1:] < 0.0))[0][:count]
         a, b, fa = xs[i], xs[i + 1], vals[i]
-        for _ in range(60):
+        for _ in range(bisections):
             m = 0.5 * (a + b)
             fm = f(nu, m)
             left = fa * fm <= 0.0
@@ -538,6 +540,15 @@ class TestRankCertification:
         first = next(z for z in self.ranked(kind, nu) if z > 0.0)
         assert _scan_start(kind, nu, None) < first
 
+    # grid_zeros starts at 0.01, so j'_{nu,1} ~ sqrt(2 nu) at tiny orders
+    # comes from mpmath; 1e-300 lies below ev._TINY_ORDER.
+    @pytest.mark.parametrize("nu", [1e-12, 1e-14, 1e-100, 1e-300])
+    def test_anchor_below_first_zero_at_tiny_orders(self, nu):
+        anchor = _scan_start(ZeroKind.JPRIME, nu, None)
+        first = oracle.root_near("jp", nu, math.sqrt(2.0 * nu), 0.5 * math.sqrt(2.0 * nu))
+        # J'_nu > 0 from 0+ up to its first zero, so the walk starts below it.
+        assert anchor < first and oracle.eval_kind("jp", nu, anchor) > 0
+
     @pytest.mark.parametrize("nu", ORDERS)
     @pytest.mark.parametrize("kind", list(ZeroKind))
     def test_each_zero_within_reach_of_its_anchor(self, kind, nu):
@@ -551,6 +562,29 @@ class TestRankCertification:
     def test_ranks_match_the_grid(self, kind, nu):
         values = [r.value for r in zeros_upto(kind, nu, self.RANKS)]
         assert values == pytest.approx(self.ranked(kind, nu), rel=1e-10, abs=1e-12)
+
+    # Ranks 1-1000 of each kind at 2.5 and 30.3; Y_{2.5} runs to the cap.
+    @pytest.mark.parametrize(
+        "kind,nu,ranks",
+        [(kind, nu, 10_000 if (kind, nu) == (ZeroKind.Y, 2.5) else 1000) for kind in ZeroKind for nu in (2.5, 30.3)],
+    )
+    def test_deep_ranks_match_the_grid(self, kind, nu, ranks):
+        # A coarser grid and 34 halvings (to 3e-11) keep the scan cheap; a
+        # skipped rank would move every later value by ~pi.
+        values = [r.value for r in zeros_upto(kind, nu, ranks)]
+        assert values == pytest.approx(grid_zeros(kind, nu, ranks, step=0.5, bisections=34), rel=1e-10, abs=1e-12)
+
+    # Ranks 1-2 of j' against mpmath. Below ev._TINY_ORDER the evaluators
+    # read J_nu as J_0, but the target -J_{nu+1} + (nu/x) J_nu keeps nu in
+    # its nu/x term, so j'_{nu,1} ~ sqrt(2 nu) is still bracketed as rank 1.
+    # A value below 1 is held to WIDTH_TOL absolutely, not relatively.
+    @pytest.mark.parametrize("nu", [1e-14, 1e-100, 1e-300])
+    def test_first_jprime_zeros_at_tiny_orders(self, nu):
+        first, second = zeros_upto(ZeroKind.JPRIME, nu, 2)
+        root = oracle.root_near("jp", nu, math.sqrt(2.0 * nu), 0.5 * math.sqrt(2.0 * nu))
+        assert first.bracket.lo <= root <= first.bracket.hi
+        assert abs(first.value - root) <= WIDTH_TOL
+        assert second.value == pytest.approx(float(oracle.root_near("jp", nu, 3.8317, 1e-3)), rel=1e-13)
 
 
 class TestWrongGuess:
