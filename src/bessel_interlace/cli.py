@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 
 from . import evaluate as ev
@@ -75,12 +76,17 @@ def _csv_cell(value) -> str:
     return fmt(value)
 
 
-def to_csv(header: list[str], rows: list[list], trailer: str | None = None) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(c) for c in row) for row in rows]
+def _csv_line(row) -> str:
+    """One CSV line, each cell quoted if needed and rendered by ``fmt``."""
+    return ",".join(_csv_cell(c) for c in row)
+
+
+def to_csv(header: list[str], lines: Iterable[str], trailer: str | None = None) -> str:
+    """The header, the already rendered lines and the trailer, one per line."""
+    parts = [",".join(header), *lines]
     if trailer is not None:
-        lines.append(trailer)
-    return "\n".join(lines) + "\n"
+        parts.append(trailer)
+    return "\n".join(parts) + "\n"
 
 
 # --- argument parsing -------------------------------------------------------
@@ -168,11 +174,14 @@ def cmd_zeros(args: argparse.Namespace) -> tuple[int, str]:
             }
         )
     else:
-        rows = [
-            [kind.value, args.nu, r.id.s, r.value, r.bracket.lo, r.bracket.hi, r.residual]
+        # One format string per record: every field but s is a float, and
+        # f"{x:.17g}" is the same float.__format__ that fmt calls.
+        head = f"{kind.value},{fmt(args.nu)},"
+        lines = (
+            f"{head}{r.id.s},{r.value:.17g},{r.bracket.lo:.17g},{r.bracket.hi:.17g},{r.residual:.17g}"
             for r in records
-        ]
-        body = to_csv(["kind", "nu", "s", "value", "bracket_lo", "bracket_hi", "residual"], rows)
+        )
+        body = to_csv(["kind", "nu", "s", "value", "bracket_lo", "bracket_hi", "residual"], lines)
     return 0, body
 
 
@@ -211,7 +220,7 @@ def cmd_chain(args: argparse.Namespace) -> tuple[int, str]:
             for r in reports
         ]
         header = ["nu", "eps", "s", *_NODE_COLUMNS, *[f"gap_{i}" for i in range(1, 7)], "ok"]
-        body = to_csv(header, rows)
+        body = to_csv(header, map(_csv_line, rows))
     return (0 if all_ok else 1), body
 
 
@@ -272,7 +281,7 @@ def _not_found(output_format: str, exc: SearchError) -> str:
     """The body a search command prints when its witness is not found."""
     if output_format == "json":
         return to_json({"found": False, "error": str(exc), "code": exc.code})
-    return to_csv(["found", "error"], [["false", str(exc)]])
+    return to_csv(["found", "error"], [_csv_line(["false", str(exc)])])
 
 
 def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
@@ -294,7 +303,7 @@ def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
     else:
         body = to_csv(
             ["nu", "eps", "s", "y_value", "j_value"],
-            [[w.nu, w.eps, w.s, w.left_value, w.right_value]],
+            [_csv_line([w.nu, w.eps, w.s, w.left_value, w.right_value])],
         )
     return 0, body
 
@@ -321,7 +330,7 @@ def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
             f" min_abs={fmt(profile.min_abs)}"
             f" first_zero={fmt(first_zero) if first_zero is not None else 'none'}"
         )
-        body = to_csv(["x", "w", "source"], rows, trailer=trailer)
+        body = to_csv(["x", "w", "source"], map(_csv_line, rows), trailer=trailer)
     return 0, body
 
 
@@ -347,7 +356,7 @@ def cmd_counterexample(args: argparse.Namespace) -> tuple[int, str]:
             for tag, w in witnesses
         ]
         header = ["ordering", "nu", "eps", "s", "left_label", "left_value", "right_label", "right_value"]
-        body = to_csv(header, rows)
+        body = to_csv(header, map(_csv_line, rows))
     return 0, body
 
 

@@ -89,18 +89,27 @@ def bessel_y(nu: float, x: float) -> float:
     return _yv(nu, x)
 
 
+# Below the tiny order C_nu is C_0 and nu + 1 rounds to 1, but the
+# (nu/x) C_nu term is kept: it dominates J' below x ~ sqrt(2 nu). At
+# nu = 0 the term vanishes, so C'_0 = -C_1 costs one call.
 def bessel_dj(nu: float, x: float) -> float:
     if nu < _TINY_ORDER:
-        return -_jv(1.0, x)
+        dj = -_jv(1.0, x)
+        return dj if nu == 0.0 else dj + (nu / x) * _jv(0.0, x)
     return -_jv(nu + 1.0, x) + (nu / x) * _jv(nu, x)
 
 
 def bessel_dy(nu: float, x: float) -> float:
     if nu < _TINY_ORDER:
-        return -_yv(1.0, x)
-    v = -_yv(nu + 1.0, x) + (nu / x) * _yv(nu, x)
-    # inf - inf below the turning point: Y is negative and rising there.
-    if math.isnan(v) and x < nu:
+        v = -_yv(1.0, x)
+        if nu == 0.0:
+            return v
+        v += (nu / x) * _yv(0.0, x)
+    else:
+        v = -_yv(nu + 1.0, x) + (nu / x) * _yv(nu, x)
+    # inf - inf where Y saturates, below the turning point or (tiny orders)
+    # at a subnormal x: Y is negative and rising there.
+    if math.isnan(v) and x < max(nu, _TINY_ORDER):
         return math.inf
     return v
 

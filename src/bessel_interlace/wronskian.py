@@ -187,6 +187,9 @@ def sign_agreement(nu: float, s: int, n_samples: int) -> SignIntervalReport:
     conjunctions over Chebyshev-spaced interior samples.
     """
     nu = ev.check_order(nu)
+    # Checked before any zero is computed, and named as the caller passed it.
+    if nu + 1.0 > ev.NU_MAX:
+        raise DomainError(f"order nu={nu!r} plus 1 exceeds NU_MAX={ev.NU_MAX}", code="OVERFLOW_NU")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
     if n_samples < 3:

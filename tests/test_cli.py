@@ -32,8 +32,8 @@ class TestZerosCommand:
     def test_conventional_jprime_row(self, capsys):
         code, out, _ = run_cli(capsys, "zeros", "--kind", "jp", "--nu", "0", "--smax", "1")
         assert code == 0
-        row = out.strip().split("\n")[1].split(",")
-        assert float(row[3]) == 0.0
+        # j'_{0,1} = 0 with the degenerate bracket [0, 0] and residual 0.
+        assert out.strip().split("\n")[1] == "jp,0,1,0,0,0,0"
 
     def test_domain_error_names_flag(self, capsys):
         code, _, err = run_cli(capsys, "zeros", "--kind", "j", "--nu", "-1", "--smax", "1")
@@ -51,6 +51,41 @@ class TestZerosCommand:
         csv_vals = [float(line.split(",")[3]) for line in csv_out.strip().split("\n")[1:]]
         json_vals = [z["value"] for z in json.loads(json_out)["zeros"]]
         assert csv_vals == json_vals
+
+
+class TestZerosRendering:
+    # The zeros table renders each record with one format string; every
+    # line must be the per-cell rendering (_csv_line) of the same record.
+    HEADER = "kind,nu,s,value,bracket_lo,bracket_hi,residual"
+
+    @pytest.mark.parametrize(
+        "kind,nu,smax",
+        [("jp", "0", 3), ("j", "0.1", 3), ("y", "600", 3), ("jp", "600", 2), ("yp", "2.5", 1002)],
+        ids=["jp-nu0-degenerate-first", "j-nu0.1-non-dyadic", "y-nu600", "jp-nu600", "yp-ranks-past-1000"],
+    )
+    def test_lines_match_per_cell_rendering_and_out_file(self, capsys, tmp_path, kind, nu, smax):
+        argv = ["zeros", "--kind", kind, "--nu", nu, "--smax", str(smax)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        zkind = zmod.ZeroKind.parse(kind)
+        records = zmod.zeros_upto(zkind, float(nu), smax)
+        expected = [
+            cli._csv_line([zkind.value, float(nu), r.id.s, r.value, r.bracket.lo, r.bracket.hi, r.residual])
+            for r in records
+        ]
+        assert out.split("\n") == [self.HEADER, *expected, ""]
+        target = tmp_path / "zeros.csv"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_non_dyadic_order_prints_seventeen_digits(self, capsys):
+        _, out, _ = run_cli(capsys, "zeros", "--kind", "j", "--nu", "0.1", "--smax", "3")
+        assert {line.split(",")[1] for line in out.strip().split("\n")[1:]} == {"0.10000000000000001"}
+
+    def test_small_tables_keep_per_cell_quoting(self):
+        assert cli._csv_line(["false", 'a,b "c"', 0.1, 3]) == 'false,"a,b ""c""",0.10000000000000001,3'
+        assert cli.to_csv(["a", "b"], iter(["1,2"]), trailer="# t") == "a,b\n1,2\n# t\n"
 
 
 class TestChainCommand:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,15 +120,14 @@ class TestUfuncParity:
     @staticmethod
     def reference(name, nu, x):
         c = jv if name in ("bessel_j", "bessel_dj") else yv
-        if nu < ev._TINY_ORDER:
-            nu = 0.0
-            if name in ("bessel_dj", "bessel_dy"):
-                return float(-c(1.0, x))
+        snapped = 0.0 if nu < ev._TINY_ORDER else nu
         if name in ("bessel_j", "bessel_y"):
-            return float(c(nu, x))
+            return float(c(snapped, x))
+        if nu == 0.0:
+            return float(-c(1.0, x))
         with np.errstate(invalid="ignore"):
-            v = float(-c(nu + 1.0, x) + (nu / x) * c(nu, x))
-        return math.inf if name == "bessel_dy" and math.isnan(v) and x < nu else v
+            v = float(-c(nu + 1.0, x) + (nu / x) * c(snapped, x))
+        return math.inf if name == "bessel_dy" and math.isnan(v) and x < max(nu, ev._TINY_ORDER) else v
 
     @staticmethod
     def grid(nu):
@@ -147,6 +147,31 @@ class TestUfuncParity:
         # The grid reaches Y = -inf, and Y' = inf - inf before the NaN rule.
         assert -math.inf in [ev.bessel_y(505.0, x) for x in self.grid(505.0)]
         assert math.inf in [ev.bessel_dy(600.0, x) for x in self.grid(600.0)]
+
+
+class TestTinyOrders:
+    # Below _TINY_ORDER the backend sees order 0, but C'_nu keeps its
+    # (nu/x) C_nu term, which dominates J' below x ~ sqrt(2 nu).
+    @pytest.mark.parametrize("nu", [5e-324, 1e-300, 1e-291])
+    @pytest.mark.parametrize("x", [1e-300, 1e-200, 1e-150, 1e-100, 1e-3, 1.0, 7.5])
+    def test_dj_against_extended_precision(self, nu, x):
+        with mpmath.workdps(60):
+            m_nu, m_x = mpmath.mpf(nu), mpmath.mpf(x)
+            ref = float(m_nu / m_x * mpmath.besselj(m_nu, m_x) - mpmath.besselj(m_nu + 1, m_x))
+        assert eval_dJ(nu, x).value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_order_zero_is_one_call(self, monkeypatch):
+        calls = []
+        for name, fn in (("_jv", ev._jv), ("_yv", ev._yv)):
+            monkeypatch.setattr(ev, name, lambda nu, x, fn=fn: calls.append(nu) or fn(nu, x))
+        assert ev.bessel_dj(0.0, 2.0) == -jv(1.0, 2.0)
+        assert ev.bessel_dy(0.0, 2.0) == -yv(1.0, 2.0)
+        assert calls == [1.0, 1.0]
+
+    def test_dy_saturates_to_inf_at_subnormal_x(self):
+        # Y_0 and Y_1 both read -inf there; Y' = -Y_1 + (nu/x) Y_0 is +inf, not NaN.
+        for nu, x in [(1e-300, 1e-310), (5e-324, 1e-310), (0.0, 1e-310)]:
+            assert ev.bessel_dy(nu, x) == math.inf
 
 
 class TestIntInputs:

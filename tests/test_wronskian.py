@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import bessel_interlace.zeros as zmod
 import fixtures
 import oracle
 from bessel_interlace import (
@@ -133,6 +134,16 @@ class TestSignAgreement:
     def test_needs_three_samples(self):
         with pytest.raises(DomainError):
             sign_agreement(0.0, 1, 2)
+
+    def test_order_past_cap_rejected_before_any_zero(self):
+        # nu + 1 = 600.5 is past NU_MAX; the error names the nu passed, and
+        # no sequence is computed first.
+        zmod.clear_cache()
+        with pytest.raises(DomainError) as exc:
+            sign_agreement(599.5, 1, 3)
+        assert exc.value.code == "OVERFLOW_NU"
+        assert "599.5" in str(exc.value) and "600.5" not in str(exc.value)
+        assert zmod._cache == {}
 
 
 class TestEq19:
