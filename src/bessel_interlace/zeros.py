@@ -16,16 +16,19 @@ bracket's upper end, and refine returns it with the bracket [x, x]; the
 next walk then starts just past that zero.
 A walk step evaluates F alone (C_nu for J and Y), and the walk's
 bracket brings F at its ends, as the anchor brings F at the walk's start,
-so no point is evaluated twice: a guessed J or Y zero costs ~5 scipy
+so no point is evaluated twice: a guessed J or Y zero costs ~4 scipy
 calls (2 walk points, 1 iterate, 1 probe).
 Refinement is safeguarded Newton, started at the bracket's secant point,
 that falls back to bisection whenever a Newton step would leave the
-current bracket; each iterate takes its value and slope from one pair
-C_nu(x), C_{nu+1}(x).
+current bracket. A J' or Y' iterate takes its value and slope from one
+pair C_nu(x), C_{nu+1}(x). A J or Y iterate evaluates C_nu(x) alone and
+fetches C_{nu+1}(x) for its slope only when Newton has to step.
 Newton runs until its step |F/F'| is at most tol / 16, or at most tol
 twice running, with tol = WIDTH_TOL/2 * max(1, x); one probe tol past
 the iterate, on the root's side, then certifies it when F changes sign
 there, and the record's bracket is {iterate, probe}.
+Signs are compared directly, never through a product of F values, which
+underflows to 0.0 once both are below ~1e-162.
 
 Indexing follows the classical convention: x = 0 counts as the first
 zero of J'_0, so j'_{0,1} = 0 and j'_{0,s} = j_{1,s-1} for s >= 2.
@@ -40,9 +43,6 @@ import math
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import special
-
 from . import evaluate as ev
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -55,7 +55,6 @@ __all__ = [
     "refine",
     "zero",
     "zeros_upto",
-    "oracle_scan",
 ]
 
 S_MAX_LIMIT = 10_000
@@ -138,11 +137,13 @@ class Bracket:
 
 @dataclass(frozen=True, slots=True)
 class _WalkBracket(Bracket):
-    """A walk's bracket for ``id`` with F(lo), F(hi); never kept in a ZeroRecord."""
+    """A walk's bracket for ``id`` with F(lo), F(hi) and the walk's
+    ``_target`` functions; never kept in a ZeroRecord."""
 
     flo: float
     fhi: float
     id: ZeroId
+    target: tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,22 +165,27 @@ _FAMILIES = {
 
 
 def _target(kind: ZeroKind, nu: float):
-    """Functions of x giving the kind's F, and F with dF/dx, at order nu.
+    """F of x at order nu, and how its slope dF/dx is had: (value, value_slope, slope).
 
-    F is C_nu for J and Y; all else comes from C_nu(x), C_{nu+1}(x): C' =
-    -C_{nu+1} + (nu/x) C (A&S 9.1.27), and the primed kinds' slope C'' =
-    -C'/x - (1 - nu^2/x^2) C is Bessel's equation (A&S 9.1.1). ``ev`` is
-    read here, per call, so a wrapper installed there sees every evaluation.
+    F is C_nu for J and Y: ``slope(x, F(x))`` = -C_{nu+1}(x) + (nu/x) C_nu(x)
+    (A&S 9.1.27) costs one more call, and ``value_slope`` is None. F is
+    C'_nu for J' and Y', from the same pair C_nu(x), C_{nu+1}(x) that gives
+    its slope C'' = -C'/x - (1 - nu^2/x^2) C by Bessel's equation (A&S
+    9.1.1): ``value_slope(x)`` returns both, and ``slope`` is None. ``ev``
+    is read here, per call, so a wrapper installed there sees every
+    evaluation.
     """
     name, primed = _FAMILIES[kind]
     bessel = getattr(ev, name)
+    if not primed:
+        return functools.partial(bessel, nu), None, lambda x, c0: -bessel(nu + 1.0, x) + (nu / x) * c0
 
     def value_slope(x):
         c0 = bessel(nu, x)
         d = -bessel(nu + 1.0, x) + (nu / x) * c0
-        return (d, -d / x - (1.0 - (nu / x) ** 2) * c0) if primed else (c0, d)
+        return d, -d / x - (1.0 - (nu / x) ** 2) * c0
 
-    return ((lambda x: value_slope(x)[0]) if primed else functools.partial(bessel, nu)), value_slope
+    return (lambda x: value_slope(x)[0]), value_slope, None
 
 
 def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
@@ -194,29 +200,31 @@ def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
     return max(nu, 1e-6)
 
 
-def initial_bracket(
-    id: ZeroId, _prev: float | tuple[float, float, float] | None = None, _guess: tuple[float, float] | None = None
-) -> Bracket:
+def initial_bracket(id: ZeroId, _walk: tuple | None = None) -> Bracket:
     """Sign-change bracket certified to contain exactly the s-th zero.
 
     Walks from a lower anchor in steps below the minimum zero spacing, so
     the first sign change it meets belongs to the requested rank: nu for
     the first zero, else a point just past the previous zero of the same
-    family (``_prev``, looked up when not given). A ``_prev`` of (z, x,
-    F(x)) names the previous zero z and an anchor x > z with no zero in
-    (z, x], the upper end of z's own walk bracket, where the walk starts
-    without evaluating F. A walk point where F is exactly 0.0 is such a
-    zero: it ends the walk as the bracket's upper end, and refine returns
-    it with the bracket [x, x]. Raises BracketError if no sign change
-    appears within _REACH of the anchor.
+    family (looked up when no ``_walk`` is given). A walk point where F
+    is exactly 0.0 is such a zero: it ends the walk as the bracket's
+    upper end, and refine returns it with the bracket [x, x]. Raises
+    BracketError if no sign change appears within _REACH of the anchor.
+
+    ``_walk`` = (target, prev, guess) is the state a sequence carries
+    from one walk to the next: its ``_target`` functions, the previous
+    zero ``prev``, and a guess at this one. A ``prev`` of (z, x, F(x))
+    names the previous zero z and an anchor x > z with no zero in (z, x],
+    the upper end of z's own walk bracket, where the walk starts without
+    evaluating F.
 
     From a previous zero the walk may first visit g - h and g + 2h, for
-    a guess ``_guess`` = (g, h) at the zero. No two zeros lie within
-    2 * _MIN_GAP of the previous one, so the first step may reach that
-    far past it; the step between the two points stays below _MIN_GAP. A
-    guess that would break either bound, or whose g - h is not past the
-    anchor, is not used. The guess only places sign checks: the ranks
-    rest on the spacing alone.
+    a guess (g, h) at the zero. No two zeros lie within 2 * _MIN_GAP of
+    the previous one, so the first step may reach that far past it; the
+    step between the two points stays below _MIN_GAP. A guess that would
+    break either bound, or whose g - h is not past the anchor, is not
+    used. The guess only places sign checks: the ranks rest on the
+    spacing alone.
     """
     if id.kind is ZeroKind.JPRIME and id.nu == 0.0 and id.s == 1:
         raise DomainError(
@@ -224,11 +232,12 @@ def initial_bracket(
             code="DOMAIN_S",
         )
 
-    prev = _prev
-    if prev is None and id.s > 1:
-        prev = zero(ZeroId(id.kind, id.nu, id.s - 1)).value
-
-    value = _target(id.kind, id.nu)[0]
+    if _walk is None:
+        prev = zero(ZeroId(id.kind, id.nu, id.s - 1)).value if id.s > 1 else None
+        target, guess = _target(id.kind, id.nu), None
+    else:
+        target, prev, guess = _walk
+    value = target[0]
     if isinstance(prev, tuple):
         prev, x, fx = prev
     else:
@@ -241,8 +250,8 @@ def initial_bracket(
     # Steps below the minimum zero spacing keep the rank certified; only
     # the first step from a previous zero may reach 2 * _MIN_GAP past it.
     ahead = []
-    if _guess is not None and prev is not None:
-        g, h = _guess
+    if guess is not None and prev is not None:
+        g, h = guess
         lo, hi = g - h, g + 2.0 * h
         if x < lo <= prev + 2.0 * _MIN_GAP and lo < hi and hi - lo < _MIN_GAP:
             ahead = [hi, lo]
@@ -255,10 +264,18 @@ def initial_bracket(
                 f"evaluator returned NaN at x={x2} while bracketing {id}",
                 code="BRACKET_NOT_FOUND",
             )
-        if fx2 == 0.0 or fx * fx2 < 0.0:
-            return _WalkBracket(x, x2, fx, fx2, id)
+        if fx2 == 0.0 or fx < 0.0 < fx2 or fx2 < 0.0 < fx:
+            return _WalkBracket(x, x2, fx, fx2, id, target)
         x, fx = x2, fx2
     raise BracketError(f"no sign change found for {id} within {_REACH} of its anchor", code="BRACKET_NOT_FOUND")
+
+
+def _settled(fx: float, d: float, tol: float, dx_old: float) -> bool:
+    """Newton's step |fx / d| is at most tol / 16, or at most tol after a
+    last step of at most tol."""
+    # tol / 16 is one to three ulps of an x >= 1; a second step within
+    # tol means F is down to its rounding noise.
+    return 16.0 * abs(fx) <= tol * abs(d) or (abs(fx) <= tol * abs(d) and dx_old <= tol)
 
 
 def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
@@ -276,39 +293,53 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
     evaluated iterate x, not x - F/F': that last step (one to three ulps)
     is not applied, so ``residual`` is exactly F(value) at no extra call.
 
+    A J or Y iterate evaluates F = C_nu alone and runs that test with an
+    estimate of F'(x): the bracket's secant slope (F(b) - F(a)) / (b - a)
+    at the first iterate, the last iterate's F' after that. It calls
+    C_{nu+1}(x) for F'(x) itself when the estimate is not finite or fails
+    the test, and when Newton has to step. The estimate only decides
+    whether to probe: the probe's sign change certifies every record.
+
     ``iterations`` counts the iterates, except one that ends the loop by
     an exact zero or the width stop, and not the probes. A walk's bracket
     for the same ``id`` brings F at its ends, so a zero certified by its
-    first probe costs iterations + 1 points (any other bracket, two more):
-    C_nu and C_{nu+1} at an iterate, F alone (C_nu for J, Y) at a probe.
+    first probe costs iterations + 1 points (any other bracket, two more).
+    A J or Y zero's points cost one C_nu call each, plus one C_{nu+1}
+    call per iterate that steps; a J' or Y' point costs the pair.
     """
     if bracket.lo == 0.0 and bracket.hi == 0.0:
         if id.kind is ZeroKind.JPRIME and id.nu == 0.0 and id.s == 1:
             return ZeroRecord(id, 0.0, bracket, 0.0, 0)
         raise DomainError("degenerate bracket is reserved for j'_{0,1}", code="DOMAIN_S")
 
-    value, value_slope = _target(id.kind, id.nu)
     a, b = float(bracket.lo), float(bracket.hi)
-    walked = isinstance(bracket, _WalkBracket) and bracket.id == id
-    fa, fb = (bracket.flo, bracket.fhi) if walked else (value(a), value(b))
+    if isinstance(bracket, _WalkBracket) and bracket.id == id:
+        (value, value_slope, slope), fa, fb = bracket.target, bracket.flo, bracket.fhi
+    else:
+        value, value_slope, slope = _target(id.kind, id.nu)
+        fa, fb = value(a), value(b)
     if fa == 0.0:
         return ZeroRecord(id, a, Bracket(a, a), 0.0, 0)
     if fb == 0.0:
         return ZeroRecord(id, b, Bracket(b, b), 0.0, 0)
-    if fa * fb > 0.0:
+    if fa > 0.0 < fb or fa < 0.0 > fb:
         raise ConvergenceError(f"bracket {bracket} has no sign change for {id}", code="NO_CONVERGENCE")
 
     x = a - fa * (b - a) / (fb - fa)
     if not a < x < b:
         x = 0.5 * (a + b)
+    d = (fb - fa) / (b - a)  # a J or Y iterate's first estimate of F'
     dx_old = b - a
     iterations = 0
     while True:
-        fx, d = value_slope(x)
+        if slope is None:
+            fx, d = value_slope(x)
+        else:
+            fx = value(x)
         if fx == 0.0:
             a = b = x
             break
-        if fa * fx < 0.0:
+        if fa < 0.0 < fx or fx < 0.0 < fa:
             b, fb = x, fx
         else:
             a, fa = x, fx
@@ -317,21 +348,28 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
         iterations += 1
         if iterations > MAX_REFINE_ITERS:
             raise ConvergenceError(f"no convergence for {id} after {MAX_REFINE_ITERS} iterations", code="NO_CONVERGENCE")
-        # tol / 16 is one to three ulps of an x >= 1; a second step within
-        # tol means F is down to its rounding noise. Tested before the
-        # in-bracket test below, which a sub-ulp Newton step never passes.
         tol = 0.5 * WIDTH_TOL * max(1.0, abs(x))
-        if 16.0 * abs(fx) <= tol * abs(d) or (abs(fx) <= tol * abs(d) and dx_old <= tol):
+        # Tested before the in-bracket test below, which a sub-ulp Newton
+        # step never passes. An estimated slope that fails is replaced by
+        # F'(x), as is one that is not finite, and the test runs again.
+        exact = slope is None
+        settled = (exact or math.isfinite(d)) and _settled(fx, d, tol, dx_old)
+        if not (settled or exact):
+            d, exact = slope(x, fx), True
+            settled = _settled(fx, d, tol, dx_old)
+        if settled:
             probe = x - math.copysign(tol, fx / d)
             if a < probe < b:
                 fp = value(probe)
-                if fp * fx < 0.0:
+                if fp < 0.0 < fx or fx < 0.0 < fp:
                     a, b = min(x, probe), max(x, probe)
                     break
-                if fp * fa > 0.0:
+                if fp > 0.0 < fa or fp < 0.0 > fa:
                     a, fa = probe, fp
-                elif fp * fb > 0.0:
+                elif fp > 0.0 < fb or fp < 0.0 > fb:
                     b, fb = probe, fp
+        if not exact:
+            d = slope(x, fx)
         # Bisect when Newton would leave the bracket or crawl (rtsafe rule);
         # either way the bracket width at least halves every other step.
         newton_ok = d != 0.0 and abs(2.0 * fx) <= abs(dx_old * d)
@@ -391,6 +429,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
         # Taken out for an extension and put back at its end, so one that
         # raises leaves no anchor and the next walk starts past the zero.
         anchor = _anchors.pop(key, None) if len(records) < s_max else None
+        target = _target(kind, nu) if len(records) < s_max else None
         while len(records) < s_max:
             s = len(records) + 1
             id = ZeroId(kind, nu, s)
@@ -398,7 +437,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
                 records.append(ZeroRecord(id, 0.0, Bracket(0.0, 0.0), 0.0, 0))
                 continue
             prev = anchor or (records[-1].value if records else None)
-            bracket = initial_bracket(id, _prev=prev, _guess=_predict(records))
+            bracket = initial_bracket(id, (target, prev, _predict(records)))
             rec = refine(bracket, id)
             if records and not rec.value > records[-1].value:
                 raise ConvergenceError(
@@ -426,51 +465,3 @@ def zeros_upto(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
     """Records for ranks 1..s_max, strictly increasing in value."""
     id = ZeroId(kind, nu, s_max)
     return _extend_sequence(kind, id.nu, s_max)[:s_max]
-
-
-def oracle_scan(kind: ZeroKind, nu: float, x_max: float, step: float) -> list[float]:
-    """Brute-force zero locator: grid sign scan plus plain bisection.
-
-    Deliberately ignorant of brackets, anchors and walk reach so it can
-    cross-check zeros_upto. F comes from the scipy.special jv/yv ufuncs,
-    not the library's evaluators, with the same order snap and recurrence,
-    on the whole grid at once; each sign change is bisected to 1e-12.
-    """
-    nu = ev.check_order(nu)
-    if not 0.0 < step <= 0.01:
-        raise DomainError(f"step must be in (0, 0.01], got {step!r}", code="DOMAIN_STEP")
-    if not math.isfinite(x_max) or x_max <= step:
-        raise DomainError(f"x_max must exceed step, got {x_max!r}", code="DOMAIN_X")
-
-    name, primed = _FAMILIES[kind]
-    c = special.jv if name == "bessel_j" else special.yv
-    c_nu = 0.0 if 0.0 < nu < ev._TINY_ORDER else nu
-    value = (lambda x: -c(nu + 1.0, x) + (nu / x) * c(c_nu, x)) if primed else functools.partial(c, c_nu)
-    xs = np.arange(step, x_max + 0.5 * step, step)
-    with np.errstate(invalid="ignore", over="ignore"):  # Y saturates to -inf: inf - inf, inf * inf
-        vals = value(xs)
-        ok = np.isfinite(vals)
-        sign_flip = np.nonzero(ok[:-1] & ok[1:] & (vals[:-1] * vals[1:] < 0.0))[0]
-        # Far below the turning point J_nu underflows to 0.0 on long
-        # stretches, so an exact 0.0 is a root only between finite,
-        # nonzero values of opposite sign.
-        sign = np.sign(vals)
-        exact = 1 + np.nonzero(ok[:-2] & ok[2:] & (sign[:-2] * sign[2:] < 0.0) & (vals[1:-1] == 0.0))[0]
-
-    roots = []
-    for i in sign_flip:
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = float(vals[i])
-        while b - a > 1e-12:
-            m = 0.5 * (a + b)
-            fm = float(value(m))
-            if fm == 0.0:
-                a = b = m
-                break
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append(0.5 * (a + b))
-    roots.extend(float(xs[i]) for i in exact)
-    return sorted(roots)

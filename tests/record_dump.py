@@ -15,7 +15,8 @@ the same records exactly when their dumps are byte-identical:
 in the same order, then prints per field how many records differ and
 the largest move: in ulps of the first dump's value for value, lo and
 hi, and absolute for residual and iterations. It ends with each dump's
-total of iterations.
+total of iterations, and exits 1 when any record differs in any field,
+so a script can use it as the bit-identity check.
 
 Only the public API is used, so the script also runs against a tree
 that predates it. Not a test module: pytest does not collect it.
@@ -53,9 +54,9 @@ def _read(path):
     return ranks, fields
 
 
-def compare(path_a, path_b, out) -> None:
+def compare(path_a, path_b, out) -> int:
     """Per field: records that differ between the dumps, and the largest move;
-    then each dump's total of iterations."""
+    then each dump's total of iterations. Returns how many records differ."""
     ranks_a, a = _read(path_a)
     ranks_b, b = _read(path_b)
     assert ranks_a == ranks_b, "the dumps name different ranks"
@@ -70,11 +71,12 @@ def compare(path_a, path_b, out) -> None:
             unit = "absolute"
         out.write(f"{name}: {len(moved)} differ, largest move {worst:.3g} {unit}\n")
     out.write(f"iterations in total: {sum(r[4] for r in a):,} -> {sum(r[4] for r in b):,}\n")
+    return sum(ra != rb for ra, rb in zip(a, b))
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
-        compare(sys.argv[2], sys.argv[3], sys.stdout)
+        sys.exit(1 if compare(sys.argv[2], sys.argv[3], sys.stdout) else 0)
     elif len(sys.argv) == 1:
         print(f"{dump(sys.stdout)} records", file=sys.stderr)
     else:

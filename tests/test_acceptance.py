@@ -16,6 +16,7 @@ import time
 import pytest
 
 import fixtures
+import oracle
 from bessel_interlace import (
     ZeroId,
     ZeroKind,
@@ -29,7 +30,6 @@ from bessel_interlace import (
     eval_dY,
     find_breaking,
     has_positive_zero,
-    oracle_scan,
     profile_extrema,
     sign_agreement,
     zero,
@@ -105,7 +105,7 @@ def test_criterion_3_oracle_equivalence(capsys):
             enumerated = [r.value for r in zeros_upto(kind, nu, 10)]
             if kind is ZeroKind.JPRIME and nu == 0.0:
                 enumerated = enumerated[1:]  # x=0 is conventional, not a sign change
-            scanned = oracle_scan(kind, nu, 50.0, 1e-3)
+            scanned = oracle.grid_scan(kind.value, nu, 50.0, 1e-3)
             ok &= len(scanned) >= len(enumerated)
             ok &= all(
                 abs(a - b) <= 1e-9 for a, b in zip(enumerated, scanned)

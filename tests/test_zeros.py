@@ -19,7 +19,6 @@ from bessel_interlace import (
     ZeroId,
     ZeroKind,
     initial_bracket,
-    oracle_scan,
     refine,
     zero,
     zeros_upto,
@@ -127,19 +126,26 @@ class TestInitialBracket:
 
 
 class TestTarget:
-    # _target gives each kind's value and slope from one pair C_nu, C_{nu+1},
-    # and the value alone bit-for-bit as the pair gives it; scipy's jvp/yvp
-    # (the n-th derivative, n = 0 the function) form the derivatives their
-    # own way.
+    # _target gives a J or Y value C_nu and its slope from C_nu, C_{nu+1};
+    # a J' or Y' value and slope from one pair C_nu, C_{nu+1}, and the value
+    # alone bit-for-bit as the pair gives it. scipy's jvp/yvp (the n-th
+    # derivative, n = 0 the function) form the derivatives their own way.
     DERIVATIVES = {ZeroKind.J: (jv, jvp, 0), ZeroKind.Y: (yv, yvp, 0), ZeroKind.JPRIME: (jv, jvp, 1), ZeroKind.YPRIME: (yv, yvp, 1)}
 
     @pytest.mark.parametrize("nu", [0.0, 0.3, 2.5, 30.0, 505.0])
     @pytest.mark.parametrize("kind", list(ZeroKind))
     def test_value_and_slope_match_scipy(self, kind, nu):
         c, dc, n = self.DERIVATIVES[kind]
-        f, f_and_slope = _target(kind, nu)
+        f, f_and_slope, f_slope = _target(kind, nu)
+        # Exactly one way to the slope: F' from F(x) for J and Y, F and F' together for J', Y'.
+        primed = kind in (ZeroKind.JPRIME, ZeroKind.YPRIME)
+        assert (f_and_slope is None, f_slope is None) == (not primed, primed)
         for x in (nu + 1.0, nu + 7.3, 1.5 * nu + 40.0):  # past the turning point
-            value, slope = f_and_slope(x)
+            if f_slope is None:
+                value, slope = f_and_slope(x)
+            else:
+                value = f(x)
+                slope = f_slope(x, value)
             assert f(x) == value
             # Every term is at most |C_nu| + |C_{nu+1}| in size for x >= max(nu, 1).
             tol = 1e-12 * (abs(c(nu, x)) + abs(c(nu + 1.0, x)))
@@ -166,7 +172,7 @@ class TestWalkStop:
                 seen.append(x)
                 return x - r
 
-            return value, lambda x: (value(x), 1.0)
+            return value, None, lambda x, fx: 1.0
 
         monkeypatch.setattr(zmod, "_target", line)
         rec = refine(initial_bracket(id), id)
@@ -179,8 +185,19 @@ class TestWalkStop:
         id = ZeroId(ZeroKind.J, 2.0, 1)
         slope = lambda x: 1e-170 if x < 10.0 else 1.0  # noqa: E731
         line = lambda x: slope(x) * (x - 10.0)  # noqa: E731
-        monkeypatch.setattr(zmod, "_target", lambda kind, nu: (line, lambda x: (line(x), slope(x))))
+        monkeypatch.setattr(zmod, "_target", lambda kind, nu: (line, None, lambda x, fx: slope(x)))
         assert line(2.0) * line(2.0 + _STEP) == 0.0
+        rec = refine(initial_bracket(id), id)
+        assert rec.bracket.lo <= 10.0 <= rec.bracket.hi
+        assert rec.value == pytest.approx(10.0, abs=1e-13)
+
+    def test_sign_change_between_tiny_values(self, monkeypatch):
+        # Across the sign change at 10 the product of two F values underflows
+        # to -0.0; the walk and refine compare signs, so the zero is found.
+        id = ZeroId(ZeroKind.J, 2.0, 1)
+        line = lambda x: 1e-170 * (x - 10.0)  # noqa: E731
+        monkeypatch.setattr(zmod, "_target", lambda kind, nu: (line, None, lambda x, fx: 1e-170))
+        assert line(9.0) * line(11.0) == 0.0
         rec = refine(initial_bracket(id), id)
         assert rec.bracket.lo <= 10.0 <= rec.bracket.hi
         assert rec.value == pytest.approx(10.0, abs=1e-13)
@@ -214,28 +231,29 @@ class TestStraddleProbe:
     # probes tol past x. A slope reported 64 times too steep makes Newton
     # claim convergence while the root is still several tol away, so the
     # probe shows no sign change and the loop must go on to a record that
-    # still meets the contract.
+    # still meets the contract. A J iterate tests with the last iterate's
+    # slope, so from the second iterate on the steep one decides.
     def test_record_after_a_missed_probe(self, monkeypatch):
         kind, nu = ZeroKind.J, 0.0
         id = ZeroId(kind, nu, 1)
-        bracket = initial_bracket(id)
-        seen = []  # (what, x, F(x)) for every point refine evaluates
+        seen = []  # (what, x, F(x)) for every value and slope refine asks for
 
         def too_steep(kind, nu):
-            f, f_and_slope = _target(kind, nu)
+            f, _, f_slope = _target(kind, nu)
 
             def value(x):
                 seen.append(("value", x, f(x)))
                 return seen[-1][2]
 
-            def value_slope(x):
-                fx, slope = f_and_slope(x)
-                seen.append(("iterate", x, fx))
-                return fx, 64.0 * slope
+            def slope(x, fx):
+                seen.append(("slope", x, fx))
+                return 64.0 * f_slope(x, fx)
 
-            return value, value_slope
+            return value, None, slope
 
         monkeypatch.setattr(zmod, "_target", too_steep)
+        bracket = initial_bracket(id)
+        del seen[:]
         rec = refine(bracket, id)
         monkeypatch.undo()
         # The walk's bracket brings F at its ends: refine starts at their
@@ -243,12 +261,18 @@ class TestStraddleProbe:
         a, b = bracket.lo, bracket.hi
         fa, fb = target(kind, nu)(a), target(kind, nu)(b)
         assert a < a - fa * (b - a) / (fb - fa) < b
-        assert seen[0][:2] == ("iterate", a - fa * (b - a) / (fb - fa))
+        assert seen[0][:2] == ("value", a - fa * (b - a) / (fb - fa))
+        # A point evaluated between an iterate's value and its slope is that
+        # iterate's probe; it missed when it lies tol past the iterate with
+        # F of the same sign, and Newton then steps from the iterate.
         tol = lambda x: 0.5 * WIDTH_TOL * max(1.0, x)
         missed = [
             (x0, x1)
-            for (w0, x0, f0), (w1, x1, f1) in zip(seen, seen[1:])
-            if (w0, w1) == ("iterate", "value") and f0 * f1 > 0.0 and abs(abs(x1 - x0) - tol(x0)) <= 2.0 * math.ulp(x0)
+            for (w0, x0, f0), (w1, x1, f1), (w2, x2, _) in zip(seen, seen[1:], seen[2:])
+            if (w0, w1, w2) == ("value", "value", "slope")
+            and x2 == x0
+            and f0 * f1 > 0.0
+            and abs(abs(x1 - x0) - tol(x0)) <= 2.0 * math.ulp(x0)
         ]
         assert missed
         f = target(kind, nu)
@@ -304,6 +328,26 @@ class TestEvaluatedOnce:
         assert all(sorted(orders) == per_point for orders in walk_points.values())
 
 
+class TestTargetBuilds:
+    # An extension builds its target once, for every walk and refine it
+    # makes; a lookup the cache answers builds none.
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_one_target_per_extension(self, monkeypatch, kind):
+        built = []
+        monkeypatch.setattr(zmod, "_target", lambda kind, nu: built.append((kind, nu)) or _target(kind, nu))
+        zmod.clear_cache()
+        try:
+            zeros_upto(kind, 0.0, 50)
+            assert built == [(kind, 0.0)]
+            zero(ZeroId(kind, 0.0, 20))
+            zeros_upto(kind, 0.0, 50)
+            assert len(built) == 1
+            zero(ZeroId(kind, 0.0, 60))
+            assert built == [(kind, 0.0)] * 2
+        finally:
+            zmod.clear_cache()
+
+
 class TestAccuracyAgainstOracle:
     # A converged Newton iterate sits within a few ulps of the root; the
     # extended-precision oracle bisects each root from a sign check.
@@ -334,14 +378,15 @@ class TestEvaluationBudget:
     # Each walk starts where the last one ended, with F there known, and
     # its new points g - h and g + 2h sit around the zero the last three
     # predict; one Newton iterate from the bracket's secant point and the
-    # probe bring a J or Y zero to ~5 scipy calls (8 starting the walk past
-    # the previous zero and Newton at the midpoint). A J' or Y' walk point
-    # costs two calls, so those zeros take ~8.
+    # probe bring a J or Y zero to ~4 scipy calls, since an iterate that
+    # the probe certifies never asks for C_{nu+1} (8 starting the walk past
+    # the previous zero, Newton at the midpoint and C_{nu+1} at every
+    # iterate). A J' or Y' point costs two calls, so those zeros take ~8.
     @pytest.mark.parametrize(
         "kind,nu,ranks,budget",
         [
-            (ZeroKind.Y, 2.5, 2000, 6),
-            (ZeroKind.J, 10.0, 1500, 6),
+            (ZeroKind.Y, 2.5, 2000, 5),
+            (ZeroKind.J, 10.0, 1500, 5),
             (ZeroKind.JPRIME, 10.0, 1500, 9),
             (ZeroKind.YPRIME, 2.5, 2000, 9),
         ],
@@ -363,6 +408,46 @@ class TestEvaluationBudget:
         monkeypatch.undo()
         zmod.clear_cache()
         assert calls[0] <= budget * ranks
+
+    # A J or Y iterate asks for C_{nu+1} only to step (or when the slope it
+    # estimates fails the convergence test), so a zero whose first iterate
+    # the probe certifies makes no C_{nu+1} call, and no zero makes more
+    # than one per iterate that steps. The first iterate is the walk
+    # bracket's secant point.
+    @pytest.mark.parametrize("kind,nu,ranks", [(ZeroKind.Y, 2.5, 2000), (ZeroKind.J, 10.0, 1500)])
+    def test_c_nu_plus_1_only_to_step(self, monkeypatch, kind, nu, ranks):
+        above = [0]  # C_{nu+1} calls so far
+        first, later = [], []  # C_{nu+1} calls per zero certified at its first iterate; (calls, record) for the others
+
+        def counted(bessel):
+            def wrapper(order, x):
+                above[0] += order == nu + 1.0
+                return bessel(order, x)
+
+            return wrapper
+
+        def polish(bracket, id):
+            before = above[0]
+            rec = refine(bracket, id)
+            a, b, fa, fb = bracket.lo, bracket.hi, bracket.flo, bracket.fhi
+            if rec.iterations == 1 and rec.value == a - fa * (b - a) / (fb - fa) and rec.bracket.lo < rec.bracket.hi:
+                first.append(above[0] - before)
+            else:
+                later.append((above[0] - before, rec))
+            return rec
+
+        zmod.clear_cache()
+        for name in ("bessel_j", "bessel_y"):
+            monkeypatch.setattr(ev, name, counted(getattr(ev, name)))
+        monkeypatch.setattr(zmod, "refine", polish)
+        zeros_upto(kind, nu, ranks)
+        monkeypatch.undo()
+        zmod.clear_cache()
+        assert len(first) >= 0.8 * ranks
+        assert not any(first)
+        # A record's iterations leave out at most one final iterate, which never steps.
+        assert all(calls <= rec.iterations for calls, rec in later)
+        assert above[0] == sum(calls for calls, _ in later)
 
 
 class TestZero:
@@ -564,9 +649,11 @@ class TestRankCertification:
         assert values == pytest.approx(self.ranked(kind, nu), rel=1e-10, abs=1e-12)
 
     # Ranks 1-1000 of each kind at 2.5 and 30.3; Y_{2.5} runs to the cap.
+    # Ranks 1-500 of each kind at 120, 505 and 600, near the order cap.
     @pytest.mark.parametrize(
         "kind,nu,ranks",
-        [(kind, nu, 10_000 if (kind, nu) == (ZeroKind.Y, 2.5) else 1000) for kind in ZeroKind for nu in (2.5, 30.3)],
+        [(kind, nu, 10_000 if (kind, nu) == (ZeroKind.Y, 2.5) else 1000) for kind in ZeroKind for nu in (2.5, 30.3)]
+        + [(kind, nu, 500) for kind in ZeroKind for nu in (120.0, 505.0, 600.0)],
     )
     def test_deep_ranks_match_the_grid(self, kind, nu, ranks):
         # A coarser grid and 34 halvings (to 3e-11) keep the scan cheap; a
@@ -577,8 +664,10 @@ class TestRankCertification:
     # Ranks 1-2 of j' against mpmath. Below ev._TINY_ORDER the evaluators
     # read J_nu as J_0, but the target -J_{nu+1} + (nu/x) J_nu keeps nu in
     # its nu/x term, so j'_{nu,1} ~ sqrt(2 nu) is still bracketed as rank 1.
-    # A value below 1 is held to WIDTH_TOL absolutely, not relatively.
-    @pytest.mark.parametrize("nu", [1e-14, 1e-100, 1e-300])
+    # A value below 1 is held to WIDTH_TOL absolutely, not relatively. From
+    # 2.2e-308 down to the smallest subnormal, F is below ~1e-154 near the
+    # first zero, where a product of two F values underflows to 0.0.
+    @pytest.mark.parametrize("nu", [1e-14, 1e-100, 1e-300, 2.2e-308, 1e-320, 5e-324])
     def test_first_jprime_zeros_at_tiny_orders(self, nu):
         first, second = zeros_upto(ZeroKind.JPRIME, nu, 2)
         root = oracle.root_near("jp", nu, math.sqrt(2.0 * nu), 0.5 * math.sqrt(2.0 * nu))
@@ -650,13 +739,13 @@ class TestCarriedAnchor:
         seen = []
 
         def traced(kind, nu):
-            f, f_and_slope = _target(kind, nu)
+            f, f_and_slope, f_slope = _target(kind, nu)
 
             def value(x):
                 seen.append(x)
                 return 0.0 if x == forced_zero else f(x)
 
-            return value, f_and_slope
+            return value, f_and_slope, f_slope
 
         zmod.clear_cache()
         monkeypatch.setattr(zmod, "_target", traced)
@@ -727,29 +816,30 @@ class TestCarriedAnchor:
 
 
 class TestOracleScan:
+    # oracle.grid_scan, the brute-force scan that cross-checks zeros_upto.
     def test_matches_enumeration_for_j0(self):
-        scanned = oracle_scan(ZeroKind.J, 0.0, 10.0, 0.001)
+        scanned = oracle.grid_scan("j", 0.0, 10.0, 0.001)
         enumerated = [r.value for r in zeros_upto(ZeroKind.J, 0.0, 3)]
         assert len(scanned) == 3
         assert scanned == pytest.approx(enumerated, abs=1e-9)
 
     def test_finds_first_y0_zero(self):
-        scanned = oracle_scan(ZeroKind.Y, 0.0, 1.0, 0.001)
+        scanned = oracle.grid_scan("y", 0.0, 1.0, 0.001)
         assert len(scanned) == 1
         assert scanned[0] == pytest.approx(fixtures.ORACLE_ZEROS[("y", 0.0, 1)], abs=1e-9)
 
     def test_empty_below_first_zero(self):
-        assert oracle_scan(ZeroKind.J, 5.0, 1.0, 0.001) == []
+        assert oracle.grid_scan("j", 5.0, 1.0, 0.001) == []
 
     def test_step_cap(self):
-        with pytest.raises(DomainError):
-            oracle_scan(ZeroKind.J, 0.0, 10.0, 0.1)
+        with pytest.raises(ValueError):
+            oracle.grid_scan("j", 0.0, 10.0, 0.1)
 
     # Far below the turning point J_505 and J'_505 underflow to 0.0 on
     # thousands of grid points; none of them is a root.
     @pytest.mark.parametrize("kind", [ZeroKind.J, ZeroKind.JPRIME])
     def test_underflow_is_not_a_root(self, kind):
-        scanned = oracle_scan(kind, 505.0, 560.0, 0.01)
+        scanned = oracle.grid_scan(kind.value, 505.0, 560.0, 0.01)
         enumerated = [r.value for r in zeros_upto(kind, 505.0, 10) if r.value < 560.0]
         assert len(enumerated) >= 2
         assert scanned == pytest.approx(enumerated, abs=1e-10)
@@ -757,8 +847,8 @@ class TestOracleScan:
     @staticmethod
     def stubbed_scan(monkeypatch, f):
         # F is C_nu for J, so a stubbed jv makes the scan read F = f(x).
-        monkeypatch.setattr(zmod, "special", types.SimpleNamespace(jv=lambda nu, x: f(x), yv=None))
-        return oracle_scan(ZeroKind.J, 0.0, 3.0, 2.0**-7)
+        monkeypatch.setattr(oracle, "special", types.SimpleNamespace(jv=lambda nu, x: f(x), yv=None))
+        return oracle.grid_scan("j", 0.0, 3.0, 2.0**-7)
 
     def test_exact_zero_on_the_grid_counted_once(self, monkeypatch):
         # 1.0 is a point of the dyadic grid, where F is exactly 0.0.
@@ -801,7 +891,7 @@ class TestOracleScan:
     @pytest.mark.parametrize("nu", [0.0, 1e-310, 2.7, 30.0])
     @pytest.mark.parametrize("kind", list(ZeroKind))
     def test_ufunc_grid_matches_point_by_point_scan(self, kind, nu):
-        scanned = oracle_scan(kind, nu, 45.0, 0.01)
+        scanned = oracle.grid_scan(kind.value, nu, 45.0, 0.01)
         assert [r.hex() for r in scanned] == [r.hex() for r in self.point_by_point(kind, nu, 45.0, 0.01)]
         assert all(type(r) is float for r in scanned)
         assert len(scanned) >= 2
