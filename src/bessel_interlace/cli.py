@@ -189,12 +189,7 @@ _NODE_COLUMNS = ["jp_v_s", "y_v_s", "y_ve_s", "yp_v_s", "j_v_s", "j_ve_s", "jp_v
 
 
 def cmd_chain(args: argparse.Namespace) -> tuple[int, str]:
-    if args.smax < 1:
-        raise DomainError(f"--smax must be >= 1, got {args.smax}", code="DOMAIN_S")
-    # Top rank first: build_chain rejects an --smax past the cap before any
-    # zero is computed, and the lower ranks then come from the cache.
-    chains = [interlace.build_chain(args.nu, args.eps, s) for s in range(args.smax, 0, -1)]
-    reports = [interlace.check_chain(c) for c in reversed(chains)]
+    reports = interlace.chain_reports(args.nu, args.eps, args.smax)
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
         body = to_json(
@@ -224,20 +219,7 @@ def cmd_chain(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if all_ok else 1), body
 
 
-# Per suite: its check at one grid point, the one eps it is stated at (None:
-# each eps of the grid), and the note verify adds at nu = 0, eps = 1 for the
-# suites with identity pairs. Checks are looked up on ``interlace`` per call.
-_SUITE_CHECKS = {
-    "theorem1": (lambda nu, eps, smax: interlace.check_theorem1(nu, smax), 1.0, None),
-    "proposition": (
-        lambda nu, eps, smax: interlace.check_proposition(nu, smax),
-        1.0,
-        "j(1,s)=jp(0,s+1) and y(1,s)=yp(0,s) exactly; equalities exempt",
-    ),
-    "derivative-chains": (lambda nu, eps, smax: interlace.check_derivative_chains(nu, eps, smax), None, None),
-    "theorem2": (lambda nu, eps, smax: interlace.check_theorem2(nu, eps, smax), None, "nu=0, eps=1 equality pairs exempt"),
-}
-_SUITES = (*_SUITE_CHECKS, "all")
+_SUITES = (*interlace.SUITES, "all")
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
@@ -247,20 +229,18 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     for eps in eps_grid:
         if not 0.0 < eps <= 1.0:
             raise DomainError(f"verify eps grid must lie in (0, 1], got {eps}", code="DOMAIN_EPS")
-    smax = args.smax
-    names = tuple(_SUITE_CHECKS) if suite == "all" else (suite,)
+    suites = {name: rules for name, rules in interlace.SUITES.items() if suite in (name, "all")}
     # Every order read, nu and nu + eps, is checked before any zero is computed.
-    top_eps = max(_SUITE_CHECKS[name][1] or max(eps_grid) for name in names)
+    top_eps = max(rules.eps or max(eps_grid) for rules in suites.values())
     for nu in nu_grid:
         _recode("DOMAIN_NU", interlace.check_orders, nu, top_eps)
 
     violations = []
     notes = []
-    for name in names:
-        check, fixed_eps, note = _SUITE_CHECKS[name]
+    for name, (fixed_eps, _, _, note) in suites.items():
         for nu in nu_grid:
             for eps in eps_grid if fixed_eps is None else (fixed_eps,):
-                violations += [(name, w) for w in check(nu, eps, smax)]
+                violations += [(name, w) for w in interlace.check_suite(name, nu, eps, args.smax)]
                 if note and nu == 0.0 and eps == 1.0:
                     notes.append({"suite": name, "nu": nu, "note": note})
     violations.sort(key=lambda sw: (sw[0], sw[1].nu, sw[1].eps, sw[1].s, sw[1].left_label))
@@ -269,7 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     body = to_json(
         {
             "suite": suite,
-            "grid": {"nu": nu_grid, "eps": eps_grid, "smax": smax},
+            "grid": {"nu": nu_grid, "eps": eps_grid, "smax": args.smax},
             "violations": [dict(asdict(w), suite=s) for s, w in violations],
             "exemptions": notes,
         }
@@ -310,6 +290,7 @@ def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
     _recode("DOMAIN_MU", ev.check_order, args.mu)
+    ev.check_argument(args.xmax)
     profile = wronskian.profile_extrema(args.nu, args.mu, args.smax)
     first_zero = wronskian.has_positive_zero(args.nu, args.mu, args.xmax)
     if args.format == "json":

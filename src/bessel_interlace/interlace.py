@@ -1,9 +1,9 @@
 """Interlacing chains for Bessel zeros, their checks, and breaking searches.
 
 Every inequality between zeros that the package checks is one row of
-``_TABLE`` below; ``check_theorem1`` also checks its leading bound
-nu <= j'_{nu,1}, which is not a row. The unified seven-node chain at
-order nu, increment eps, rank s is
+``_TABLE`` below, and each suite's rules are one entry of ``SUITES``;
+``check_suite`` also checks Theorem 1's leading bound nu <= j'_{nu,1},
+which is not a row. The unified chain at order nu, increment eps, rank s is
 
     j'_{nu,s} < y_{nu,s} < y_{nu+eps,s} < y'_{nu,s}
              < j_{nu,s} < j_{nu+eps,s} < j'_{nu,s+1}
@@ -15,10 +15,10 @@ those pairs. For eps > 1 the chain breaks: some rank has
 y_{nu+eps,s} > j_{nu,s}.
 
 All node values come from the shared zero-finder cache, so a value
-reused across chains is bit-for-bit identical. A sweep reads each node
-family once through ``zeros_upto`` as a list of floats and checks each
-row as one pass over its node columns, each column sliced by its node's
-rank offset; witnesses are built only for the failing ranks.
+reused across chains is bit-for-bit identical. A suite, like a chain
+table, reads each node family once through ``zeros_upto`` as floats and
+checks each row as one pass over its node columns, each column sliced
+by its node's rank offset; witnesses are built only for failing ranks.
 """
 
 from __future__ import annotations
@@ -69,6 +69,19 @@ _TABLE = (
     ("derivative-chains", "yp(v,s) < yp(v+e,s) < ...", False),
     ("theorem2", "jp(v,s) < y(v,s) < y(v+e,s) <= yp(v,s) < j(v,s) < j(v+e,s) <= jp(v,s+1)", True),
 )
+
+
+#: The rules of each suite of ``_TABLE``, in the order ``verify`` runs them:
+#: the eps it is stated at (None: the caller's), the largest eps it
+#: accepts, its rank cap (None: S_MAX_LIMIT less the largest rank offset
+#: it reads) and the note ``verify`` prints at nu = 0, eps = 1.
+_Suite = NamedTuple("_Suite", [("eps", float | None), ("max_eps", float), ("cap", int | None), ("note", str | None)])
+SUITES = {
+    "theorem1": _Suite(1.0, 1.0, 100, None),
+    "proposition": _Suite(1.0, 1.0, None, "j(1,s)=jp(0,s+1) and y(1,s)=yp(0,s) exactly; equalities exempt"),
+    "derivative-chains": _Suite(None, 1.0, None, None),
+    "theorem2": _Suite(None, math.inf, None, "nu=0, eps=1 equality pairs exempt"),
+}
 
 
 #: |gap| at or below this is an exact-equality degeneracy, not a violation.
@@ -160,16 +173,19 @@ def check_orders(nu: float, eps: float) -> None:
         raise DomainError(f"order nu={nu!r} plus eps={eps!r} exceeds NU_MAX={ev.NU_MAX}", code="DOMAIN_EPS")
 
 
-def _check_eps_and_rank(chains, nu: float, eps: float, s: int) -> None:
-    """Reject a bad eps or order, or a top rank s at which ``chains`` would read past S_MAX_LIMIT."""
+def _check_eps_and_rank(suite: str, nu: float, eps: float, s: int) -> None:
+    """Reject a bad eps or order, or a top rank s past the cap of ``suite``."""
+    rules = SUITES[suite]
     if not math.isfinite(eps) or eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}", code="DOMAIN_EPS")
+    if eps > rules.max_eps:
+        raise DomainError(f"eps must be at most {rules.max_eps!r} in {suite}, got {eps!r}", code="DOMAIN_EPS")
     check_orders(nu, eps)
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
-    cap = S_MAX_LIMIT - max(n.offset for c in chains for n in _top_nodes(c))
+    cap = rules.cap or S_MAX_LIMIT - max(n.offset for c in _CHAINS if c.suite == suite for n in _top_nodes(c))
     if s > cap:
-        raise DomainError(f"rank {s} exceeds the supported cap {cap} of the {chains[0].suite} chains", code="DOMAIN_S")
+        raise DomainError(f"rank {s} exceeds the supported cap {cap} of the {suite} chains", code="DOMAIN_S")
 
 
 def _failing(chain: _Chain, nu: float, eps: float, columns) -> list[tuple[int, int]]:
@@ -191,20 +207,27 @@ def _failing(chain: _Chain, nu: float, eps: float, columns) -> list[tuple[int, i
     return sorted(failing)
 
 
-def _check(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
-    """Violations of the suite's rows at (nu, eps), ranks 1..s_max, in row, rank, pair order."""
-    chains = [c for c in _CHAINS if c.suite == suite]
-    _check_eps_and_rank(chains, nu, eps, s_max)
+def _columns(chains, nu: float, eps: float, s_max: int):
+    """(chain, its node columns at ranks 1..s_max) for each of ``chains``."""
     # Each node family (kind, shifted), read once up to the highest rank a row needs.
     need: dict[tuple[ZeroKind, bool], int] = {}
     for node in (n for c in chains for n in _top_nodes(c)):
         need[node.kind, node.shifted] = max(need.get((node.kind, node.shifted), 0), s_max + node.offset)
     families = {(k, sh): [r.value for r in zeros_upto(k, nu + eps if sh else nu, n)] for (k, sh), n in need.items()}
-    out = []
     for chain in chains:
         columns = [families[n.kind, n.shifted][n.offset : s_max + n.offset] for n in chain.nodes]
         if chain.open:
             columns[-1] = columns[-1][: s_max - 1]  # an interleaving stops at rank s_max
+        yield chain, columns
+
+
+def check_suite(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
+    """Violations of the rows of ``suite`` at (nu, eps), ranks 1..s_max, in row, rank, pair order;
+    for theorem1, a failed leading bound nu <= j'_{nu,1} (equality allowed) comes first."""
+    nu, eps = float(nu), float(eps)
+    _check_eps_and_rank(suite, nu, eps, s_max)
+    out = []
+    for chain, columns in _columns([c for c in _CHAINS if c.suite == suite], nu, eps, s_max):
         failing = _failing(chain, nu, eps, columns)
         if chain.per_rank:  # each rank's first failure only; reversed, the lowest pair is written last
             failing = sorted(dict(reversed(failing)).items())
@@ -212,16 +235,22 @@ def _check(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitne
             left, right = chain.nodes[i], chain.nodes[i + 1]
             labels = (left.text, right.text) if chain.per_rank else (left.label(s), right.label(s))
             out.append(ViolationWitness(nu, eps, s, *labels, columns[i][s - 1], columns[i + 1][s - 1]))
+    if suite == "theorem1" and (jp1 := _zval(ZeroKind.JPRIME, nu, 1)) < nu - 1e-12 * max(1.0, nu):
+        out.insert(0, ViolationWitness(nu, eps, 1, "nu", "jp(v,1)", nu, jp1))
     return out
+
+
+def chain_reports(nu: float, eps: float, s_max: int) -> list[ChainReport]:
+    """``check_chain`` of the seven-node chain at each rank 1..s_max."""
+    nu, eps = float(nu), float(eps)
+    _check_eps_and_rank("theorem2", nu, eps, s_max)
+    [(_, columns)] = _columns((_SEVEN_NODE,), nu, eps, s_max)
+    return [check_chain(InterlaceChain(nu, eps, s, nodes)) for s, nodes in enumerate(zip(*columns), 1)]
 
 
 def build_chain(nu: float, eps: float, s: int) -> InterlaceChain:
     """The seven chain nodes at rank s, through the zero finder."""
-    nu = float(nu)
-    eps = float(eps)
-    _check_eps_and_rank((_SEVEN_NODE,), nu, eps, s)
-    nodes = tuple(_zval(n.kind, nu + eps if n.shifted else nu, s + n.offset) for n in _SEVEN_NODE.nodes)
-    return InterlaceChain(nu, eps, s, nodes)
+    return chain_reports(nu, eps, s)[-1].chain
 
 
 def check_chain(chain: InterlaceChain) -> ChainReport:
@@ -234,22 +263,15 @@ def check_chain(chain: InterlaceChain) -> ChainReport:
 
 
 def check_theorem1(nu: float, s_max: int) -> list[ViolationWitness]:
-    """The five classical interlacing chains at orders nu and nu+1.
+    """The five classical interlacing chains at orders nu and nu+1, ranks s_max <= 100.
 
     Covers the two same-kind chains for J and Y, the mixed chain
     nu <= j'_{nu,1} < y_{nu,1} < y'_{nu,1} < j_{nu,1} < j'_{nu,2} < ...,
-    and the two derivative-zero chains. Returns every adjacent-pair
+    and the two derivative-zero chains; ``check_suite`` checks the
+    leading bound nu <= j'_{nu,1}. Returns every adjacent-pair
     violation; none of these pairs is an identity, so none is exempt.
     """
-    nu = float(nu)
-    if not isinstance(s_max, int) or not 1 <= s_max <= 100:
-        raise DomainError(f"s_max must be in 1..100, got {s_max!r}", code="DOMAIN_S")
-    violations = _check("theorem1", nu, 1.0, s_max)
-    # Leading bound of the mixed chain: nu <= j'_{nu,1} (equality allowed).
-    jp1 = _zval(ZeroKind.JPRIME, nu, 1)
-    if jp1 < nu - 1e-12 * max(1.0, nu):
-        violations.insert(0, ViolationWitness(nu, 1.0, 1, "nu", "jp(v,1)", nu, jp1))
-    return violations
+    return check_suite("theorem1", nu, 1.0, s_max)
 
 
 def check_proposition(nu: float, s_max: int) -> list[ViolationWitness]:
@@ -259,7 +281,7 @@ def check_proposition(nu: float, s_max: int) -> list[ViolationWitness]:
     are exempt rather than reported. Violations of the first pair come
     before those of the second.
     """
-    return _check("proposition", float(nu), 1.0, s_max)
+    return check_suite("proposition", nu, 1.0, s_max)
 
 
 def check_derivative_chains(nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
@@ -268,11 +290,7 @@ def check_derivative_chains(nu: float, eps: float, s_max: int) -> list[Violation
     j'_{nu,s} < j'_{nu+eps,s} < j'_{nu,s+1} and the same for y'.
     Requires 0 < eps <= 1. No pair is an identity, so none is exempt.
     """
-    nu = float(nu)
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise DomainError(f"eps must satisfy 0 < eps <= 1, got {eps!r}", code="DOMAIN_EPS")
-    return _check("derivative-chains", nu, eps, s_max)
+    return check_suite("derivative-chains", nu, eps, s_max)
 
 
 def check_theorem2(nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
@@ -282,7 +300,7 @@ def check_theorem2(nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
     reports them; the nu=0, eps=1 identity pairs are exempt. The chain
     is evaluated at any eps > 0; it holds for 0 < eps <= 1.
     """
-    return _check("theorem2", float(nu), float(eps), s_max)
+    return check_suite("theorem2", nu, eps, s_max)
 
 
 def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:

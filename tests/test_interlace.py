@@ -5,6 +5,7 @@ import pytest
 import fixtures
 import bessel_interlace.interlace as imod
 import bessel_interlace.zeros as zmod
+from bessel_interlace import cli
 from bessel_interlace import (
     CHAIN_LABELS,
     DomainError,
@@ -347,9 +348,10 @@ class TestLookups:
         "proposition": {("j", 3.0), ("jp", 2.0), ("y", 3.0), ("yp", 2.0)},
         "derivative-chains": {("jp", 2.0), ("jp", 2.5), ("yp", 2.0), ("yp", 2.5)},
         "theorem2": {("jp", 2.0), ("y", 2.0), ("y", 2.5), ("yp", 2.0), ("j", 2.0), ("j", 2.5)},
+        "chain": {("jp", 2.0), ("y", 2.0), ("y", 2.5), ("yp", 2.0), ("j", 2.0), ("j", 2.5)},
     }
 
-    @pytest.mark.parametrize("suite", list(CHECKS))
+    @pytest.mark.parametrize("suite", [*CHECKS, "chain"])
     def test_one_read_per_family_and_no_cache_access(self, suite, monkeypatch):
         real = zmod._cache
         reads, single = [], []
@@ -369,13 +371,39 @@ class TestLookups:
         monkeypatch.setattr(imod, "zeros_upto", spy(imod.zeros_upto, reads))
         monkeypatch.setattr(imod, "zero", spy(imod.zero, single))
         monkeypatch.setattr(zmod, "_cache", sealed)
-        found = CHECKS[suite][0](2.0, 0.5, 20)
-        assert found == []
+        if suite == "chain":
+            reports = imod.chain_reports(2.0, 0.5, 20)
+            assert [r.chain.s for r in reports if r.ok] == list(range(1, 21))
+        else:
+            assert CHECKS[suite][0](2.0, 0.5, 20) == []
         families = [(kind.value, nu) for kind, nu, _ in reads]
         assert sorted(families) == sorted(self.FAMILIES[suite])  # each exactly once
         # Only Theorem 1's leading bound nu <= j'_{nu,1} reads a single zero.
         expect_single = [(ZeroId(ZeroKind.JPRIME, 2.0, 1),)] if suite == "theorem1" else []
         assert single == expect_single
+
+
+class TestSuites:
+    """``SUITES`` holds the rules of exactly the suites ``_TABLE`` has rows for."""
+
+    # Theorem 1's leading bound nu <= j'_{nu,1} fails, and every suite has a
+    # pair that ends at j'_{1,2}.
+    FORCED = {("jp", 1.0, 1): lambda v: 0.5, ("jp", 1.0, 2): lambda v: v - 100.0}
+
+    def test_every_suite_has_rows_and_every_row_a_suite(self):
+        assert {suite for suite, _, _ in imod._TABLE} == set(imod.SUITES)
+        assert cli._SUITES == (*imod.SUITES, "all")
+
+    @pytest.mark.parametrize("suite", list(CHECKS))
+    @pytest.mark.parametrize("forced", [False, True], ids=["clean", "forced"])
+    def test_public_check_is_check_suite(self, suite, forced):
+        eps = imod.SUITES[suite].eps or 0.5
+        with substituted_zeros(self.FORCED if forced else {}):
+            found = CHECKS[suite][0](1.0, eps, 4)
+            assert found == imod.check_suite(suite, 1.0, eps, 4)
+        assert bool(found) == forced
+        if forced and suite == "theorem1":
+            assert witnesses(found[:1]) == [("nu", "jp(v,1)", 1)]
 
 
 class TestSweepArguments:
@@ -404,8 +432,9 @@ class TestSweepArguments:
             (lambda: check_theorem2(0.5, 0.5, 10_000), "rank 10000 exceeds the supported cap 9999 "),
             (lambda: check_proposition(0.5, 10_000), "rank 10000 exceeds the supported cap 9999 "),
             (lambda: check_derivative_chains(0.5, 0.5, 10_001), "rank 10001 exceeds the supported cap 10000 "),
+            (lambda: check_theorem1(0.5, 101), "rank 101 exceeds the supported cap 100 "),
         ],
-        ids=["theorem2", "proposition", "derivative-chains"],
+        ids=["theorem2", "proposition", "derivative-chains", "theorem1"],
     )
     def test_rank_past_the_cap_rejected_up_front(self, check, message):
         zmod.clear_cache()
