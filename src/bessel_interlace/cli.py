@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--nu-list", dest="nu_list", required=True, help="comma-separated orders")
     sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--pair", choices=("jp-vs-y", "yp-vs-j"), default="jp-vs-y")
+    sp.add_argument("--pair", choices=tuple(interlace.PAIRS), default="jp-vs-y")
     common(sp)
 
     return parser

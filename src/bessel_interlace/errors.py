@@ -25,8 +25,8 @@ class DomainError(BesselInterlaceError):
 
     Codes: DOMAIN_NU, OVERFLOW_NU (an order above NU_MAX), DOMAIN_EPS (also
     nu + eps above NU_MAX), DOMAIN_X, DOMAIN_S, DOMAIN_ALPHA, DOMAIN_KIND,
-    DOMAIN_PAIR, DOMAIN_STEP, DOMAIN_N; from the CLI, DOMAIN_GRID, DOMAIN_MU
-    and DOMAIN_THREADS. Each message names the input at fault.
+    DOMAIN_PAIR, DOMAIN_N; from the CLI, DOMAIN_GRID, DOMAIN_MU and
+    DOMAIN_THREADS. Each message names the input at fault.
     """
 
     code = "DOMAIN"

@@ -1,9 +1,10 @@
 """Interlacing chains for Bessel zeros, their checks, and breaking searches.
 
-Every inequality between zeros that the package checks is one row of
-``_TABLE`` below, and each suite's rules are one entry of ``SUITES``;
-``check_suite`` also checks Theorem 1's leading bound nu <= j'_{nu,1},
-which is not a row. The unified chain at order nu, increment eps, rank s is
+Every comparison of zeros the package makes is one parsed row: a chain
+of ``_TABLE`` below, whose suite's rules are one entry of ``SUITES``,
+or a search row beside them (``_BREAKING``, ``PAIRS``). Theorem 1's
+leading bound nu <= j'_{nu,1} alone is not a row. The unified chain at
+order nu, increment eps, rank s is
 
     j'_{nu,s} < y_{nu,s} < y_{nu+eps,s} < y'_{nu,s}
              < j_{nu,s} < j_{nu+eps,s} < j'_{nu,s+1}
@@ -19,6 +20,7 @@ reused across chains is bit-for-bit identical. A suite, like a chain
 table, reads each node family once through ``zeros_upto`` as floats and
 checks each row as one pass over its node columns, each column sliced
 by its node's rank offset; witnesses are built only for failing ranks.
+``build_chain`` and the searches read one zero per node (``_zval``).
 """
 
 from __future__ import annotations
@@ -128,6 +130,13 @@ _SEVEN_NODE = next(c for c in _CHAINS if c.suite == "theorem2")
 #: ``v+e`` the incremented one.
 CHAIN_LABELS = tuple(node.text for node in _SEVEN_NODE.nodes)
 
+#: The search rows: the one ``find_breaking`` breaks, and the pairs ``counterexample_scan`` orders.
+_BREAKING = _parse("break", "y(v+e,s) < j(v,s)", False)
+PAIRS = {
+    "jp-vs-y": _parse("counterexample", "jp(v+e,s) < y(v,s)", False),
+    "yp-vs-j": _parse("counterexample", "yp(v+e,s) < j(v,s)", False),
+}
+
 
 @dataclass(frozen=True)
 class InterlaceChain:
@@ -158,8 +167,8 @@ class ViolationWitness:
     right_value: float
 
 
-def _zval(kind: ZeroKind, nu: float, s: int) -> float:
-    return zero(ZeroId(kind, nu, s)).value
+def _zval(node: _Node, nu: float, eps: float, s: int) -> float:
+    return zero(ZeroId(node.kind, nu + eps if node.shifted else nu, s + node.offset)).value
 
 
 def _top_nodes(chain: _Chain) -> tuple[_Node, ...]:
@@ -235,7 +244,7 @@ def check_suite(suite: str, nu: float, eps: float, s_max: int) -> list[Violation
             left, right = chain.nodes[i], chain.nodes[i + 1]
             labels = (left.text, right.text) if chain.per_rank else (left.label(s), right.label(s))
             out.append(ViolationWitness(nu, eps, s, *labels, columns[i][s - 1], columns[i + 1][s - 1]))
-    if suite == "theorem1" and (jp1 := _zval(ZeroKind.JPRIME, nu, 1)) < nu - 1e-12 * max(1.0, nu):
+    if suite == "theorem1" and (jp1 := _zval(_SEVEN_NODE.nodes[0], nu, eps, 1)) < nu - 1e-12 * max(1.0, nu):
         out.insert(0, ViolationWitness(nu, eps, 1, "nu", "jp(v,1)", nu, jp1))
     return out
 
@@ -250,7 +259,9 @@ def chain_reports(nu: float, eps: float, s_max: int) -> list[ChainReport]:
 
 def build_chain(nu: float, eps: float, s: int) -> InterlaceChain:
     """The seven chain nodes at rank s, through the zero finder."""
-    return chain_reports(nu, eps, s)[-1].chain
+    nu, eps = float(nu), float(eps)
+    _check_eps_and_rank("theorem2", nu, eps, s)
+    return InterlaceChain(nu, eps, s, tuple(_zval(node, nu, eps, s) for node in _SEVEN_NODE.nodes))
 
 
 def check_chain(chain: InterlaceChain) -> ChainReport:
@@ -311,18 +322,17 @@ def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:
     violating rank grows as eps -> 1+, so a too-small cap raises
     SearchError (NOT_FOUND_WITHIN_CAP).
     """
-    nu = float(nu)
-    eps = float(eps)
+    nu, eps = float(nu), float(eps)
     if not eps > 1.0:
         raise DomainError(f"breaking search requires eps > 1, got {eps!r}", code="DOMAIN_EPS")
     if not isinstance(s_cap, int) or not 1 <= s_cap <= S_MAX_LIMIT:
         raise DomainError(f"s_cap must be in 1..{S_MAX_LIMIT}, got {s_cap!r}", code="DOMAIN_S")
     check_orders(nu, eps)
+    left, right = _BREAKING.nodes
     for s in range(1, s_cap + 1):
-        yv = _zval(ZeroKind.Y, nu + eps, s)
-        jv = _zval(ZeroKind.J, nu, s)
+        yv, jv = _zval(left, nu, eps, s), _zval(right, nu, eps, s)
         if yv > jv:
-            return ViolationWitness(nu, eps, s, f"y(v+e,{s})", f"j(v,{s})", yv, jv)
+            return ViolationWitness(nu, eps, s, left.label(s), right.label(s), yv, jv)
     raise SearchError(
         f"no rank s <= {s_cap} with y_(nu+eps,s) > j_(nu,s) at nu={nu}, eps={eps}; raise s_cap",
         code="NOT_FOUND_WITHIN_CAP",
@@ -330,42 +340,33 @@ def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:
 
 
 def counterexample_scan(
-    eps: float,
-    nu_list: list[float],
-    s: int,
-    pair: str = "jp-vs-y",
+    eps: float, nu_list: list[float], s: int, pair: str = "jp-vs-y"
 ) -> tuple[ViolationWitness, ViolationWitness]:
     """Witnesses that no uniform ordering exists for the unchained pairs.
 
-    ``pair`` selects the comparison: "jp-vs-y" compares j'_{nu+eps,s}
-    against y_{nu,s}; "yp-vs-j" compares y'_{nu+eps,s} against
-    j_{nu,s}. Returns (greater_witness, less_witness), one order each,
-    drawn from ``nu_list``; raises SearchError (ONLY_ONE_ORDERING) if
-    the list exhibits a single ordering only.
+    ``pair`` names a row of ``PAIRS``, e.g. "jp-vs-y": j'_{nu+eps,s}
+    against y_{nu,s}. Returns (greater_witness, less_witness), one order
+    each, drawn from ``nu_list``; raises SearchError (ONLY_ONE_ORDERING)
+    if the list exhibits a single ordering only.
     """
     eps = float(eps)
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"eps must satisfy 0 < eps <= 1, got {eps!r}", code="DOMAIN_EPS")
     if not nu_list:
         raise DomainError("nu_list must be nonempty", code="DOMAIN_NU")
-    if pair == "jp-vs-y":
-        left_kind, right_kind, llab, rlab = ZeroKind.JPRIME, ZeroKind.Y, "jp(v+e,{s})", "y(v,{s})"
-    elif pair == "yp-vs-j":
-        left_kind, right_kind, llab, rlab = ZeroKind.YPRIME, ZeroKind.J, "yp(v+e,{s})", "j(v,{s})"
-    else:
-        raise DomainError(f"pair must be 'jp-vs-y' or 'yp-vs-j', got {pair!r}", code="DOMAIN_PAIR")
+    if pair not in PAIRS:
+        raise DomainError(f"pair must be {' or '.join(map(repr, PAIRS))}, got {pair!r}", code="DOMAIN_PAIR")
+    left, right = PAIRS[pair].nodes
 
-    greater = None
-    less = None
+    greater = less = None
     for nu in nu_list:
         # Checked as the scan reaches each entry, so a list may run past
         # NU_MAX beyond the orders the scan needs; errors name the entry.
         nu = ev.check_order(nu)
         if nu + eps > ev.NU_MAX:
             raise DomainError(f"nu_list entry {nu!r} plus eps={eps!r} exceeds NU_MAX={ev.NU_MAX}", code="OVERFLOW_NU")
-        lval = _zval(left_kind, nu + eps, s)
-        rval = _zval(right_kind, nu, s)
-        witness = ViolationWitness(nu, eps, s, llab.format(s=s), rlab.format(s=s), lval, rval)
+        lval, rval = _zval(left, nu, eps, s), _zval(right, nu, eps, s)
+        witness = ViolationWitness(nu, eps, s, left.label(s), right.label(s), lval, rval)
         if lval > rval and greater is None:
             greater = witness
         elif lval < rval and less is None:

@@ -97,8 +97,7 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
     mu = ev.check_order(mu)
     if nu == mu:
         raise DomainError("order pair must be distinct", code="DOMAIN_NU")
-    if not math.isfinite(x_max) or x_max <= 0.0:
-        raise DomainError(f"x_max must be positive, got {x_max!r}", code="DOMAIN_X")
+    x_max = ev.check_argument(x_max)
 
     def m(x: float) -> float:
         return x * eval_W(nu, mu, x)

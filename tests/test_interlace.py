@@ -351,8 +351,9 @@ class TestLookups:
         "chain": {("jp", 2.0), ("y", 2.0), ("y", 2.5), ("yp", 2.0), ("j", 2.0), ("j", 2.5)},
     }
 
-    @pytest.mark.parametrize("suite", [*CHECKS, "chain"])
-    def test_one_read_per_family_and_no_cache_access(self, suite, monkeypatch):
+    @staticmethod
+    def spied(monkeypatch):
+        """Log each ``zeros_upto`` and ``zero`` call's arguments, and seal the cache to all else."""
         real = zmod._cache
         reads, single = [], []
 
@@ -371,6 +372,11 @@ class TestLookups:
         monkeypatch.setattr(imod, "zeros_upto", spy(imod.zeros_upto, reads))
         monkeypatch.setattr(imod, "zero", spy(imod.zero, single))
         monkeypatch.setattr(zmod, "_cache", sealed)
+        return reads, single
+
+    @pytest.mark.parametrize("suite", [*CHECKS, "chain"])
+    def test_one_read_per_family_and_no_cache_access(self, suite, monkeypatch):
+        reads, single = self.spied(monkeypatch)
         if suite == "chain":
             reports = imod.chain_reports(2.0, 0.5, 20)
             assert [r.chain.s for r in reports if r.ok] == list(range(1, 21))
@@ -381,6 +387,16 @@ class TestLookups:
         # Only Theorem 1's leading bound nu <= j'_{nu,1} reads a single zero.
         expect_single = [(ZeroId(ZeroKind.JPRIME, 2.0, 1),)] if suite == "theorem1" else []
         assert single == expect_single
+
+    def test_build_chain_reads_its_seven_nodes_only(self, monkeypatch):
+        reads, single = self.spied(monkeypatch)
+        chain = build_chain(2.0, 0.5, 20)
+        assert reads == []  # no lower rank is built or checked
+        assert [(z.kind.value, z.nu, z.s) for (z,) in single] == [
+            ("jp", 2.0, 20), ("y", 2.0, 20), ("y", 2.5, 20), ("yp", 2.0, 20),
+            ("j", 2.0, 20), ("j", 2.5, 20), ("jp", 2.0, 21),
+        ]
+        assert check_chain(chain).ok
 
 
 class TestSuites:
@@ -505,6 +521,11 @@ class TestFindBreaking:
         w = find_breaking(0.0, 1.01, 10_000)
         assert w.s == fixtures.BREAKING_RANKS[(0.0, 1.01)]
 
+    def test_witness_labels_carry_its_rank(self):
+        w = find_breaking(10.0, 1.25)
+        assert (w.left_label, w.right_label) == (f"y(v+e,{w.s})", f"j(v,{w.s})")
+        assert w.s > 1
+
     def test_cap_too_small(self):
         with pytest.raises(SearchError) as exc:
             find_breaking(10.0, 1.25, 3)
@@ -525,6 +546,8 @@ class TestCounterexampleScan:
         greater, less = counterexample_scan(0.1, [0.5, 300.0], 2)
         assert greater.nu == 0.5
         assert less.nu == 300.0
+        for w in (greater, less):
+            assert (w.left_label, w.right_label) == ("jp(v+e,2)", "y(v,2)")
 
     def test_jp_vs_y_single_order_at_rank_one(self):
         # j'_{nu+0.1,1} < y_{nu,1} everywhere on the supported range; a
@@ -545,8 +568,15 @@ class TestCounterexampleScan:
             counterexample_scan(0.1, [0.5], 1)
 
     def test_bad_pair_name(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             counterexample_scan(0.1, [0.5, 5.0], 1, pair="nope")
+        assert exc.value.code == "DOMAIN_PAIR"
+
+    def test_cli_offers_exactly_the_library_pairs(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        [pair] = [a for a in sub.choices["counterexample"]._actions if a.dest == "pair"]
+        assert tuple(pair.choices) == tuple(imod.PAIRS) == ("jp-vs-y", "yp-vs-j")
+        assert pair.default in imod.PAIRS
 
     def test_eps_regime_guard(self):
         with pytest.raises(DomainError):

@@ -91,6 +91,12 @@ class TestHasPositiveZero:
         with pytest.raises(DomainError):
             has_positive_zero(1.0, 1.0, 50.0)
 
+    @pytest.mark.parametrize("x_max", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_x_max(self, x_max):
+        with pytest.raises(DomainError) as exc:
+            has_positive_zero(0.0, 2.0, x_max)
+        assert exc.value.code == "DOMAIN_X"
+
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
     def test_criterion_matches_order_gap(self, nu):
         for eps in (0.25, 0.5, 1.0):
