@@ -185,7 +185,7 @@ def cmd_zeros(args: argparse.Namespace) -> tuple[int, str]:
     return 0, body
 
 
-_NODE_COLUMNS = ["jp_v_s", "y_v_s", "y_ve_s", "yp_v_s", "j_v_s", "j_ve_s", "jp_v_s1"]
+_NODE_COLUMNS = [label.translate(str.maketrans("(,", "__", "+)")) for label in interlace.CHAIN_LABELS]
 
 
 def cmd_chain(args: argparse.Namespace) -> tuple[int, str]:
@@ -290,7 +290,7 @@ def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
     _recode("DOMAIN_MU", ev.check_order, args.mu)
-    ev.check_argument(args.xmax)
+    wronskian.check_x_max(args.xmax)
     profile = wronskian.profile_extrema(args.nu, args.mu, args.smax)
     first_zero = wronskian.has_positive_zero(args.nu, args.mu, args.xmax)
     if args.format == "json":

@@ -122,12 +122,17 @@ def _error_estimate(nu: float, x: float, value: float) -> float:
     return 10.0 * _EPS * max(abs(value), floor)
 
 
-def eval_J(nu: float, x: float) -> EvalResult:
-    """J_nu(x) for nu in [0, NU_MAX], x > 0."""
+def _checked(f, nu: float, x: float) -> EvalResult:
+    """f(nu, x) at a checked order and argument, with its error estimate."""
     nu = check_order(nu)
     x = check_argument(x)
-    v = bessel_j(nu, x)
+    v = f(nu, x)
     return EvalResult(v, _error_estimate(nu, x, v))
+
+
+def eval_J(nu: float, x: float) -> EvalResult:
+    """J_nu(x) for nu in [0, NU_MAX], x > 0."""
+    return _checked(bessel_j, nu, x)
 
 
 def eval_Y(nu: float, x: float) -> EvalResult:
@@ -136,26 +141,17 @@ def eval_Y(nu: float, x: float) -> EvalResult:
     Saturates to -inf when the true magnitude overflows the double
     range (small x, large nu).
     """
-    nu = check_order(nu)
-    x = check_argument(x)
-    v = bessel_y(nu, x)
-    return EvalResult(v, _error_estimate(nu, x, v))
+    return _checked(bessel_y, nu, x)
 
 
 def eval_dJ(nu: float, x: float) -> EvalResult:
     """J'_nu(x) = -J_{nu+1}(x) + (nu/x) J_nu(x)."""
-    nu = check_order(nu)
-    x = check_argument(x)
-    v = bessel_dj(nu, x)
-    return EvalResult(v, _error_estimate(nu, x, v))
+    return _checked(bessel_dj, nu, x)
 
 
 def eval_dY(nu: float, x: float) -> EvalResult:
     """Y'_nu(x) = -Y_{nu+1}(x) + (nu/x) Y_nu(x)."""
-    nu = check_order(nu)
-    x = check_argument(x)
-    v = bessel_dy(nu, x)
-    return EvalResult(v, _error_estimate(nu, x, v))
+    return _checked(bessel_dy, nu, x)
 
 
 def eval_cylinder(alpha: float, nu: float, x: float) -> EvalResult:

@@ -245,7 +245,7 @@ def check_suite(suite: str, nu: float, eps: float, s_max: int) -> list[Violation
             labels = (left.text, right.text) if chain.per_rank else (left.label(s), right.label(s))
             out.append(ViolationWitness(nu, eps, s, *labels, columns[i][s - 1], columns[i + 1][s - 1]))
     if suite == "theorem1" and (jp1 := _zval(_SEVEN_NODE.nodes[0], nu, eps, 1)) < nu - 1e-12 * max(1.0, nu):
-        out.insert(0, ViolationWitness(nu, eps, 1, "nu", "jp(v,1)", nu, jp1))
+        out.insert(0, ViolationWitness(nu, eps, 1, "nu", _SEVEN_NODE.nodes[0].label(1), nu, jp1))
     return out
 
 

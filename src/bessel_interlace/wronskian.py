@@ -85,19 +85,31 @@ def profile_extrema(nu: float, mu: float, s_max: int) -> WronskianProfile:
     return WronskianProfile(nu, mu, samples, all_same_sign, min_abs)
 
 
+#: No zero of J_nu or Y_mu of rank S_MAX_LIMIT lies below this: j_{nu,s} > y_{nu,s} >= y_{0,s} > (s - 1) pi.
+_X_CAP = (S_MAX_LIMIT - 1) * math.pi
+
+
+def check_x_max(x_max: float) -> float:
+    """Validate ``has_positive_zero``'s x_max, returning it as float. Raises DomainError."""
+    x_max = float(x_max)
+    if not 0.0 < x_max < _X_CAP:
+        raise DomainError(f"x_max must lie in (0, {_X_CAP!r}), got {x_max!r}", code="DOMAIN_X")
+    return x_max
+
+
 def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
     """A root of W on (0, x_max], or None if W keeps one sign there.
 
     Segments between consecutive critical points of x*W (plus the
     leading segment down to 0+ and the trailing one up to x_max) are
     monotone for x*W, so one endpoint sign check per segment finds
-    every root; a detected sign change is bisected to ~1e-12.
+    every root; W is evaluated only up to the first, bisected to ~1e-12.
     """
     nu = ev.check_order(nu)
     mu = ev.check_order(mu)
     if nu == mu:
         raise DomainError("order pair must be distinct", code="DOMAIN_NU")
-    x_max = ev.check_argument(x_max)
+    x_max = check_x_max(x_max)
 
     def m(x: float) -> float:
         return x * eval_W(nu, mu, x)
@@ -105,16 +117,10 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
     # Critical points of x*W up to x_max: zeros of J_nu and Y_mu.
     pts: list[float] = []
     for kind, order in ((ZeroKind.J, nu), (ZeroKind.Y, mu)):
-        for s in range(1, S_MAX_LIMIT + 1):
-            v = zero(ZeroId(kind, order, s)).value
-            if v > x_max:
-                break
+        s = 1
+        while (v := zero(ZeroId(kind, order, s)).value) <= x_max:
             pts.append(v)
-        else:
-            raise DomainError(
-                f"x_max={x_max!r} lies past zero {S_MAX_LIMIT} of {kind.value} at order {order}, the supported rank cap",
-                code="DOMAIN_X",
-            )
+            s += 1
     pts.sort()
 
     # Left edge: W(0+) is positive. Find an evaluable point left of the
@@ -147,14 +153,12 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
         # smallest resolvable location.
         return x_left
 
-    knots = [x_left] + [p for p in pts if p > x_left]
-    if not knots or knots[-1] < x_max:
-        knots.append(x_max)
-    fvals = [f_left] + [m(k) for k in knots[1:]]
-
-    for (a, fa), (b, fb) in zip(zip(knots, fvals), zip(knots[1:], fvals[1:])):
-        if fa == 0.0:
-            return a
+    # x_left lies below every critical point, and f_left > 0.
+    a, fa = x_left, f_left
+    for b in pts + [x_max]:
+        fb = m(b)
+        if fb == 0.0:
+            return b
         if fa * fb < 0.0:
             while b - a > 1e-12 * max(1.0, b):
                 mid = 0.5 * (a + b)
@@ -166,8 +170,7 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
                 else:
                     a, fa = mid, fm
             return 0.5 * (a + b)
-    if fvals[-1] == 0.0:
-        return knots[-1]
+        a, fa = b, fb
     return None
 
 

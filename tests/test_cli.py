@@ -120,6 +120,8 @@ class TestRankCapUpFront:
             (["break", "--nu", "0", "--eps", "700"], "--eps", "nu=0.0 plus eps=700.0"),
             (["verify", "--suite", "theorem2", "--nu-grid", "599:599.75:0.25", "--eps-grid", "0.25:0.5:0.25"], "--nu-grid", "nu=599.75 plus eps=0.5"),
             (["wronskian", "--nu", "0", "--mu", "2", "--smax", "10000", "--xmax", "-1"], "--xmax", "got -1.0"),
+            # J_0 and Y_2 have their 10^4-th zeros near 31,416, below --xmax.
+            (["wronskian", "--nu", "0", "--mu", "2", "--smax", "10000", "--xmax", "40000"], "--xmax", "40000.0"),
         ],
         ids=[
             "chain",
@@ -130,6 +132,7 @@ class TestRankCapUpFront:
             "break-shifted-order",
             "verify-eps-grid-top",
             "wronskian-xmax",
+            "wronskian-xmax-past-the-cap",
         ],
     )
     def test_rejected_before_any_zero(self, capsys, argv, flag, values):
@@ -139,12 +142,6 @@ class TestRankCapUpFront:
         assert f"error ({flag})" in err
         assert values in err
         assert zmod._cache == {}
-
-    def test_wronskian_xmax_past_the_cap_names_xmax(self, capsys):
-        # J_0 has its 10^4-th zero near 31,416, below --xmax.
-        code, out, err = run_cli(capsys, "wronskian", "--nu", "0", "--mu", "2", "--xmax", "40000")
-        assert (code, out) == (2, "")
-        assert "error (--xmax)" in err
 
 
 class TestFlagAtFault:

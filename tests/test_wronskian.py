@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import bessel_interlace.wronskian as wmod
 import bessel_interlace.zeros as zmod
 import fixtures
 import oracle
@@ -19,6 +20,8 @@ from bessel_interlace import (
     sign_agreement,
     zero,
 )
+from bessel_interlace.wronskian import _X_CAP
+from bessel_interlace.zeros import S_MAX_LIMIT
 
 
 class TestEvalW:
@@ -91,11 +94,24 @@ class TestHasPositiveZero:
         with pytest.raises(DomainError):
             has_positive_zero(1.0, 1.0, 50.0)
 
-    @pytest.mark.parametrize("x_max", [-1.0, 0.0, math.nan, math.inf])
+    # Every rejected x_max is named, and rejected before any zero is computed.
+    @pytest.mark.parametrize("x_max", [-1.0, 0.0, math.nan, math.inf, _X_CAP, 40000.0])
     def test_rejects_bad_x_max(self, x_max):
+        zmod.clear_cache()
         with pytest.raises(DomainError) as exc:
             has_positive_zero(0.0, 2.0, x_max)
         assert exc.value.code == "DOMAIN_X"
+        assert "x_max" in str(exc.value)
+        assert zmod._cache == {}
+
+    def test_evaluates_W_only_up_to_the_first_root(self, monkeypatch):
+        # The root lies below j_{0,1}; the ~380 critical points past it up to
+        # x = 600 need no evaluation of W.
+        profile_extrema(0.0, 2.0, 200)
+        calls = []
+        monkeypatch.setattr(wmod, "eval_W", lambda *a: calls.append(a) or eval_W(*a))
+        assert has_positive_zero(0.0, 2.0, 600.0) == pytest.approx(fixtures.W_0_2_FIRST_ZERO, abs=1e-9)
+        assert len(calls) <= 45
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
     def test_criterion_matches_order_gap(self, nu):
@@ -103,6 +119,17 @@ class TestHasPositiveZero:
             assert has_positive_zero(nu, nu + eps, 60.0) is None, (nu, eps)
         for eps in (1.5, 2.0):
             assert has_positive_zero(nu, nu + eps, 60.0) is not None, (nu, eps)
+
+
+class TestXCap:
+    # _X_CAP lies below every zero of rank S_MAX_LIMIT of J_nu and of Y_mu:
+    # y_{0,s} is the least of them, since y_{mu,s} rises with the order and
+    # j_{nu,s} > y_{nu,s}. Checked on the certified brackets at the cap.
+    def test_below_every_zero_at_the_rank_cap(self):
+        y0 = zero(ZeroId(ZeroKind.Y, 0.0, S_MAX_LIMIT)).bracket
+        assert y0.lo > _X_CAP
+        assert zero(ZeroId(ZeroKind.J, 0.0, S_MAX_LIMIT)).bracket.lo > y0.hi
+        assert zero(ZeroId(ZeroKind.Y, 0.5, S_MAX_LIMIT)).bracket.lo > y0.hi
 
 
 class TestExtremalCharacterization:
