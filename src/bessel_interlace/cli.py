@@ -6,7 +6,7 @@ requested witness was not found), 2 usage or domain error. Numbers are
 emitted with 17 significant digits in both CSV and JSON, which
 round-trips IEEE doubles exactly, so identical flags produce
 byte-identical output. Every command runs serially; ``--threads`` is
-validated and accepted for compatibility.
+accepted for compatibility, and the parser rejects a value below 1.
 """
 
 from __future__ import annotations
@@ -31,43 +31,25 @@ def fmt(x) -> str:
     return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
-def _json_render(obj, out: list[str]) -> None:
+def _json(obj) -> str:
     if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(f'"{k}": ')
-            _json_render(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _json_render(v, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
-    elif isinstance(obj, float):
-        if math.isfinite(obj):
-            out.append(fmt(obj))
-        else:
-            out.append(f'"{fmt(obj)}"')
-    else:
-        out.append(str(obj))
+        return "{" + ", ".join(f'"{k}": {_json(v)}' for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return f'"{fmt(obj)}"'
+    return fmt(obj)
 
 
 def to_json(obj) -> str:
     """Deterministic JSON with insertion-ordered keys and 17-digit floats."""
-    parts: list[str] = []
-    _json_render(obj, parts)
-    return "".join(parts) + "\n"
+    return _json(obj) + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -145,10 +127,12 @@ def _recode(code: str, check, *args):
         raise DomainError(str(exc), code=code) from None
 
 
-def validate_threads(flag_value: int | None) -> None:
-    """Reject --threads below 1; any other value is ignored."""
-    if flag_value is not None and flag_value < 1:
-        raise DomainError(f"--threads must be >= 1, got {flag_value}", code="DOMAIN_THREADS")
+def thread_count(text: str) -> int:
+    """--threads as an int; below 1, argparse's usage error."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -227,13 +211,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     nu_grid = parse_grid(args.nu_grid)
     eps_grid = _recode("DOMAIN_EPS", parse_grid, args.eps_grid)
     for eps in eps_grid:
-        if not 0.0 < eps <= 1.0:
-            raise DomainError(f"verify eps grid must lie in (0, 1], got {eps}", code="DOMAIN_EPS")
+        interlace.check_eps(eps)
     suites = {name: rules for name, rules in interlace.SUITES.items() if suite in (name, "all")}
     # Every order read, nu and nu + eps, is checked before any zero is computed.
     top_eps = max(rules.eps or max(eps_grid) for rules in suites.values())
     for nu in nu_grid:
-        _recode("DOMAIN_NU", interlace.check_orders, nu, top_eps)
+        _recode("DOMAIN_NU", ev.check_orders, nu, top_eps)
 
     violations = []
     notes = []
@@ -269,23 +252,10 @@ def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
         w = interlace.find_breaking(args.nu, args.eps, args.scap)
     except SearchError as exc:
         return 1, _not_found(args.format, exc)
+    row = {"nu": w.nu, "eps": w.eps, "s": w.s, "y_value": w.left_value, "j_value": w.right_value}
     if args.format == "json":
-        body = to_json(
-            {
-                "found": True,
-                "nu": w.nu,
-                "eps": w.eps,
-                "s": w.s,
-                "y_value": w.left_value,
-                "j_value": w.right_value,
-            }
-        )
-    else:
-        body = to_csv(
-            ["nu", "eps", "s", "y_value", "j_value"],
-            [_csv_line([w.nu, w.eps, w.s, w.left_value, w.right_value])],
-        )
-    return 0, body
+        return 0, to_json({"found": True, **row})
+    return 0, to_csv(list(row), [_csv_line(row.values())])
 
 
 def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
@@ -360,7 +330,6 @@ _CODE_FLAGS = {
     "DOMAIN_EPS": "--eps",
     "DOMAIN_KIND": "--kind",
     "DOMAIN_GRID": "--nu-grid",
-    "DOMAIN_THREADS": "--threads",
 }
 _CODE_FLAGS_PER_COMMAND = {
     ("break", "DOMAIN_S"): "--scap",
@@ -382,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, formats=("csv", "json")):
         sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", default="-", help="output path, or - for stdout")
-        sp.add_argument("--threads", type=int, default=None, help="ignored (every command runs serially); must be >= 1")
+        sp.add_argument("--threads", type=thread_count, default=None, help="ignored (every command runs serially); must be >= 1")
 
     sp = sub.add_parser("zeros", help="tabulate zeros of one kind and order")
     sp.add_argument("--kind", required=True)
@@ -442,7 +411,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help.
         return int(exc.code or 0)
     try:
-        validate_threads(args.threads)
         code, body = _HANDLERS[args.command](args)
     except DomainError as exc:
         flag = _CODE_FLAGS_PER_COMMAND.get((args.command, exc.code)) or _CODE_FLAGS.get(exc.code, "")

@@ -62,6 +62,15 @@ def check_order(nu: float) -> float:
     return nu
 
 
+def check_orders(nu: float, eps: float, code: str = "DOMAIN_EPS") -> float:
+    """Validate an order nu and the shifted order nu + eps, returning nu as float.
+    Raises DomainError, under ``code`` when nu + eps exceeds NU_MAX."""
+    nu = check_order(nu)
+    if nu + eps > NU_MAX:
+        raise DomainError(f"order nu={nu!r} plus eps={eps!r} exceeds NU_MAX={NU_MAX}", code=code)
+    return nu
+
+
 def check_argument(x: float) -> float:
     """Validate an argument, returning it as float. Raises DomainError."""
     x = float(x)

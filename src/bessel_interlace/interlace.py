@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import evaluate as ev
 from .errors import DomainError, SearchError
-from .zeros import S_MAX_LIMIT, ZeroId, ZeroKind, zero, zeros_upto
+from .zeros import S_MAX_LIMIT, ZeroId, ZeroKind, check_rank, zero, zeros_upto
 
 __all__ = [
     "CHAIN_LABELS",
@@ -176,25 +176,21 @@ def _top_nodes(chain: _Chain) -> tuple[_Node, ...]:
     return chain.nodes[:-1] if chain.open else chain.nodes
 
 
-def check_orders(nu: float, eps: float) -> None:
-    """Reject a bad order nu, or nu + eps above NU_MAX, before any zero is computed."""
-    if ev.check_order(nu) + eps > ev.NU_MAX:
-        raise DomainError(f"order nu={nu!r} plus eps={eps!r} exceeds NU_MAX={ev.NU_MAX}", code="DOMAIN_EPS")
+def check_eps(eps: float, lo: float = 0.0, hi: float = 1.0) -> float:
+    """Validate an increment eps in (lo, hi], returning it as float. Raises DomainError (DOMAIN_EPS)."""
+    eps = float(eps)
+    if not lo < eps <= hi:
+        raise DomainError(f"eps must lie in ({lo!r}, {hi!r}], got {eps!r}", code="DOMAIN_EPS")
+    return eps
 
 
 def _check_eps_and_rank(suite: str, nu: float, eps: float, s: int) -> None:
-    """Reject a bad eps or order, or a top rank s past the cap of ``suite``."""
+    """Reject a bad eps or order, or a top rank s past the cap of ``suite``, before any zero is computed."""
     rules = SUITES[suite]
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps!r}", code="DOMAIN_EPS")
-    if eps > rules.max_eps:
-        raise DomainError(f"eps must be at most {rules.max_eps!r} in {suite}, got {eps!r}", code="DOMAIN_EPS")
-    check_orders(nu, eps)
-    if not isinstance(s, int) or s < 1:
-        raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
+    check_eps(eps, hi=rules.max_eps)
+    ev.check_orders(nu, eps)
     cap = rules.cap or S_MAX_LIMIT - max(n.offset for c in _CHAINS if c.suite == suite for n in _top_nodes(c))
-    if s > cap:
-        raise DomainError(f"rank {s} exceeds the supported cap {cap} of the {suite} chains", code="DOMAIN_S")
+    check_rank(s, cap, of=f" of the {suite} chains")
 
 
 def _failing(chain: _Chain, nu: float, eps: float, columns) -> list[tuple[int, int]]:
@@ -322,12 +318,9 @@ def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:
     violating rank grows as eps -> 1+, so a too-small cap raises
     SearchError (NOT_FOUND_WITHIN_CAP).
     """
-    nu, eps = float(nu), float(eps)
-    if not eps > 1.0:
-        raise DomainError(f"breaking search requires eps > 1, got {eps!r}", code="DOMAIN_EPS")
-    if not isinstance(s_cap, int) or not 1 <= s_cap <= S_MAX_LIMIT:
-        raise DomainError(f"s_cap must be in 1..{S_MAX_LIMIT}, got {s_cap!r}", code="DOMAIN_S")
-    check_orders(nu, eps)
+    eps = check_eps(eps, 1.0, math.inf)
+    check_rank(s_cap)
+    nu = ev.check_orders(nu, eps)
     left, right = _BREAKING.nodes
     for s in range(1, s_cap + 1):
         yv, jv = _zval(left, nu, eps, s), _zval(right, nu, eps, s)
@@ -349,9 +342,7 @@ def counterexample_scan(
     each, drawn from ``nu_list``; raises SearchError (ONLY_ONE_ORDERING)
     if the list exhibits a single ordering only.
     """
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise DomainError(f"eps must satisfy 0 < eps <= 1, got {eps!r}", code="DOMAIN_EPS")
+    eps = check_eps(eps)
     if not nu_list:
         raise DomainError("nu_list must be nonempty", code="DOMAIN_NU")
     if pair not in PAIRS:
@@ -362,9 +353,7 @@ def counterexample_scan(
     for nu in nu_list:
         # Checked as the scan reaches each entry, so a list may run past
         # NU_MAX beyond the orders the scan needs; errors name the entry.
-        nu = ev.check_order(nu)
-        if nu + eps > ev.NU_MAX:
-            raise DomainError(f"nu_list entry {nu!r} plus eps={eps!r} exceeds NU_MAX={ev.NU_MAX}", code="OVERFLOW_NU")
+        nu = ev.check_orders(nu, eps, code="OVERFLOW_NU")
         lval, rval = _zval(left, nu, eps, s), _zval(right, nu, eps, s)
         witness = ViolationWitness(nu, eps, s, left.label(s), right.label(s), lval, rval)
         if lval > rval and greater is None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import evaluate as ev
 from .errors import DomainError
-from .zeros import S_MAX_LIMIT, ZeroId, ZeroKind, zero, zeros_upto
+from .zeros import S_MAX_LIMIT, ZeroId, ZeroKind, check_rank, zero, zeros_upto
 
 __all__ = [
     "WronskianProfile",
@@ -188,14 +188,12 @@ def sign_agreement(nu: float, s: int, n_samples: int) -> SignIntervalReport:
     (y_{nu,s}, y_{nu+1,s}) they differ. Verdicts are per-interval
     conjunctions over Chebyshev-spaced interior samples.
     """
-    nu = ev.check_order(nu)
-    # Checked before any zero is computed, and named as the caller passed it.
-    if nu + 1.0 > ev.NU_MAX:
-        raise DomainError(f"order nu={nu!r} plus 1 exceeds NU_MAX={ev.NU_MAX}", code="OVERFLOW_NU")
-    if not isinstance(s, int) or s < 1:
-        raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
-    if n_samples < 3:
-        raise DomainError(f"n_samples must be >= 3, got {n_samples!r}", code="DOMAIN_N")
+    # Checked before any zero is computed, and named as the caller passed
+    # them: nu + 1 and rank s + 1 are read too.
+    nu = ev.check_orders(nu, 1.0, code="OVERFLOW_NU")
+    check_rank(s, S_MAX_LIMIT - 1)
+    if not isinstance(n_samples, int) or n_samples < 3:
+        raise DomainError(f"n_samples must be an integer >= 3, got {n_samples!r}", code="DOMAIN_N")
 
     y_nu = zeros_upto(ZeroKind.Y, nu, s + 1)
     y_nu1 = zeros_upto(ZeroKind.Y, nu + 1.0, s)

@@ -100,23 +100,35 @@ class ZeroKind(enum.Enum):
         raise DomainError(f"unknown zero kind {text!r} (expected j, y, jp, yp)", code="DOMAIN_KIND")
 
 
+def check_rank(s: int, cap: int = S_MAX_LIMIT, of: str = "") -> int:
+    """Validate a rank s in 1..cap, returning it. Raises DomainError (DOMAIN_S);
+    ``of`` ends the message of a rank past the cap."""
+    if not isinstance(s, int) or s < 1:
+        raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
+    if s > cap:
+        raise DomainError(f"rank {s} exceeds the supported cap {cap}{of}", code="DOMAIN_S")
+    return s
+
+
 @dataclass(frozen=True, slots=True)
 class ZeroId:
-    """Names one zero: the s-th positive zero of the kind's function at order nu."""
+    """Names one zero: the s-th positive zero of the kind's function at order nu.
+
+    The constructor holds the one domain rule for a zero's kind, order and rank.
+    """
 
     kind: ZeroKind
     nu: float
     s: int
 
     def __post_init__(self) -> None:
-        """Raises DomainError on an order or rank outside the supported domain."""
+        """Raises DomainError on a kind, order or rank outside the supported domain."""
+        if not isinstance(self.kind, ZeroKind):
+            raise DomainError(f"zero kind must be a ZeroKind, got {self.kind!r}", code="DOMAIN_KIND")
         # The scalar evaluators take floats only (scipy's typed entry
         # points have no int signature), so an int order is converted here.
         object.__setattr__(self, "nu", ev.check_order(self.nu))
-        if not isinstance(self.s, int) or self.s < 1:
-            raise DomainError(f"rank must be a positive integer, got {self.s!r}", code="DOMAIN_S")
-        if self.s > S_MAX_LIMIT:
-            raise DomainError(f"rank {self.s} exceeds the supported cap {S_MAX_LIMIT}", code="DOMAIN_S")
+        check_rank(self.s)
 
 
 @dataclass(frozen=True, slots=True)

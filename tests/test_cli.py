@@ -211,6 +211,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, *args)
         assert (code, out) == (2, "")
         assert "--threads" in err
+        assert "usage:" in err and "argument --threads: must be >= 1, got 0" in err
 
     def test_same_bytes_cold_warm_and_with_two_threads(self, capsys):
         args = ("verify", "--suite", "theorem2", "--nu-grid", "0:3:0.5", "--smax", "6")

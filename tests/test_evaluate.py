@@ -100,6 +100,17 @@ class TestDomain:
             eval_J(NU_MAX + 1.0, 10.0)
         assert exc.value.code == "OVERFLOW_NU"
 
+    @pytest.mark.parametrize("code", ["DOMAIN_EPS", "OVERFLOW_NU"])
+    def test_shifted_order_bound(self, code):
+        # nu + eps = NU_MAX is accepted; one ulp above is rejected under the code passed.
+        assert ev.check_orders(1, NU_MAX - 1.0, code) == 1.0
+        eps = math.nextafter(NU_MAX - 1.0, math.inf)
+        assert 1.0 + eps == math.nextafter(NU_MAX, math.inf)
+        with pytest.raises(DomainError) as exc:
+            ev.check_orders(1.0, eps, code)
+        assert exc.value.code == code
+        assert str(exc.value) == f"order nu=1.0 plus eps={eps!r} exceeds NU_MAX={NU_MAX}"
+
     def test_cylinder_rejects_bad_alpha(self):
         with pytest.raises(DomainError):
             eval_cylinder(math.inf, 1.0, 1.0)

@@ -466,6 +466,15 @@ class TestSweepArguments:
             check_theorem2(1.0, eps, 3)
         assert exc.value.code == "DOMAIN_EPS"
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (1.0, math.inf)])
+    def test_check_eps_bounds(self, lo, hi):
+        assert imod.check_eps(hi, lo, hi) == hi
+        assert imod.check_eps(math.nextafter(lo, hi), lo, hi) > lo
+        for eps in (lo, math.nan):
+            with pytest.raises(DomainError) as exc:
+                imod.check_eps(eps, lo, hi)
+            assert (exc.value.code, str(exc.value)) == ("DOMAIN_EPS", f"eps must lie in ({lo!r}, {hi!r}], got {eps!r}")
+
 
 class TestDerivativeChains:
     def test_nu0_eps1_prefix(self):
@@ -532,8 +541,13 @@ class TestFindBreaking:
         assert exc.value.code == "NOT_FOUND_WITHIN_CAP"
 
     def test_regime_guard(self):
-        with pytest.raises(DomainError):
-            find_breaking(0.0, 0.5, 10)
+        # An infinite eps passes the eps range and fails nu + eps <= NU_MAX, under the same code.
+        zmod.clear_cache()
+        for eps in (0.5, 1.0, math.inf):
+            with pytest.raises(DomainError) as exc:
+                find_breaking(0.0, eps, 10)
+            assert exc.value.code == "DOMAIN_EPS"
+        assert zmod._cache == {}
 
 
 class TestCounterexampleScan:

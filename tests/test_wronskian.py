@@ -165,8 +165,10 @@ class TestSignAgreement:
         assert rep.same_sign_ok and rep.differ_ok
 
     def test_needs_three_samples(self):
-        with pytest.raises(DomainError):
-            sign_agreement(0.0, 1, 2)
+        for n in (2, 3.5):
+            with pytest.raises(DomainError) as exc:
+                sign_agreement(0.0, 1, n)
+            assert exc.value.code == "DOMAIN_N"
 
     def test_order_past_cap_rejected_before_any_zero(self):
         # nu + 1 = 600.5 is past NU_MAX; the error names the nu passed, and
@@ -176,6 +178,16 @@ class TestSignAgreement:
             sign_agreement(599.5, 1, 3)
         assert exc.value.code == "OVERFLOW_NU"
         assert "599.5" in str(exc.value) and "600.5" not in str(exc.value)
+        assert zmod._cache == {}
+
+    def test_rank_past_cap_rejected_before_any_zero(self):
+        # Rank s + 1 is read too, so the cap is one below S_MAX_LIMIT; the
+        # error names the s passed, not s + 1.
+        zmod.clear_cache()
+        with pytest.raises(DomainError) as exc:
+            sign_agreement(0.0, 10_000, 3)
+        assert exc.value.code == "DOMAIN_S"
+        assert str(exc.value) == "rank 10000 exceeds the supported cap 9999"
         assert zmod._cache == {}
 
 

@@ -69,7 +69,7 @@ def grid_zeros(kind, nu, count, step=0.05, bisections=60):
 
 
 class TestZeroIdDomain:
-    # The constructor holds the one domain rule for a zero's order and rank.
+    # The constructor holds the one domain rule for a zero's kind, order and rank.
     @pytest.mark.parametrize(
         "nu,s,code",
         [
@@ -89,6 +89,30 @@ class TestZeroIdDomain:
     def test_int_order_stored_as_float(self):
         nu = ZeroId(ZeroKind.J, 2, 1).nu
         assert type(nu) is float and nu == 2.0
+
+    # A kind's text is parsed by ZeroKind.parse only; the constructor takes no strings.
+    @pytest.mark.parametrize("kind", ["j", None, ZeroKind])
+    def test_kind_not_a_zero_kind_rejected(self, kind):
+        with pytest.raises(DomainError) as err:
+            ZeroId(kind, 1.0, 1)
+        assert err.value.code == "DOMAIN_KIND"
+
+    def test_bad_kind_leaves_the_cache_empty(self):
+        zmod.clear_cache()
+        with pytest.raises(DomainError) as err:
+            zeros_upto("y", 2.5, 3)
+        assert err.value.code == "DOMAIN_KIND"
+        assert zmod._cache == {}
+
+    @pytest.mark.parametrize("cap", [1, 99, zmod.S_MAX_LIMIT])
+    def test_check_rank_bounds(self, cap):
+        assert zmod.check_rank(1, cap) == 1 and zmod.check_rank(cap, cap) == cap
+        with pytest.raises(DomainError) as err:
+            zmod.check_rank(0, cap)
+        assert (err.value.code, str(err.value)) == ("DOMAIN_S", "rank must be a positive integer, got 0")
+        with pytest.raises(DomainError) as err:
+            zmod.check_rank(cap + 1, cap, of=" of the suite")
+        assert (err.value.code, str(err.value)) == ("DOMAIN_S", f"rank {cap + 1} exceeds the supported cap {cap} of the suite")
 
 
 class TestInitialBracket:
