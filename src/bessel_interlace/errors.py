@@ -24,8 +24,8 @@ class DomainError(BesselInterlaceError):
     """Input outside the supported domain.
 
     Codes: DOMAIN_NU, OVERFLOW_NU (an order above NU_MAX), DOMAIN_EPS (also
-    nu + eps above NU_MAX), DOMAIN_X, DOMAIN_S, DOMAIN_ALPHA, DOMAIN_KIND (also
-    from ZeroId), DOMAIN_PAIR, DOMAIN_N; from the CLI, DOMAIN_GRID and
+    nu + eps above NU_MAX), DOMAIN_X, DOMAIN_S, DOMAIN_KIND (also from
+    ZeroId), DOMAIN_PAIR, DOMAIN_N; from the CLI, DOMAIN_GRID and
     DOMAIN_MU. Each message names the input at fault.
     """
 

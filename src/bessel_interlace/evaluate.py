@@ -1,4 +1,4 @@
-"""Evaluation of J_nu, Y_nu, their derivatives, and cylinder mixes.
+"""Evaluation of J_nu, Y_nu and their derivatives.
 
 Orders are real with 0 <= nu <= NU_MAX, arguments strictly positive.
 Values are IEEE doubles backed by scipy.special (AMOS), which holds
@@ -8,8 +8,8 @@ large orders where uniform asymptotic expansions take over.
 Scalar calls go through scipy's typed ``cython_special.jv``/``yv``
 entry points: the same code as the ``scipy.special.jv``/``yv`` ufuncs,
 so the same bits, without the ufunc's per-call dispatch. They take
-doubles only: the public functions, the ``ZeroId`` constructor and
-``refine`` convert an order or argument to float once, at the boundary.
+doubles only: the public functions and the ``ZeroId`` constructor
+convert an order or argument to float once, at the boundary.
 
 Derivatives are formed from the downward recurrence
 C'_nu(x) = -C_{nu+1}(x) + (nu/x) C_nu(x), the same relation the
@@ -30,7 +30,7 @@ from scipy.special.cython_special import jv as _jv, yv as _yv
 
 from .errors import DomainError
 
-__all__ = ["NU_MAX", "EvalResult", "eval_J", "eval_Y", "eval_dJ", "eval_dY", "eval_cylinder"]
+__all__ = ["NU_MAX", "EvalResult", "eval_J", "eval_Y", "eval_dJ", "eval_dY"]
 
 #: Order cap. Counterexample searches need orders of several hundred;
 #: evaluation accuracy is unverified above this.
@@ -161,21 +161,3 @@ def eval_dJ(nu: float, x: float) -> EvalResult:
 def eval_dY(nu: float, x: float) -> EvalResult:
     """Y'_nu(x) = -Y_{nu+1}(x) + (nu/x) Y_nu(x)."""
     return _checked(bessel_dy, nu, x)
-
-
-def eval_cylinder(alpha: float, nu: float, x: float) -> EvalResult:
-    """General cylinder function J_nu(x) cos(alpha) - Y_nu(x) sin(alpha)."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError(f"mixing angle must be finite, got {alpha!r}", code="DOMAIN_ALPHA")
-    nu = check_order(nu)
-    x = check_argument(x)
-    ca = math.cos(alpha)
-    sa = math.sin(alpha)
-    # Skip zero-coefficient terms so a saturated Y can't poison a pure-J mix.
-    v = 0.0
-    if ca != 0.0:
-        v += ca * bessel_j(nu, x)
-    if sa != 0.0:
-        v -= sa * bessel_y(nu, x)
-    return EvalResult(v, _error_estimate(nu, x, v))

@@ -104,6 +104,9 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
     leading segment down to 0+ and the trailing one up to x_max) are
     monotone for x*W, so one endpoint sign check per segment finds
     every root; W is evaluated only up to the first, bisected to ~1e-12.
+    Raises DomainError (DOMAIN_NU) when x*W shows no sign left of the
+    first critical point: non-finite where Y_mu saturates, or 0.0 where
+    J_nu underflows.
     """
     nu = ev.check_order(nu)
     mu = ev.check_order(mu)
@@ -113,6 +116,11 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
 
     def m(x: float) -> float:
         return x * eval_W(nu, mu, x)
+
+    def evaluable(v: float) -> bool:
+        # An x*W of exactly 0.0 has underflowed (J_nu far below a large
+        # order) and shows no sign, no more than a NaN or inf does.
+        return math.isfinite(v) and v != 0.0
 
     # Critical points of x*W up to x_max: zeros of J_nu and Y_mu.
     pts: list[float] = []
@@ -131,46 +139,48 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
     x_left = 0.5 * first
     f_left = m(x_left)
     backoff = 0
-    while not math.isfinite(f_left) and backoff < 40:
+    while not evaluable(f_left) and backoff < 40:
         x_left = 0.5 * (x_left + first)
         f_left = m(x_left)
         backoff += 1
     shrink = 0
-    while f_left <= 0.0 and shrink < 80 and x_left > 1e-250:
+    while f_left < 0.0 and shrink < 80 and x_left > 1e-250:
         candidate = x_left / 8.0
         value = m(candidate)
-        if not math.isfinite(value):
+        if not evaluable(value):
             break
         x_left, f_left = candidate, value
         shrink += 1
-    if not math.isfinite(f_left):
+    if not evaluable(f_left):
         raise DomainError(
             f"W is not evaluable left of its first critical point for nu={nu}, mu={mu}",
             code="DOMAIN_NU",
         )
-    if f_left <= 0.0:
+    if f_left < 0.0:
         # Sign change hides below every evaluable point; report the
         # smallest resolvable location.
         return x_left
 
-    # x_left lies below every critical point, and f_left > 0.
-    a, fa = x_left, f_left
+    # x_left lies below every critical point, and f_left > 0. Every move
+    # of a keeps m(a) > 0, so a sign change is a negative m; signs are
+    # compared directly, since a product of two tiny m underflows to 0.0.
+    a = x_left
     for b in pts + [x_max]:
         fb = m(b)
         if fb == 0.0:
             return b
-        if fa * fb < 0.0:
+        if fb < 0.0:
             while b - a > 1e-12 * max(1.0, b):
                 mid = 0.5 * (a + b)
                 fm = m(mid)
                 if fm == 0.0:
                     return mid
-                if fa * fm < 0.0:
-                    b, fb = mid, fm
+                if fm < 0.0:
+                    b = mid
                 else:
-                    a, fa = mid, fm
+                    a = mid
             return 0.5 * (a + b)
-        a, fa = b, fb
+        a = b
     return None
 
 

@@ -1,21 +1,26 @@
 """Enumeration of positive real zeros j_{nu,s}, y_{nu,s}, j'_{nu,s}, y'_{nu,s}.
 
-Every zero is certified by a sign-change bracket. Brackets are found by
-walking from a lower anchor (x = nu for the first zero, then the upper
-end of the previous walk's bracket, which held the previous zero alone,
-so no zero lies between them) in steps strictly below the minimum
-spacing of consecutive zeros, so ranks cannot be skipped; a walk gives up
-_REACH past its anchor. No two zeros lie within twice that spacing of the
-previous one, so the first step from the anchor may reach that far past
-the previous zero. From rank 4 the walk's first points after the anchor
-are g - h and g + 2h when those steps keep within both bounds, where g
-extrapolates the last three zeros quadratically and h bounds its error;
-the guess only places sign checks and never certifies a rank. A walk
-point where F is exactly 0.0 ends the walk with that point as its
-bracket's upper end, and refine returns it with the bracket [x, x]; the
-next walk then starts just past that zero.
-A walk step evaluates F alone (C_nu for J and Y), and the walk's
-bracket brings F at its ends, as the anchor brings F at the walk's start,
+Every zero is certified by a sign-change bracket. A cached sequence is
+extended one zero at a time by one loop, ``_extend_sequence``, which
+builds F once per extension and hands each zero from one stage to the
+next: ``initial_bracket`` walks to a bracket (lo, hi, F(lo), F(hi)),
+and ``refine`` polishes that bracket into a ZeroRecord.
+
+The walk starts from a lower anchor (x = nu for the first zero, then
+the upper end of the previous walk's bracket, which held the previous
+zero alone, so no zero lies between them) and steps strictly below the
+minimum spacing of consecutive zeros, so ranks cannot be skipped; it
+gives up _REACH past its anchor. No two zeros lie within twice that
+spacing of the previous one, so the first step from the anchor may reach
+that far past the previous zero. From rank 4 the walk's first points
+after the anchor are g - h and g + 2h when those steps keep within both
+bounds, where g extrapolates the last three zeros quadratically and h
+bounds its error; the guess only places sign checks and never certifies
+a rank. A walk point where F is exactly 0.0 ends the walk with that
+point as its bracket's upper end, and refine returns it with the bracket
+[x, x]; the next walk then starts just past that zero.
+A walk step evaluates F alone (C_nu for J and Y), and the walk hands F
+at its bracket's ends to refine, as the loop hands it F at the anchor,
 so no point is evaluated twice: a guessed J or Y zero costs ~4 scipy
 calls (2 walk points, 1 iterate, 1 probe).
 Refinement is safeguarded Newton, started at the bracket's secant point,
@@ -31,7 +36,8 @@ Signs are compared directly, never through a product of F values, which
 underflows to 0.0 once both are below ~1e-162.
 
 Indexing follows the classical convention: x = 0 counts as the first
-zero of J'_0, so j'_{0,1} = 0 and j'_{0,s} = j_{1,s-1} for s >= 2.
+zero of J'_0, so j'_{0,1} = 0 and j'_{0,s} = j_{1,s-1} for s >= 2. The
+loop records it with the bracket [0, 0] and walks to none.
 Y-family zeros are all strictly positive.
 """
 
@@ -51,8 +57,6 @@ __all__ = [
     "ZeroId",
     "Bracket",
     "ZeroRecord",
-    "initial_bracket",
-    "refine",
     "zero",
     "zeros_upto",
 ]
@@ -148,17 +152,6 @@ class Bracket:
 
 
 @dataclass(frozen=True, slots=True)
-class _WalkBracket(Bracket):
-    """A walk's bracket for ``id`` with F(lo), F(hi) and the walk's
-    ``_target`` functions; never kept in a ZeroRecord."""
-
-    flo: float
-    fhi: float
-    id: ZeroId
-    target: tuple
-
-
-@dataclass(frozen=True, slots=True)
 class ZeroRecord:
     id: ZeroId
     value: float
@@ -212,47 +205,33 @@ def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
     return max(nu, 1e-6)
 
 
-def initial_bracket(id: ZeroId, _walk: tuple | None = None) -> Bracket:
-    """Sign-change bracket certified to contain exactly the s-th zero.
+# Not underscored: perfbench/spans.py spans this stage by its name.
+def initial_bracket(
+    id: ZeroId, target: tuple, prev: float | None, x: float | None, fx: float | None, guess: tuple[float, float] | None
+) -> tuple[float, float, float, float]:
+    """A bracket (lo, hi, F(lo), F(hi)) certified to hold exactly zero ``id``.
 
-    Walks from a lower anchor in steps below the minimum zero spacing, so
-    the first sign change it meets belongs to the requested rank: nu for
-    the first zero, else a point just past the previous zero of the same
-    family (looked up when no ``_walk`` is given). A walk point where F
-    is exactly 0.0 is such a zero: it ends the walk as the bracket's
-    upper end, and refine returns it with the bracket [x, x]. Raises
-    BracketError if no sign change appears within _REACH of the anchor.
-
-    ``_walk`` = (target, prev, guess) is the state a sequence carries
-    from one walk to the next: its ``_target`` functions, the previous
-    zero ``prev``, and a guess at this one. A ``prev`` of (z, x, F(x))
-    names the previous zero z and an anchor x > z with no zero in (z, x],
-    the upper end of z's own walk bracket, where the walk starts without
-    evaluating F.
+    ``target`` is F's ``_target`` triple and ``prev`` the previous zero
+    of the sequence, None for the first. The walk starts at the anchor x
+    with F(x) = fx: the upper end of prev's own walk bracket, so no zero
+    lies in (prev, x]. With x None it starts at _scan_start(prev) and
+    evaluates F there. It steps below the minimum zero spacing, so the
+    first sign change it meets belongs to rank ``id.s``. A walk point
+    where F is exactly 0.0 is such a zero: it ends the walk as the
+    bracket's upper end, and refine returns it with the bracket [x, x].
+    Raises BracketError if no sign change appears within _REACH of the
+    anchor.
 
     From a previous zero the walk may first visit g - h and g + 2h, for
-    a guess (g, h) at the zero. No two zeros lie within 2 * _MIN_GAP of
-    the previous one, so the first step may reach that far past it; the
-    step between the two points stays below _MIN_GAP. A guess that would
-    break either bound, or whose g - h is not past the anchor, is not
-    used. The guess only places sign checks: the ranks rest on the
+    a ``guess`` (g, h) at the zero. No two zeros lie within 2 * _MIN_GAP
+    of the previous one, so the first step may reach that far past it;
+    the step between the two points stays below _MIN_GAP. A guess that
+    would break either bound, or whose g - h is not past the anchor, is
+    not used. The guess only places sign checks: the ranks rest on the
     spacing alone.
     """
-    if id.kind is ZeroKind.JPRIME and id.nu == 0.0 and id.s == 1:
-        raise DomainError(
-            "j'_{0,1} = 0 by convention and has no sign-change bracket",
-            code="DOMAIN_S",
-        )
-
-    if _walk is None:
-        prev = zero(ZeroId(id.kind, id.nu, id.s - 1)).value if id.s > 1 else None
-        target, guess = _target(id.kind, id.nu), None
-    else:
-        target, prev, guess = _walk
     value = target[0]
-    if isinstance(prev, tuple):
-        prev, x, fx = prev
-    else:
+    if x is None:
         x = _scan_start(id.kind, id.nu, prev)
         fx = value(x)
         if fx == 0.0 or math.isnan(fx):
@@ -277,7 +256,7 @@ def initial_bracket(id: ZeroId, _walk: tuple | None = None) -> Bracket:
                 code="BRACKET_NOT_FOUND",
             )
         if fx2 == 0.0 or fx < 0.0 < fx2 or fx2 < 0.0 < fx:
-            return _WalkBracket(x, x2, fx, fx2, id, target)
+            return x, x2, fx, fx2
         x, fx = x2, fx2
     raise BracketError(f"no sign change found for {id} within {_REACH} of its anchor", code="BRACKET_NOT_FOUND")
 
@@ -290,11 +269,13 @@ def _settled(fx: float, d: float, tol: float, dx_old: float) -> bool:
     return 16.0 * abs(fx) <= tol * abs(d) or (abs(fx) <= tol * abs(d) and dx_old <= tol)
 
 
-def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
-    """Polish a bracketed zero with Newton safeguarded by bisection.
+# Not underscored: perfbench/spans.py spans this stage by its name.
+def refine(id: ZeroId, target: tuple, a: float, b: float, fa: float, fb: float) -> ZeroRecord:
+    """Polish the walk's bracket [a, b] of zero ``id``, with fa = F(a) and
+    fb = F(b), by Newton safeguarded by bisection.
 
     Newton starts at the secant point a - F(a) (b - a) / (F(b) - F(a)) of
-    the bracket [a, b], or at its midpoint when that point is not strictly
+    the bracket, or at its midpoint when that point is not strictly
     inside. It runs until its step |F/F'| is at most tol / 16 or, twice
     running, at most tol, where tol = WIDTH_TOL/2 * max(1, |x|). One
     probe tol past that iterate x, on the root's side, then returns x
@@ -313,29 +294,17 @@ def refine(bracket: Bracket, id: ZeroId) -> ZeroRecord:
     whether to probe: the probe's sign change certifies every record.
 
     ``iterations`` counts the iterates, except one that ends the loop by
-    an exact zero or the width stop, and not the probes. A walk's bracket
-    for the same ``id`` brings F at its ends, so a zero certified by its
-    first probe costs iterations + 1 points (any other bracket, two more).
-    A J or Y zero's points cost one C_nu call each, plus one C_{nu+1}
-    call per iterate that steps; a J' or Y' point costs the pair.
+    an exact zero or the width stop, and not the probes. F at the ends
+    comes with the bracket, so a zero certified by its first probe costs
+    iterations + 1 points. A J or Y zero's points cost one C_nu call
+    each, plus one C_{nu+1} call per iterate that steps; a J' or Y'
+    point costs the pair.
     """
-    if bracket.lo == 0.0 and bracket.hi == 0.0:
-        if id.kind is ZeroKind.JPRIME and id.nu == 0.0 and id.s == 1:
-            return ZeroRecord(id, 0.0, bracket, 0.0, 0)
-        raise DomainError("degenerate bracket is reserved for j'_{0,1}", code="DOMAIN_S")
-
-    a, b = float(bracket.lo), float(bracket.hi)
-    if isinstance(bracket, _WalkBracket) and bracket.id == id:
-        (value, value_slope, slope), fa, fb = bracket.target, bracket.flo, bracket.fhi
-    else:
-        value, value_slope, slope = _target(id.kind, id.nu)
-        fa, fb = value(a), value(b)
+    value, value_slope, slope = target
     if fa == 0.0:
         return ZeroRecord(id, a, Bracket(a, a), 0.0, 0)
     if fb == 0.0:
         return ZeroRecord(id, b, Bracket(b, b), 0.0, 0)
-    if fa > 0.0 < fb or fa < 0.0 > fb:
-        raise ConvergenceError(f"bracket {bracket} has no sign change for {id}", code="NO_CONVERGENCE")
 
     x = a - fa * (b - a) / (fb - fa)
     if not a < x < b:
@@ -438,19 +407,20 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
     key = (kind, nu)
     with _cache_lock:
         records = _cache.setdefault(key, [])
+        if len(records) >= s_max:
+            return records
         # Taken out for an extension and put back at its end, so one that
         # raises leaves no anchor and the next walk starts past the zero.
-        anchor = _anchors.pop(key, None) if len(records) < s_max else None
-        target = _target(kind, nu) if len(records) < s_max else None
+        anchor = _anchors.pop(key, None)
+        target = _target(kind, nu)
+        if not records and kind is ZeroKind.JPRIME and nu == 0.0:
+            records.append(ZeroRecord(ZeroId(kind, nu, 1), 0.0, Bracket(0.0, 0.0), 0.0, 0))
         while len(records) < s_max:
             s = len(records) + 1
             id = ZeroId(kind, nu, s)
-            if kind is ZeroKind.JPRIME and nu == 0.0 and s == 1:
-                records.append(ZeroRecord(id, 0.0, Bracket(0.0, 0.0), 0.0, 0))
-                continue
-            prev = anchor or (records[-1].value if records else None)
-            bracket = initial_bracket(id, (target, prev, _predict(records)))
-            rec = refine(bracket, id)
+            prev, x, fx = anchor or (records[-1].value if records else None, None, None)
+            a, b, fa, fb = initial_bracket(id, target, prev, x, fx, _predict(records))
+            rec = refine(id, target, a, b, fa, fb)
             if records and not rec.value > records[-1].value:
                 raise ConvergenceError(
                     f"zeros of {kind.name} nu={nu} failed to increase at s={s}",
@@ -462,7 +432,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
                     code="NO_CONVERGENCE",
                 )
             records.append(rec)
-            anchor = (rec.value, bracket.hi, bracket.fhi) if bracket.fhi != 0.0 else None
+            anchor = (rec.value, b, fb) if fb != 0.0 else None
         if anchor:
             _anchors[key] = anchor
         return records

@@ -46,7 +46,6 @@ CERTIFIED_ZEROS = {
 
 # Values of the functions themselves (oracle, 17 digits).
 J_1_AT_1 = 0.44005058574493352
-CYL_QUARTER_PI_AT_0_1 = 0.47866937522955279  # (J_0(1) - Y_0(1)) / sqrt(2)
 
 # First positive root of W_{0,2} (oracle bisection on the Wronskian).
 W_0_2_FIRST_ZERO = 1.4018949468675323

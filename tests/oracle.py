@@ -101,6 +101,13 @@ def certify_zero(kind: str, nu, value: float, delta: float = 1e-9) -> bool:
     return f(v - d) * f(v + d) < 0
 
 
+@_with_dps
+def wronskian(nu, mu, x) -> mp.mpf:
+    """W_{nu,mu}(x) = J_nu(x) Y'_mu(x) - J'_nu(x) Y_mu(x)."""
+    x = mp.mpf(repr(x))
+    return _func("j", str(nu))(x) * _func("yp", str(mu))(x) - _func("jp", str(nu))(x) * _func("y", str(mu))(x)
+
+
 # Per kind: the name of its C_nu ufunc on ``special``, and whether the
 # target is C'_nu. Read per call, so a test can stub the ufuncs.
 _UFUNCS = {"j": ("jv", False), "y": ("yv", False), "jp": ("jv", True), "yp": ("yv", True)}

@@ -14,7 +14,6 @@ from bessel_interlace import (
     DomainError,
     eval_J,
     eval_Y,
-    eval_cylinder,
     eval_dJ,
     eval_dY,
 )
@@ -68,17 +67,6 @@ class TestExamples:
         rhs = -eval_Y(3.0, 1.0).value + 2.0 * eval_Y(2.0, 1.0).value
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_cylinder_alpha_zero_is_j(self):
-        assert eval_cylinder(0.0, 1.0, 1.0).value == eval_J(1.0, 1.0).value
-
-    def test_cylinder_alpha_half_pi_is_minus_y(self):
-        got = eval_cylinder(math.pi / 2, 0.0, 1.0).value
-        assert got == pytest.approx(-eval_Y(0.0, 1.0).value, rel=1e-15)
-
-    def test_cylinder_quarter_pi(self):
-        got = eval_cylinder(math.pi / 4, 0.0, 1.0).value
-        assert got == pytest.approx(fixtures.CYL_QUARTER_PI_AT_0_1, abs=1e-14)
-
 
 class TestDomain:
     @pytest.mark.parametrize("fn", [eval_J, eval_Y, eval_dJ, eval_dY])
@@ -110,10 +98,6 @@ class TestDomain:
             ev.check_orders(1.0, eps, code)
         assert exc.value.code == code
         assert str(exc.value) == f"order nu=1.0 plus eps={eps!r} exceeds NU_MAX={NU_MAX}"
-
-    def test_cylinder_rejects_bad_alpha(self):
-        with pytest.raises(DomainError):
-            eval_cylinder(math.inf, 1.0, 1.0)
 
 
 def _bits(v):
@@ -192,11 +176,6 @@ class TestIntInputs:
     @pytest.mark.parametrize("nu,x", [(0, 3), (2, 3), (3, 1), (30, 40)])
     def test_eval(self, fn, nu, x):
         assert _bits(fn(nu, x).value) == _bits(fn(float(nu), float(x)).value)
-
-    @pytest.mark.parametrize("alpha", [0, 1])
-    def test_cylinder(self, alpha):
-        got = eval_cylinder(alpha, 2, 5).value
-        assert _bits(got) == _bits(eval_cylinder(float(alpha), 2.0, 5.0).value)
 
 
 def _quality_grid(n=500, seed=20260809):

@@ -5,8 +5,8 @@ import bessel_interlace
 # The package root's public names: each module's __all__, plus __version__.
 ROOT_NAMES = {
     "errors": ["BesselInterlaceError", "DomainError", "BracketError", "ConvergenceError", "SearchError"],
-    "evaluate": ["NU_MAX", "EvalResult", "eval_J", "eval_Y", "eval_dJ", "eval_dY", "eval_cylinder"],
-    "zeros": ["ZeroKind", "ZeroId", "Bracket", "ZeroRecord", "initial_bracket", "refine", "zero", "zeros_upto"],
+    "evaluate": ["NU_MAX", "EvalResult", "eval_J", "eval_Y", "eval_dJ", "eval_dY"],
+    "zeros": ["ZeroKind", "ZeroId", "Bracket", "ZeroRecord", "zero", "zeros_upto"],
     "interlace": [
         "CHAIN_LABELS", "InterlaceChain", "ChainReport", "ViolationWitness", "build_chain", "check_chain",
         "check_theorem1", "check_proposition", "check_derivative_chains", "check_theorem2", "find_breaking",
@@ -21,7 +21,7 @@ ROOT_NAMES = {
 
 def test_root_exports_each_module_surface():
     names = [name for module_names in ROOT_NAMES.values() for name in module_names]
-    assert len(names) == 39
+    assert len(names) == 36
     assert sorted(bessel_interlace.__all__) == sorted([*names, "__version__"])
     for module_name, module_names in ROOT_NAMES.items():
         module = importlib.import_module(f"bessel_interlace.{module_name}")

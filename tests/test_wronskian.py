@@ -113,6 +113,25 @@ class TestHasPositiveZero:
         assert has_positive_zero(0.0, 2.0, 600.0) == pytest.approx(fixtures.W_0_2_FIRST_ZERO, abs=1e-9)
         assert len(calls) <= 45
 
+    # With nu far above mu, x*W near its first root is ~1e-170: a product
+    # of two such values underflows to -0.0, and bisection on it kept the
+    # wrong half (2.356... and 10.09... were returned). mpmath's W changes
+    # sign across each expected root, from W(0+) > 0.
+    @pytest.mark.parametrize("nu,mu,root", [(100.0, 0.5, 1.586583877129023), (150.0, 2.0, 3.406882025353487)])
+    def test_root_where_products_underflow(self, nu, mu, root):
+        assert oracle.wronskian(nu, mu, root * (1.0 - 1e-9)) > 0 > oracle.wronskian(nu, mu, root * (1.0 + 1e-9))
+        assert has_positive_zero(nu, mu, 60.0) == pytest.approx(root, rel=1e-11)
+
+    # J_600 underflows on all of (0, y_{2,1}), so x*W reads exactly 0.0
+    # there and shows no sign; 9.58e-73, where mpmath gives W > 0, was
+    # returned as a root.
+    def test_underflowed_left_edge_not_evaluable(self):
+        assert oracle.wronskian(600.0, 2.0, 9.577064802646286e-73) > 0
+        with pytest.raises(DomainError) as exc:
+            has_positive_zero(600.0, 2.0, 60.0)
+        assert exc.value.code == "DOMAIN_NU"
+        assert "not evaluable" in str(exc.value)
+
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
     def test_criterion_matches_order_gap(self, nu):
         for eps in (0.25, 0.5, 1.0):

@@ -18,8 +18,6 @@ from bessel_interlace import (
     DomainError,
     ZeroId,
     ZeroKind,
-    initial_bracket,
-    refine,
     zero,
     zeros_upto,
 )
@@ -34,6 +32,31 @@ def zval(kind, nu, s):
 
 def target(kind, nu):
     return _target(kind, nu)[0]
+
+
+def cold_zero(id):
+    """zero(id) from a cold cache, leaving the cache cold: a test's stubbed
+    target must not reach a later lookup."""
+    zmod.clear_cache()
+    try:
+        return zero(id)
+    finally:
+        zmod.clear_cache()
+
+
+def spied(monkeypatch, name, id):
+    """zero(id) from a cold cache, with each call the sequence loop makes to
+    zmod.<name> (``initial_bracket`` or ``refine``) recorded by rank as
+    (args after the id, result)."""
+    real, calls = getattr(zmod, name), {}
+
+    def spy(id, *args):
+        calls[id.s] = args, real(id, *args)
+        return calls[id.s][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(zmod, name, spy)
+        return cold_zero(id), calls
 
 
 _SCIPY = {ZeroKind.J: jv, ZeroKind.Y: yv, ZeroKind.JPRIME: jvp, ZeroKind.YPRIME: yvp}
@@ -116,22 +139,29 @@ class TestZeroIdDomain:
 
 
 class TestInitialBracket:
-    def test_first_j_zero_bracketed(self):
-        b = initial_bracket(ZeroId(ZeroKind.J, 0.0, 1))
-        assert b.lo < fixtures.ORACLE_ZEROS[("j", 0.0, 1)] < b.hi
-        assert b.width <= math.pi
+    # The walk's bracket of rank s, as the sequence loop hands it to refine.
+    @staticmethod
+    def walked(monkeypatch, kind, nu, s):
+        _, walks = spied(monkeypatch, "initial_bracket", ZeroId(kind, nu, s))
+        return walks[s][1]
 
-    def test_half_order_y_bracketed(self):
-        b = initial_bracket(ZeroId(ZeroKind.Y, 0.5, 1))
-        assert b.lo < math.pi / 2 < b.hi
+    def test_first_j_zero_bracketed(self, monkeypatch):
+        lo, hi, _, _ = self.walked(monkeypatch, ZeroKind.J, 0.0, 1)
+        assert lo < fixtures.ORACLE_ZEROS[("j", 0.0, 1)] < hi
+        assert hi - lo <= math.pi
 
-    def test_jprime_convention_shift(self):
-        b = initial_bracket(ZeroId(ZeroKind.JPRIME, 0.0, 2))
-        assert b.lo < fixtures.ORACLE_ZEROS[("j", 1.0, 1)] < b.hi
+    def test_half_order_y_bracketed(self, monkeypatch):
+        lo, hi, _, _ = self.walked(monkeypatch, ZeroKind.Y, 0.5, 1)
+        assert lo < math.pi / 2 < hi
 
-    def test_conventional_zero_has_no_bracket(self):
-        with pytest.raises(DomainError):
-            initial_bracket(ZeroId(ZeroKind.JPRIME, 0.0, 1))
+    def test_jprime_convention_shift(self, monkeypatch):
+        lo, hi, _, _ = self.walked(monkeypatch, ZeroKind.JPRIME, 0.0, 2)
+        assert lo < fixtures.ORACLE_ZEROS[("j", 1.0, 1)] < hi
+
+    def test_conventional_zero_is_not_walked(self, monkeypatch):
+        rec, walks = spied(monkeypatch, "initial_bracket", ZeroId(ZeroKind.JPRIME, 0.0, 1))
+        assert walks == {}
+        assert rec.bracket == Bracket(0.0, 0.0)
 
     @pytest.mark.parametrize(
         "kind,nu,s",
@@ -142,11 +172,13 @@ class TestInitialBracket:
             (ZeroKind.YPRIME, 12.0, 2),
         ],
     )
-    def test_bracket_is_sign_change(self, kind, nu, s):
-        b = initial_bracket(ZeroId(kind, nu, s))
+    def test_bracket_is_sign_change(self, monkeypatch, kind, nu, s):
+        lo, hi, flo, fhi = self.walked(monkeypatch, kind, nu, s)
         f = target(kind, nu)
-        assert f(b.lo) * f(b.hi) < 0.0
-        assert b.width <= math.pi
+        # F at the ends comes with the bracket, exactly as F gives it.
+        assert (flo.hex(), fhi.hex()) == (f(lo).hex(), f(hi).hex())
+        assert f(lo) * f(hi) < 0.0
+        assert hi - lo <= math.pi
 
 
 class TestTarget:
@@ -199,7 +231,7 @@ class TestWalkStop:
             return value, None, lambda x, fx: 1.0
 
         monkeypatch.setattr(zmod, "_target", line)
-        rec = refine(initial_bracket(id), id)
+        rec = cold_zero(id)
         assert (rec.value, rec.bracket, rec.residual, rec.iterations) == (r, Bracket(r, r), 0.0, 0)
         assert seen == [x0, x0 + _STEP, r]
 
@@ -211,7 +243,7 @@ class TestWalkStop:
         line = lambda x: slope(x) * (x - 10.0)  # noqa: E731
         monkeypatch.setattr(zmod, "_target", lambda kind, nu: (line, None, lambda x, fx: slope(x)))
         assert line(2.0) * line(2.0 + _STEP) == 0.0
-        rec = refine(initial_bracket(id), id)
+        rec = cold_zero(id)
         assert rec.bracket.lo <= 10.0 <= rec.bracket.hi
         assert rec.value == pytest.approx(10.0, abs=1e-13)
 
@@ -222,32 +254,62 @@ class TestWalkStop:
         line = lambda x: 1e-170 * (x - 10.0)  # noqa: E731
         monkeypatch.setattr(zmod, "_target", lambda kind, nu: (line, None, lambda x, fx: 1e-170))
         assert line(9.0) * line(11.0) == 0.0
-        rec = refine(initial_bracket(id), id)
+        rec = cold_zero(id)
         assert rec.bracket.lo <= 10.0 <= rec.bracket.hi
         assert rec.value == pytest.approx(10.0, abs=1e-13)
+
+    # F reading exactly 0.0 or NaN at the walk's start says nothing of the
+    # sign there: the start moves up by 1e-9 relative, once, and the walk
+    # goes on from that point to the sign change at 10.
+    @pytest.mark.parametrize("at_start", [0.0, math.nan])
+    def test_start_point_nudged_once(self, monkeypatch, at_start):
+        id = ZeroId(ZeroKind.J, 2.0, 1)
+        x0 = _scan_start(id.kind, id.nu, None)
+        seen = []
+
+        def value(x):
+            seen.append(x)
+            return at_start if x == x0 else x - 10.0
+
+        monkeypatch.setattr(zmod, "_target", lambda kind, nu: (value, None, lambda x, fx: 1.0))
+        rec = cold_zero(id)
+        assert seen[:3] == [x0, x0 * (1.0 + 1e-9), x0 * (1.0 + 1e-9) + _STEP]
+        assert rec.bracket.lo <= 10.0 <= rec.bracket.hi
+        assert rec.value == pytest.approx(10.0, abs=1e-13)
+
+    # A walk that meets no sign change within _REACH of its anchor, or F
+    # reading NaN at a walk point, raises BracketError.
+    @pytest.mark.parametrize("far", [1.0, math.nan])
+    def test_walk_gives_up(self, monkeypatch, far):
+        id = ZeroId(ZeroKind.J, 2.0, 1)
+        x0 = _scan_start(id.kind, id.nu, None)
+        seen = []
+
+        def value(x):
+            seen.append(x)
+            return 1.0 if x == x0 else far
+
+        monkeypatch.setattr(zmod, "_target", lambda kind, nu: (value, None, lambda x, fx: 1.0))
+        with pytest.raises(zmod.BracketError) as err:
+            cold_zero(id)
+        assert err.value.code == "BRACKET_NOT_FOUND"
+        assert max(seen) == (x0 + _REACH if far == 1.0 else x0 + _STEP)
 
 
 class TestRefine:
     def test_refine_j01(self):
-        id = ZeroId(ZeroKind.J, 0.0, 1)
-        rec = refine(initial_bracket(id), id)
+        rec = cold_zero(ZeroId(ZeroKind.J, 0.0, 1))
         assert rec.value == pytest.approx(fixtures.ORACLE_ZEROS[("j", 0.0, 1)], abs=1e-12)
         assert rec.bracket.lo <= rec.value <= rec.bracket.hi
 
     def test_refine_y11(self):
-        id = ZeroId(ZeroKind.Y, 1.0, 1)
-        rec = refine(initial_bracket(id), id)
+        rec = cold_zero(ZeroId(ZeroKind.Y, 1.0, 1))
         assert rec.value == pytest.approx(fixtures.ORACLE_ZEROS[("y", 1.0, 1)], abs=1e-12)
 
-    def test_degenerate_conventional_bracket(self):
-        rec = refine(Bracket(0.0, 0.0), ZeroId(ZeroKind.JPRIME, 0.0, 1))
-        assert rec.value == 0.0
-        assert rec.residual == 0.0
-        assert rec.iterations == 0
-
-    def test_degenerate_bracket_rejected_elsewhere(self):
-        with pytest.raises(DomainError):
-            refine(Bracket(0.0, 0.0), ZeroId(ZeroKind.J, 0.0, 1))
+    def test_degenerate_conventional_bracket(self, monkeypatch):
+        rec, polished = spied(monkeypatch, "refine", ZeroId(ZeroKind.JPRIME, 0.0, 1))
+        assert polished == {}
+        assert (rec.value, rec.bracket, rec.residual, rec.iterations) == (0.0, Bracket(0.0, 0.0), 0.0, 0)
 
 
 class TestStraddleProbe:
@@ -275,14 +337,21 @@ class TestStraddleProbe:
 
             return value, None, slope
 
+        real_refine = zmod.refine
+
+        def polish(id, target, a, b, fa, fb):
+            del seen[:]  # the walk's points
+            polished.append((a, b))
+            return real_refine(id, target, a, b, fa, fb)
+
+        polished = []
         monkeypatch.setattr(zmod, "_target", too_steep)
-        bracket = initial_bracket(id)
-        del seen[:]
-        rec = refine(bracket, id)
+        monkeypatch.setattr(zmod, "refine", polish)
+        rec = cold_zero(id)
         monkeypatch.undo()
         # The walk's bracket brings F at its ends: refine starts at their
         # secant point.
-        a, b = bracket.lo, bracket.hi
+        [(a, b)] = polished
         fa, fb = target(kind, nu)(a), target(kind, nu)(b)
         assert a < a - fa * (b - a) / (fb - fa) < b
         assert seen[0][:2] == ("value", a - fa * (b - a) / (fb - fa))
@@ -325,10 +394,12 @@ class TestEvaluatedOnce:
 
             return wrapper
 
-        def walk(*args, **kwargs):
+        real_walk = zmod.initial_bracket
+
+        def walk(*args):
             walking[0] = True
             try:
-                return initial_bracket(*args, **kwargs)
+                return real_walk(*args)
             finally:
                 walking[0] = False
 
@@ -450,10 +521,11 @@ class TestEvaluationBudget:
 
             return wrapper
 
-        def polish(bracket, id):
+        real_refine = zmod.refine
+
+        def polish(id, target, a, b, fa, fb):
             before = above[0]
-            rec = refine(bracket, id)
-            a, b, fa, fb = bracket.lo, bracket.hi, bracket.flo, bracket.fhi
+            rec = real_refine(id, target, a, b, fa, fb)
             if rec.iterations == 1 and rec.value == a - fa * (b - a) / (fb - fa) and rec.bracket.lo < rec.bracket.hi:
                 first.append(above[0] - before)
             else:
@@ -586,8 +658,8 @@ def _record_bits(rec):
 
 
 class TestIntOrders:
-    # scipy's typed entry points take no int; an int order or bracket end
-    # must give exactly the records of the float one, with a float order.
+    # scipy's typed entry points take no int; an int order must give
+    # exactly the records of the float one, with a float order.
     @staticmethod
     def cold(fn):
         zmod.clear_cache()
@@ -605,18 +677,17 @@ class TestIntOrders:
         got = self.cold(lambda: zeros_upto(kind, nu, 6))
         assert [_record_bits(r) for r in got] == [_record_bits(r) for r in self.cold(lambda: zeros_upto(kind, float(nu), 6))]
 
+    # The walk and refine of an int order are handed exactly the float
+    # order's anchors and brackets.
     @pytest.mark.parametrize("kind", [ZeroKind.J, ZeroKind.YPRIME])
-    def test_initial_bracket(self, kind):
-        got = self.cold(lambda: initial_bracket(ZeroId(kind, 2, 3)))
-        want = self.cold(lambda: initial_bracket(ZeroId(kind, 2.0, 3)))
-        fields = lambda b: [v.hex() for v in (b.lo, b.hi, b.flo, b.fhi)]  # noqa: E731
-        assert fields(got) == fields(want)
-        assert type(got.id.nu) is float
+    @pytest.mark.parametrize("stage", ["initial_bracket", "refine"])
+    def test_walk_and_refine(self, monkeypatch, kind, stage):
+        def handed(nu):
+            calls = spied(monkeypatch, stage, ZeroId(kind, nu, 3))[1]
+            return {s: [v.hex() for v in args if type(v) is float] for s, (args, _) in calls.items()}
 
-    def test_refine(self):
-        got = refine(Bracket(5, 6), ZeroId(ZeroKind.J, 2, 1))
-        assert _record_bits(got) == _record_bits(refine(Bracket(5.0, 6.0), ZeroId(ZeroKind.J, 2.0, 1)))
-        assert got.value == 5.135622301840682
+        got = handed(2)
+        assert got == handed(2.0) and sorted(got) == [1, 2, 3]
 
 
 class TestRankCertification:
@@ -815,10 +886,10 @@ class TestCarriedAnchor:
         zmod.clear_cache()
         real_refine = zmod.refine
 
-        def failing(bracket, id):
+        def failing(id, *args):
             if id.s == 6:
                 raise zmod.ConvergenceError("forced", code="NO_CONVERGENCE")
-            return real_refine(bracket, id)
+            return real_refine(id, *args)
 
         monkeypatch.setattr(zmod, "refine", failing)
         with pytest.raises(zmod.ConvergenceError):
