@@ -12,17 +12,25 @@ zero alone, so no zero lies between them) and steps strictly below the
 minimum spacing of consecutive zeros, so ranks cannot be skipped; it
 gives up _REACH past its anchor. No two zeros lie within twice that
 spacing of the previous one, so the first step from the anchor may reach
-that far past the previous zero. From rank 4 the walk's first points
+that far past the previous zero. From rank 3 the walk's first points
 after the anchor are g - h and g + 2h when those steps keep within both
-bounds, where g extrapolates the last three zeros quadratically and h
-bounds its error; the guess only places sign checks and never certifies
-a rank. A walk point where F is exactly 0.0 ends the walk with that
-point as its bracket's upper end, and refine returns it with the bracket
-[x, x]; the next walk then starts just past that zero.
+bounds, for a guess (g, h) whose h bounds g's error. Of two guesses the
+one with the smaller h is used: McMahon's expansion M(s) (A&S 9.5.12 for
+j and y, 9.5.13 for j' and y') plus the last zero's offset d = z - M,
+with h twice the change in d, and from rank 4 the quadratic through the
+last three zeros. M's coefficients are built once per sequence, when it
+has two walked zeros, and carried with the last two d from one zero,
+and one extension, to the next, so each zero costs one M. The guess only
+places sign checks and never certifies a rank. A walk point where F is
+exactly 0.0 ends the walk with that point as its bracket's upper end,
+and refine returns it with the bracket [x, x]; the next walk then starts
+just past that zero.
 A walk step evaluates F alone (C_nu for J and Y), and the walk hands F
 at its bracket's ends to refine, as the loop hands it F at the anchor,
-so no point is evaluated twice: a guessed J or Y zero costs ~4 scipy
-calls (2 walk points, 1 iterate, 1 probe).
+so no point is evaluated twice. Deep in a sequence McMahon's guess puts
+g - h and g + 2h within WIDTH_TOL of each other, and refine stops on
+its width test at the bracket's secant point: a J or Y zero then costs 3
+scipy calls (2 walk points, 1 iterate) and a J' or Y' zero 6.
 Refinement is safeguarded Newton, started at the bracket's secant point,
 that falls back to bisection whenever a Newton step would leave the
 current bracket. A J' or Y' iterate takes its value and slope from one
@@ -371,10 +379,13 @@ def refine(id: ZeroId, target: tuple, a: float, b: float, fa: float, fb: float) 
 # --- cached sequential enumeration ----------------------------------------
 
 _cache: dict[tuple[ZeroKind, float], list[ZeroRecord]] = {}
-# Per cached sequence whose last walk ended on a nonzero F: (z, x, F(x))
-# with z its last zero and x that walk's upper end, where the next walk
-# starts. The previous walk's bracket held z alone, so (z, x] holds no zero.
-_anchors: dict[tuple[ZeroKind, float], tuple[float, float, float]] = {}
+# Per cached sequence, what its last extension hands the next, (x, F(x),
+# row, d_old, d_last): x is the upper end of the last walk's bracket, where
+# the next walk starts (None when that walk hit its zero exactly), and that
+# bracket held the last zero alone, so no zero lies between them. row is
+# the sequence's _mcmahon_row, and d = z - M(s) of its last two zeros; all
+# three are None until the sequence has two walked zeros.
+_anchors: dict[tuple[ZeroKind, float], tuple] = {}
 # Guards every read and extension of the cache. Extending a sequence never
 # looks up another one, so holding it across the refinement cannot deadlock.
 _cache_lock = threading.Lock()
@@ -387,15 +398,65 @@ def clear_cache() -> None:
         _anchors.clear()
 
 
-def _predict(records: list[ZeroRecord]) -> tuple[float, float] | None:
-    """A guess (g, h) at the next zero: g extrapolates the last three
-    quadratically, and h, the gap to the linear extrapolation, bounds
-    its error (at least ~2e-11 relative)."""
-    if len(records) < 3:
+def _mcmahon_row(kind: ZeroKind, nu: float) -> tuple[float, float, float, float, float]:
+    """(c1, c3, c5, c7, shift) of McMahon's expansion of the kind's zeros at
+    order nu, for ``_mcmahon``, with mu = 4 nu^2: A&S 9.5.12 gives the c
+    for j and y, at beta = (s + nu/2 - 1/4) pi and (s + nu/2 - 3/4) pi;
+    A&S 9.5.13 those for j' and y', at (s + nu/2 - 3/4) pi (so j'_{0,1} = 0
+    counts as rank 1) and (s + nu/2 - 1/4) pi. beta = (s + shift) pi.
+    """
+    mu = 4.0 * nu * nu
+    shift = 0.5 * nu - (0.25 if kind in (ZeroKind.J, ZeroKind.YPRIME) else 0.75)
+    if kind in (ZeroKind.J, ZeroKind.Y):
+        a = mu - 1.0
+        return (
+            a,
+            4.0 * a * (7.0 * mu - 31.0) / 3.0,
+            32.0 * a * ((83.0 * mu - 982.0) * mu + 3779.0) / 15.0,
+            64.0 * a * (((6949.0 * mu - 153855.0) * mu + 1585743.0) * mu - 6277237.0) / 105.0,
+            shift,
+        )
+    return (
+        mu + 3.0,
+        4.0 * ((7.0 * mu + 82.0) * mu - 9.0) / 3.0,
+        32.0 * (((83.0 * mu + 2075.0) * mu - 3039.0) * mu + 3537.0) / 15.0,
+        64.0 * ((((6949.0 * mu + 296492.0) * mu - 1248002.0) * mu + 7414380.0) * mu - 5853627.0) / 105.0,
+        shift,
+    )
+
+
+def _mcmahon(row: tuple[float, float, float, float, float], s: int) -> float:
+    """M(s) = beta - c1/(8 beta) - c3/(8 beta)^3 - c5/(8 beta)^5 - c7/(8 beta)^7,
+    McMahon's expansion of the s-th zero with four corrections, for a
+    ``_mcmahon_row``."""
+    c1, c3, c5, c7, shift = row
+    b8 = 8.0 * math.pi * (s + shift)
+    t = 1.0 / (b8 * b8)
+    return 0.125 * b8 - (c1 + t * (c3 + t * (c5 + t * c7))) / b8
+
+
+def _predict(records: list[ZeroRecord], m: float | None, d_old: float | None, d_last: float | None) -> tuple[float, float] | None:
+    """A guess (g, h) at the next zero, where h bounds g's error, from the
+    source whose h is smaller; None before either has its history.
+
+    McMahon's, from rank 3, with ``m`` = M(s) and d = z - M of the last
+    two zeros, ``d_old`` before ``d_last``: g = m + d_last and h =
+    max(2 |d_last - d_old|, 4 ulp(g)). The quadratic one, from rank 4: g
+    extrapolates the last three zeros quadratically and h, the gap to the
+    linear extrapolation, is at least 2e-11 * max(1, g), so a McMahon h
+    below 2e-11 wins without it.
+    """
+    if d_old is not None:
+        g = m + d_last
+        h = max(2.0 * abs(d_last - d_old), 4.0 * math.ulp(g))
+        if h < 2e-11 or len(records) < 3:
+            return g, h
+    elif len(records) < 3:
         return None
     z1, z2, z3 = records[-3].value, records[-2].value, records[-1].value
-    g = 3.0 * (z3 - z2) + z1
-    return g, max(abs(g - (2.0 * z3 - z2)), 2e-11 * max(1.0, g))
+    gq = 3.0 * (z3 - z2) + z1
+    hq = max(abs(gq - (2.0 * z3 - z2)), 2e-11 * max(1.0, gq))
+    return (g, h) if d_old is not None and h < hq else (gq, hq)
 
 
 def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
@@ -410,18 +471,26 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
         if len(records) >= s_max:
             return records
         # Taken out for an extension and put back at its end, so one that
-        # raises leaves no anchor and the next walk starts past the zero.
-        anchor = _anchors.pop(key, None)
+        # raises leaves no anchor: the next walk starts past the last zero,
+        # and d is derived again from the records, to the same bits.
+        x, fx, row, d_old, d_last = _anchors.pop(key, None) or (None,) * 5
         target = _target(kind, nu)
         if not records and kind is ZeroKind.JPRIME and nu == 0.0:
             records.append(ZeroRecord(ZeroId(kind, nu, 1), 0.0, Bracket(0.0, 0.0), 0.0, 0))
         while len(records) < s_max:
             s = len(records) + 1
             id = ZeroId(kind, nu, s)
-            prev, x, fx = anchor or (records[-1].value if records else None, None, None)
-            a, b, fa, fb = initial_bracket(id, target, prev, x, fx, _predict(records))
+            # McMahon's guess needs two walked zeros before it (j'_{0,1} = 0
+            # is not walked), so a sequence that stops short of that
+            # builds no row.
+            if row is None and s > 2 and records[-2].value > 0.0:
+                row = _mcmahon_row(kind, nu)
+                d_old, d_last = (r.value - _mcmahon(row, r.id.s) for r in records[-2:])
+            m = _mcmahon(row, s) if row else None
+            prev = records[-1].value if records else None
+            a, b, fa, fb = initial_bracket(id, target, prev, x, fx, _predict(records, m, d_old, d_last))
             rec = refine(id, target, a, b, fa, fb)
-            if records and not rec.value > records[-1].value:
+            if records and not rec.value > prev:
                 raise ConvergenceError(
                     f"zeros of {kind.name} nu={nu} failed to increase at s={s}",
                     code="NO_CONVERGENCE",
@@ -432,9 +501,10 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
                     code="NO_CONVERGENCE",
                 )
             records.append(rec)
-            anchor = (rec.value, b, fb) if fb != 0.0 else None
-        if anchor:
-            _anchors[key] = anchor
+            x, fx = (b, fb) if fb != 0.0 else (None, None)
+            if row:
+                d_old, d_last = d_last, rec.value - m
+        _anchors[key] = x, fx, row, d_old, d_last
         return records
 
 

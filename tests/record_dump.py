@@ -16,7 +16,10 @@ in the same order, then prints per field how many records differ and
 the largest move: in ulps of the first dump's value for value, lo and
 hi, and absolute for residual and iterations. It ends with each dump's
 total of iterations, and exits 1 when any record differs in any field,
-so a script can use it as the bit-identity check.
+so a script can use it as the bit-identity check. With ``--oracle``
+(after the two paths) it also prints, for the values that moved, each
+dump's distance from the mpmath root (``oracle.root_near``) in ulps of
+that value, median and max.
 
 Only the public API is used, so the script also runs against a tree
 that predates it. Not a test module: pytest does not collect it.
@@ -25,6 +28,7 @@ that predates it. Not a test module: pytest does not collect it.
 from __future__ import annotations
 
 import math
+import statistics
 import sys
 
 FIELDS = ("value", "lo", "hi", "residual", "iterations")
@@ -54,9 +58,11 @@ def _read(path):
     return ranks, fields
 
 
-def compare(path_a, path_b, out) -> int:
+def compare(path_a, path_b, out, oracle=False) -> int:
     """Per field: records that differ between the dumps, and the largest move;
-    then each dump's total of iterations. Returns how many records differ."""
+    then each dump's total of iterations and, with ``oracle``, each dump's
+    distance from the mpmath root over the moved values. Returns how many
+    records differ."""
     ranks_a, a = _read(path_a)
     ranks_b, b = _read(path_b)
     assert ranks_a == ranks_b, "the dumps name different ranks"
@@ -71,13 +77,33 @@ def compare(path_a, path_b, out) -> int:
             unit = "absolute"
         out.write(f"{name}: {len(moved)} differ, largest move {worst:.3g} {unit}\n")
     out.write(f"iterations in total: {sum(r[4] for r in a):,} -> {sum(r[4] for r in b):,}\n")
+    if oracle:
+        _oracle_distances(ranks_a, a, b, out)
     return sum(ra != rb for ra, rb in zip(a, b))
 
 
+def _oracle_distances(ranks, a, b, out):
+    """Each dump's distance, in ulps of its own value, from the mpmath root
+    near the values that moved: median and max."""
+    import oracle  # mpmath, imported only when asked for
+
+    moved = [(rank, ra[0], rb[0]) for rank, ra, rb in zip(ranks, a, b) if ra[0] != rb[0]]
+    dist = {"first": [], "second": []}
+    for (kind, nu, _), va, vb in moved:
+        root = oracle.root_near(kind, float.fromhex(nu), va, 1e-12 * max(1.0, va))
+        dist["first"].append(float(abs(root - va)) / math.ulp(va))
+        dist["second"].append(float(abs(root - vb)) / math.ulp(vb))
+    out.write(f"mpmath distance of the {len(moved)} moved values, in ulps:")
+    for side, d in dist.items():
+        out.write(f" {side} median {statistics.median(d) if d else 0.0:.3g} max {max(d, default=0.0):.3g};")
+    out.write("\n")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
-        sys.exit(1 if compare(sys.argv[2], sys.argv[3], sys.stdout) else 0)
-    elif len(sys.argv) == 1:
+    args = sys.argv[1:]
+    if args[:1] == ["--compare"] and len(args) in (3, 4) and args[3:] in ([], ["--oracle"]):
+        sys.exit(1 if compare(args[1], args[2], sys.stdout, oracle=len(args) == 4) else 0)
+    elif not args:
         print(f"{dump(sys.stdout)} records", file=sys.stderr)
     else:
-        sys.exit("usage: record_dump.py [--compare A.hex B.hex]")
+        sys.exit("usage: record_dump.py [--compare A.hex B.hex [--oracle]]")

@@ -471,19 +471,21 @@ class TestAccuracyAgainstOracle:
 
 class TestEvaluationBudget:
     # Each walk starts where the last one ended, with F there known, and
-    # its new points g - h and g + 2h sit around the zero the last three
-    # predict; one Newton iterate from the bracket's secant point and the
-    # probe bring a J or Y zero to ~4 scipy calls, since an iterate that
-    # the probe certifies never asks for C_{nu+1} (8 starting the walk past
-    # the previous zero, Newton at the midpoint and C_{nu+1} at every
-    # iterate). A J' or Y' point costs two calls, so those zeros take ~8.
+    # its new points g - h and g + 2h sit around the zero that McMahon's
+    # expansion plus the last zero's offset from it predicts (the last
+    # three zeros' quadratic at low ranks of large orders). Those points
+    # lie within WIDTH_TOL of each other, so refine stops on its width test
+    # at the bracket's secant point: a J or Y zero costs ~3 scipy calls (2
+    # walk points, 1 iterate) and no C_{nu+1} call (8 starting the walk
+    # past the previous zero, Newton at the midpoint and C_{nu+1} at every
+    # iterate). A J' or Y' point costs two calls, so those zeros take ~6.
     @pytest.mark.parametrize(
         "kind,nu,ranks,budget",
         [
-            (ZeroKind.Y, 2.5, 2000, 5),
-            (ZeroKind.J, 10.0, 1500, 5),
-            (ZeroKind.JPRIME, 10.0, 1500, 9),
-            (ZeroKind.YPRIME, 2.5, 2000, 9),
+            (ZeroKind.Y, 2.5, 2000, 4),
+            (ZeroKind.J, 10.0, 1500, 4),
+            (ZeroKind.JPRIME, 10.0, 1500, 7),
+            (ZeroKind.YPRIME, 2.5, 2000, 7),
         ],
     )
     def test_scipy_calls_per_zero(self, monkeypatch, kind, nu, ranks, budget):
@@ -505,14 +507,15 @@ class TestEvaluationBudget:
         assert calls[0] <= budget * ranks
 
     # A J or Y iterate asks for C_{nu+1} only to step (or when the slope it
-    # estimates fails the convergence test), so a zero whose first iterate
-    # the probe certifies makes no C_{nu+1} call, and no zero makes more
-    # than one per iterate that steps. The first iterate is the walk
-    # bracket's secant point.
+    # estimates fails the convergence test). So a zero that ends without a
+    # stepping iterate makes no C_{nu+1} call: one whose first iterate, the
+    # walk bracket's secant point, ends refine on the width test or an
+    # exact zero (iterations == 0), or is certified by its probe. No other
+    # zero makes more than one per iterate that steps.
     @pytest.mark.parametrize("kind,nu,ranks", [(ZeroKind.Y, 2.5, 2000), (ZeroKind.J, 10.0, 1500)])
     def test_c_nu_plus_1_only_to_step(self, monkeypatch, kind, nu, ranks):
         above = [0]  # C_{nu+1} calls so far
-        first, later = [], []  # C_{nu+1} calls per zero certified at its first iterate; (calls, record) for the others
+        unstepped, later = [], []  # C_{nu+1} calls per zero without a stepping iterate; (calls, record) for the others
 
         def counted(bessel):
             def wrapper(order, x):
@@ -526,8 +529,9 @@ class TestEvaluationBudget:
         def polish(id, target, a, b, fa, fb):
             before = above[0]
             rec = real_refine(id, target, a, b, fa, fb)
-            if rec.iterations == 1 and rec.value == a - fa * (b - a) / (fb - fa) and rec.bracket.lo < rec.bracket.hi:
-                first.append(above[0] - before)
+            probed = rec.iterations == 1 and rec.value == a - fa * (b - a) / (fb - fa) and rec.bracket.lo < rec.bracket.hi
+            if rec.iterations == 0 or probed:
+                unstepped.append(above[0] - before)
             else:
                 later.append((above[0] - before, rec))
             return rec
@@ -539,8 +543,8 @@ class TestEvaluationBudget:
         zeros_upto(kind, nu, ranks)
         monkeypatch.undo()
         zmod.clear_cache()
-        assert len(first) >= 0.8 * ranks
-        assert not any(first)
+        assert len(unstepped) >= 0.8 * ranks
+        assert not any(unstepped)
         # A record's iterations leave out at most one final iterate, which never steps.
         assert all(calls <= rec.iterations for calls, rec in later)
         assert above[0] == sum(calls for calls, _ in later)
@@ -607,6 +611,38 @@ class TestZero:
                 - 32.0 * (83.0 * mu**3 + 2075.0 * mu**2 - 3039.0 * mu + 3537.0) / (15.0 * b8**5)
             )
             assert recs[s - 1].value == pytest.approx(mcmahon, abs=1e-9)
+
+    # M(s) against A&S 9.5.12 (j, y) and 9.5.13 (j', y') transcribed here
+    # with four corrections, mu = 4 nu^2, apart from the library's Horner
+    # form; at low ranks every correction shows.
+    ROWS = {
+        "jy": lambda mu: (
+            mu - 1.0,
+            4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / 3.0,
+            32.0 * (mu - 1.0) * (83.0 * mu**2 - 982.0 * mu + 3779.0) / 15.0,
+            64.0 * (mu - 1.0) * (6949.0 * mu**3 - 153855.0 * mu**2 + 1585743.0 * mu - 6277237.0) / 105.0,
+        ),
+        "primed": lambda mu: (
+            mu + 3.0,
+            4.0 * (7.0 * mu**2 + 82.0 * mu - 9.0) / 3.0,
+            32.0 * (83.0 * mu**3 + 2075.0 * mu**2 - 3039.0 * mu + 3537.0) / 15.0,
+            64.0 * (6949.0 * mu**4 + 296492.0 * mu**3 - 1248002.0 * mu**2 + 7414380.0 * mu - 5853627.0) / 105.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 2.5, 30.0])
+    @pytest.mark.parametrize(
+        "kind,row,shift",
+        [(ZeroKind.J, "jy", 0.25), (ZeroKind.Y, "jy", 0.75), (ZeroKind.JPRIME, "primed", 0.75), (ZeroKind.YPRIME, "primed", 0.25)],
+    )
+    def test_mcmahon_rows(self, kind, row, shift, nu):
+        c1, c3, c5, c7 = self.ROWS[row](4.0 * nu * nu)
+        m = functools.partial(zmod._mcmahon, zmod._mcmahon_row(kind, nu))
+        for s in (2, 5, 20, 300):
+            beta = (s + 0.5 * nu - shift) * math.pi
+            b8 = 8.0 * beta
+            expect = beta - c1 / b8 - c3 / b8**3 - c5 / b8**5 - c7 / b8**7
+            assert m(s) == pytest.approx(expect, rel=1e-13)
 
     def test_rank_cap_enforced(self):
         with pytest.raises(DomainError):
@@ -772,11 +808,13 @@ class TestRankCertification:
 
 
 class TestWrongGuess:
-    # The guess (g, h) from _predict only places the walk's sign checks, so
-    # no guess may cost a rank: each wrong one below is either not used or
-    # leaves the walk to find the zero, and every rank and value matches
-    # grid_zeros and a walk without guesses. Guesses start at rank 2, the
-    # first with a previous zero. z is 0-based: z[s - 1] is rank s.
+    # The guess (g, h) from _predict, McMahon's or the quadratic one, only
+    # places the walk's sign checks, so no guess may cost a rank: each wrong
+    # one below is either not used or leaves the walk to find the zero, and
+    # every rank and value matches grid_zeros and a walk without guesses.
+    # The fake replaces both sources, and a spy on the walk checks that it
+    # gets the fake at every rank from 2, the first with a previous zero.
+    # z is 0-based: z[s - 1] is rank s.
     RANKS = 30
     GUESSES = {
         "half-a-spacing-low": lambda z, s: (z[s - 1] - 0.5 * (z[s - 1] - z[s - 2]), 1e-9),
@@ -803,18 +841,19 @@ class TestWrongGuess:
     @pytest.mark.parametrize("kind", list(ZeroKind))
     def test_a_wrong_guess_never_costs_a_rank(self, monkeypatch, kind, nu, guess):
         z = TestRankCertification.ranked(kind, nu)
-        asked = []
+        fake = self.GUESSES[guess]
+        real_walk, walked = zmod.initial_bracket, {}
 
-        def predict(records):
-            s = len(records) + 1
-            asked.append(s)
-            return self.GUESSES[guess](z, s) if s > 1 else None
+        def walk(id, target, prev, x, fx, guess):
+            walked[id.s] = guess
+            return real_walk(id, target, prev, x, fx, guess)
 
-        monkeypatch.setattr(zmod, "_predict", lambda records: None)
+        monkeypatch.setattr(zmod, "_predict", lambda records, *carry: None)
         cold = self.values(kind, nu, self.RANKS)
-        monkeypatch.setattr(zmod, "_predict", predict)
+        monkeypatch.setattr(zmod, "_predict", lambda records, *carry: fake(z, len(records) + 1) if records else None)
+        monkeypatch.setattr(zmod, "initial_bracket", walk)
         guessed = self.values(kind, nu, self.RANKS)
-        assert asked[1 - self.RANKS :] == list(range(2, self.RANKS + 1))
+        assert {s: g for s, g in walked.items() if s > 1} == {s: fake(z, s) for s in range(2, self.RANKS + 1)}
         assert guessed == pytest.approx(z[: self.RANKS], rel=1e-10, abs=1e-12)
         assert all(abs(g - c) <= 2.0 * WIDTH_TOL * max(1.0, c) for g, c in zip(guessed, cold))
 
@@ -869,7 +908,7 @@ class TestCarriedAnchor:
         h = 2.0**-30  # a power of two, so z - 2h and back are exact here
         assert (z - 2.0 * h) + 2.0 * h == z
         predict = zmod._predict
-        monkeypatch.setattr(zmod, "_predict", lambda records: (z - 2.0 * h, h) if len(records) == s - 1 else predict(records))
+        monkeypatch.setattr(zmod, "_predict", lambda records, *carry: (z - 2.0 * h, h) if len(records) == s - 1 else predict(records, *carry))
         records, seen = self.build(monkeypatch, kind, nu, forced_zero=z)
         hit = records[s - 1]
         assert (hit.value, hit.bracket, hit.residual, hit.iterations) == (z, Bracket(z, z), 0.0, 0)
@@ -908,6 +947,84 @@ class TestCarriedAnchor:
         assert not zmod._anchors
         assert zeros_upto(ZeroKind.Y, 2.5, 5) == first
         zmod.clear_cache()
+
+
+class TestMcMahonCarry:
+    # The sequence loop carries McMahon's row and d = z - M(s) of the last
+    # two walked zeros from one extension to the next, so a sequence built
+    # one rank at a time builds the row once, evaluates M once per rank and
+    # gets the same records, bit for bit, as one built by a single call.
+    RANKS = 60
+
+    @staticmethod
+    def counted_mcmahon(monkeypatch):
+        """Counts of _mcmahon_row builds and of M evaluations."""
+        counts = {"builds": 0, "evals": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(zmod, "_mcmahon_row", counted("builds", zmod._mcmahon_row))
+        monkeypatch.setattr(zmod, "_mcmahon", counted("evals", zmod._mcmahon))
+        return counts
+
+    @pytest.mark.parametrize("interruption", ["none", "failed", "cleared"])
+    @pytest.mark.parametrize("nu", [0.0, 2.5, 30.0])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_one_rank_at_a_time_matches_one_call(self, monkeypatch, kind, nu, interruption):
+        zmod.clear_cache()
+        whole = [_record_bits(r) for r in zeros_upto(kind, nu, self.RANKS)]
+        zmod.clear_cache()
+        real_refine, cut = zmod.refine, self.RANKS // 2
+        if interruption == "failed":
+
+            def failing(id, *args):
+                if id.s == cut:
+                    raise zmod.ConvergenceError("forced", code="NO_CONVERGENCE")
+                return real_refine(id, *args)
+
+            monkeypatch.setattr(zmod, "refine", failing)
+            for s in range(1, cut):
+                zero(ZeroId(kind, nu, s))
+            with pytest.raises(zmod.ConvergenceError):
+                zero(ZeroId(kind, nu, cut))
+            monkeypatch.setattr(zmod, "refine", real_refine)
+        elif interruption == "cleared":
+            for s in range(1, cut):
+                zero(ZeroId(kind, nu, s))
+            zmod.clear_cache()
+        counts = self.counted_mcmahon(monkeypatch)
+        try:
+            before = len(zmod._cache.get((kind, nu), []))
+            ranked = [_record_bits(zero(ZeroId(kind, nu, s))) for s in range(1, self.RANKS + 1)]
+        finally:
+            zmod.clear_cache()
+        assert ranked == whole
+        # j'_{0,1} = 0 is not walked and evaluates no M; after a failed
+        # extension, the row is built again and d derived once more from
+        # the last two records.
+        walked = self.RANKS - before - (kind is ZeroKind.JPRIME and nu == 0.0 and before == 0)
+        assert counts == {"builds": 1, "evals": walked + 2 * (interruption == "failed")}
+
+    # From rank 50 McMahon's guess g = M(s) + d_{s-1}, h = max(2 |d_{s-1} -
+    # d_{s-2}|, 4 ulp(g)) brackets the zero on the walk's points g - h and
+    # g + 2h almost always, so the walk needs no further point.
+    @pytest.mark.parametrize("nu", [0.0, 2.5, 30.0])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_mcmahon_guess_brackets_the_zero(self, kind, nu):
+        z = [r.value for r in zeros_upto(kind, nu, 2000)]
+        row = zmod._mcmahon_row(kind, nu)
+        m = functools.partial(zmod._mcmahon, row)
+        d = [v - m(s) for s, v in enumerate(z, 1)]
+        inside = 0
+        for s in range(50, 2001):
+            g, h = zmod._predict([], m(s), d[s - 3], d[s - 2])
+            inside += g - h < z[s - 1] < g + 2.0 * h
+        assert inside >= 0.95 * 1951
 
 
 class TestOracleScan:
