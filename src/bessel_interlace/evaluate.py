@@ -14,7 +14,9 @@ convert an order or argument to float once, at the boundary.
 Derivatives are formed from the downward recurrence
 C'_nu(x) = -C_{nu+1}(x) + (nu/x) C_nu(x), the same relation the
 interlacing analysis relies on, so derivative values are consistent
-with the function values by construction.
+with the function values by construction. J' alone switches to
+J'_nu = J_{nu-1} - (nu/x) J_nu where the backend underflows J_{nu+1},
+but not J_nu, to 0.0.
 
 Where the true Y magnitude exceeds the double range (x far below a
 large order) the value saturates to +/-inf; NaN is never returned for
@@ -100,12 +102,19 @@ def bessel_y(nu: float, x: float) -> float:
 
 # Below the tiny order C_nu is C_0 and nu + 1 rounds to 1, but the
 # (nu/x) C_nu term is kept: it dominates J' below x ~ sqrt(2 nu). At
-# nu = 0 the term vanishes, so C'_0 = -C_1 costs one call.
+# nu = 0 the term vanishes, so C'_0 = -C_1 costs one call. The backend
+# returns J as 0.0 below ~1e-290, so where J_{nu+1} reads 0.0 but J_nu
+# does not, the upward relation J'_nu = J_{nu-1} - (nu/x) J_nu (A&S
+# 9.1.27) replaces it. Where J_nu reads 0.0 too, J' stays as underflowed
+# as J_nu: J_{nu-1} alone would be about twice J'.
 def bessel_dj(nu: float, x: float) -> float:
     if nu < _TINY_ORDER:
         dj = -_jv(1.0, x)
         return dj if nu == 0.0 else dj + (nu / x) * _jv(0.0, x)
-    return -_jv(nu + 1.0, x) + (nu / x) * _jv(nu, x)
+    above, here = _jv(nu + 1.0, x), _jv(nu, x)
+    if above == 0.0 and here != 0.0 and nu >= 1.0:
+        return _jv(nu - 1.0, x) - (nu / x) * here
+    return -above + (nu / x) * here
 
 
 def bessel_dy(nu: float, x: float) -> float:

@@ -20,7 +20,9 @@ reused across chains is bit-for-bit identical. A suite, like a chain
 table, reads each node family once through ``zeros_upto`` as floats and
 checks each row as one pass over its node columns, each column sliced
 by its node's rank offset; witnesses are built only for failing ranks.
-``build_chain`` and the searches read one zero per node (``_zval``).
+``find_breaking`` reads its two families the same way, in chunks of
+``_CHUNK`` ranks. ``build_chain`` and ``counterexample_scan`` read one
+zero per node (``_zval``).
 """
 
 from __future__ import annotations
@@ -85,6 +87,11 @@ SUITES = {
     "theorem2": _Suite(None, math.inf, None, "nu=0, eps=1 equality pairs exempt"),
 }
 
+
+#: Ranks ``find_breaking`` reads per lookup: enough to make the per-lookup
+#: cost negligible, few enough that a witness at a low rank computes little
+#: past it.
+_CHUNK = 64
 
 #: |gap| at or below this is an exact-equality degeneracy, not a violation.
 EQ_TOL = 1e-10
@@ -316,16 +323,22 @@ def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:
     The chain is guaranteed to break somewhere for eps > 1; the
     asymptotic node gap tends to (eps-1)*pi/2 > 0, but the first
     violating rank grows as eps -> 1+, so a too-small cap raises
-    SearchError (NOT_FOUND_WITHIN_CAP).
+    SearchError (NOT_FOUND_WITHIN_CAP). Both sequences are read in
+    chunks of _CHUNK ranks, never past s_cap, so a witness at rank s
+    computes both up to the end of its chunk.
     """
     eps = check_eps(eps, 1.0, math.inf)
     check_rank(s_cap)
     nu = ev.check_orders(nu, eps)
     left, right = _BREAKING.nodes
-    for s in range(1, s_cap + 1):
-        yv, jv = _zval(left, nu, eps, s), _zval(right, nu, eps, s)
-        if yv > jv:
-            return ViolationWitness(nu, eps, s, left.label(s), right.label(s), yv, jv)
+    for lo in range(0, s_cap, _CHUNK):
+        hi = min(lo + _CHUNK, s_cap)
+        lefts, rights = (
+            [r.value for r in zeros_upto(n.kind, nu + eps if n.shifted else nu, hi)[lo:]] for n in (left, right)
+        )
+        for s, (yv, jv) in enumerate(zip(lefts, rights), lo + 1):
+            if yv > jv:
+                return ViolationWitness(nu, eps, s, left.label(s), right.label(s), yv, jv)
     raise SearchError(
         f"no rank s <= {s_cap} with y_(nu+eps,s) > j_(nu,s) at nu={nu}, eps={eps}; raise s_cap",
         code="NOT_FOUND_WITHIN_CAP",

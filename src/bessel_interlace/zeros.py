@@ -4,7 +4,9 @@ Every zero is certified by a sign-change bracket. A cached sequence is
 extended one zero at a time by one loop, ``_extend_sequence``, which
 builds F once per extension and hands each zero from one stage to the
 next: ``initial_bracket`` walks to a bracket (lo, hi, F(lo), F(hi)),
-and ``refine`` polishes that bracket into a ZeroRecord.
+and ``refine`` polishes that bracket into a ZeroRecord. The ZeroId
+that ``zero`` or ``zeros_upto`` builds holds the one domain check, so
+the ids the loop names for the ranks up to it skip that check.
 
 The walk starts from a lower anchor (x = nu for the first zero, then
 the upper end of the previous walk's bracket, which held the previous
@@ -141,6 +143,17 @@ class ZeroId:
         # points have no int signature), so an int order is converted here.
         object.__setattr__(self, "nu", ev.check_order(self.nu))
         check_rank(self.s)
+
+
+def _unchecked_id(kind: ZeroKind, nu: float, s: int) -> ZeroId:
+    """ZeroId(kind, nu, s) without its domain check, for ``_extend_sequence``:
+    kind and nu passed that check in the caller's id, and every rank up to
+    the checked one passes ``check_rank``."""
+    id = object.__new__(ZeroId)
+    object.__setattr__(id, "kind", kind)
+    object.__setattr__(id, "nu", nu)
+    object.__setattr__(id, "s", s)
+    return id
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,12 +314,13 @@ def refine(id: ZeroId, target: tuple, a: float, b: float, fa: float, fb: float) 
     the test, and when Newton has to step. The estimate only decides
     whether to probe: the probe's sign change certifies every record.
 
-    ``iterations`` counts the iterates, except one that ends the loop by
+    ``iterations`` counts every iterate, also one that ends the loop by
     an exact zero or the width stop, and not the probes. F at the ends
-    comes with the bracket, so a zero certified by its first probe costs
-    iterations + 1 points. A J or Y zero's points cost one C_nu call
-    each, plus one C_{nu+1} call per iterate that steps; a J' or Y'
-    point costs the pair.
+    comes with the bracket, so a zero costs its iterations plus its
+    probes in points: 1 when its first iterate ends the loop on the width
+    test, 2 when its first probe certifies it. A J or Y zero's points
+    cost one C_nu call each, plus one C_{nu+1} call per iterate that
+    steps; a J' or Y' point costs the pair.
     """
     value, value_slope, slope = target
     if fa == 0.0:
@@ -325,6 +339,7 @@ def refine(id: ZeroId, target: tuple, a: float, b: float, fa: float, fb: float) 
             fx, d = value_slope(x)
         else:
             fx = value(x)
+        iterations += 1
         if fx == 0.0:
             a = b = x
             break
@@ -334,7 +349,6 @@ def refine(id: ZeroId, target: tuple, a: float, b: float, fa: float, fb: float) 
             a, fa = x, fx
         if b - a <= WIDTH_TOL * max(1.0, abs(x)):
             break
-        iterations += 1
         if iterations > MAX_REFINE_ITERS:
             raise ConvergenceError(f"no convergence for {id} after {MAX_REFINE_ITERS} iterations", code="NO_CONVERGENCE")
         tol = 0.5 * WIDTH_TOL * max(1.0, abs(x))
@@ -462,6 +476,7 @@ def _predict(records: list[ZeroRecord], m: float | None, d_old: float | None, d_
 def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
     """The cached records of (kind, nu), extended to at least s_max ranks.
 
+    kind, nu and s_max must have passed ``ZeroId``'s domain check.
     Returns the cache's own list, which only ever grows: read it, never
     modify it.
     """
@@ -476,10 +491,10 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
         x, fx, row, d_old, d_last = _anchors.pop(key, None) or (None,) * 5
         target = _target(kind, nu)
         if not records and kind is ZeroKind.JPRIME and nu == 0.0:
-            records.append(ZeroRecord(ZeroId(kind, nu, 1), 0.0, Bracket(0.0, 0.0), 0.0, 0))
+            records.append(ZeroRecord(_unchecked_id(kind, nu, 1), 0.0, Bracket(0.0, 0.0), 0.0, 0))
         while len(records) < s_max:
             s = len(records) + 1
-            id = ZeroId(kind, nu, s)
+            id = _unchecked_id(kind, nu, s)
             # McMahon's guess needs two walked zeros before it (j'_{0,1} = 0
             # is not walked), so a sequence that stops short of that
             # builds no row.

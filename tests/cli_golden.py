@@ -118,6 +118,8 @@ def _cases():
         "zeros-jp-nu0.3": ["zeros", "--kind", "jp", "--nu", "0.3", "--smax", "40"],
         "zeros-yp-nu30-json": ["zeros", "--kind", "yp", "--nu", "30", "--smax", "40", "--format", "json"],
         "zeros-j-nu7.25": ["zeros", "--kind", "j", "--nu", "7.25", "--smax", "40"],
+        # The witness at rank 65, the first of a second 64-rank read.
+        "break-nu10-eps1.0318": ["break", "--nu", "10", "--eps", "1.0318"],
         # Domain errors: exit 2 with nothing on stdout.
         "break-eps-below-one": ["break", "--nu", "0", "--eps", "0.5"],
         "wronskian-equal-orders": ["wronskian", "--nu", "1", "--mu", "1"],

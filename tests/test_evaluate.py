@@ -120,6 +120,8 @@ class TestUfuncParity:
             return float(c(snapped, x))
         if nu == 0.0:
             return float(-c(1.0, x))
+        if name == "bessel_dj" and c(nu + 1.0, x) == 0.0 != c(nu, x) and nu >= 1.0:
+            return float(c(nu - 1.0, x) - (nu / x) * c(nu, x))
         with np.errstate(invalid="ignore"):
             v = float(-c(nu + 1.0, x) + (nu / x) * c(snapped, x))
         return math.inf if name == "bessel_dy" and math.isnan(v) and x < max(nu, ev._TINY_ORDER) else v
@@ -167,6 +169,22 @@ class TestTinyOrders:
         # Y_0 and Y_1 both read -inf there; Y' = -Y_1 + (nu/x) Y_0 is +inf, not NaN.
         for nu, x in [(1e-300, 1e-310), (5e-324, 1e-310), (0.0, 1e-310)]:
             assert ev.bessel_dy(nu, x) == math.inf
+
+
+class TestUnderflowedJ:
+    # scipy returns J as 0.0 below ~1e-290: J_141(0.9) reads 0.0 against
+    # mpmath's 6.7e-293, while J_140(0.9) = 2.1e-290 does not, so
+    # -J_141 + (140/0.9) J_140 was 2e-5 off J'_140(0.9).
+    @pytest.mark.parametrize("nu,x", [(140.0, 0.9), (300.0, 24.109598014621803), (600.0, 140.42179024151886)])
+    def test_dj_where_j_nu_plus_1_underflows(self, nu, x):
+        assert jv(nu + 1.0, x) == 0.0 != jv(nu, x)
+        ref = float(oracle.eval_kind("jp", nu, x))
+        assert eval_dJ(nu, x).value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_dj_where_j_nu_underflows_too(self):
+        # J_{nu-1} alone would read twice J'; J' stays 0.0, as J_nu reads.
+        assert jv(121.0, 0.3375) == jv(120.0, 0.3375) == 0.0 != jv(119.0, 0.3375)
+        assert ev.bessel_dj(120.0, 0.3375) == 0.0
 
 
 class TestIntInputs:

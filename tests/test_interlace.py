@@ -398,6 +398,13 @@ class TestLookups:
         ]
         assert check_chain(chain).ok
 
+    def test_find_breaking_reads_64_ranks_per_lookup(self, monkeypatch):
+        reads, single = self.spied(monkeypatch)
+        assert find_breaking(10.0, 1.0318, 100).s == 65  # the witness opens the second read
+        y, j = (ZeroKind.Y, 10.0 + 1.0318), (ZeroKind.J, 10.0)
+        assert reads == [(*y, 64), (*j, 64), (*y, 100), (*j, 100)]  # the second read stops at s_cap
+        assert single == []
+
 
 class TestSuites:
     """``SUITES`` holds the rules of exactly the suites ``_TABLE`` has rows for."""
@@ -539,6 +546,48 @@ class TestFindBreaking:
         with pytest.raises(SearchError) as exc:
             find_breaking(10.0, 1.25, 3)
         assert exc.value.code == "NOT_FOUND_WITHIN_CAP"
+
+    # Witnesses at both ends of the first two 64-rank reads.
+    BOUNDARIES = [(1.0323, 64), (1.0318, 65), (1.01637, 128), (1.0162, 129)]
+
+    @pytest.mark.parametrize("eps,rank", BOUNDARIES)
+    def test_chunk_boundary_matches_a_rank_by_rank_search(self, eps, rank):
+        left, right = imod._BREAKING.nodes
+        zmod.clear_cache()
+        try:
+            s = next(s for s in range(1, 10_001) if imod._zval(left, 10.0, eps, s) > imod._zval(right, 10.0, eps, s))
+            expected = ViolationWitness(
+                10.0, eps, s, left.label(s), right.label(s), imod._zval(left, 10.0, eps, s), imod._zval(right, 10.0, eps, s)
+            )
+            zmod.clear_cache()
+            assert (s, find_breaking(10.0, eps, 10_000)) == (rank, expected)
+        finally:
+            zmod.clear_cache()
+
+    @pytest.mark.parametrize("eps,rank", BOUNDARIES)
+    def test_cap_below_the_witness_reads_no_further(self, eps, rank):
+        zmod.clear_cache()
+        try:
+            with pytest.raises(SearchError) as exc:
+                find_breaking(10.0, eps, rank - 1)
+            assert exc.value.code == "NOT_FOUND_WITHIN_CAP"
+            assert 0 < max(map(len, zmod._cache.values())) <= rank - 1
+        finally:
+            zmod.clear_cache()
+
+    def test_one_target_per_chunk(self, monkeypatch):
+        # The witness at rank 2,126 lies in the 34th 64-rank read, so each of
+        # the two sequences is read, and extended, 34 times up to rank 2,176.
+        built = []
+        real = zmod._target
+        monkeypatch.setattr(zmod, "_target", lambda kind, nu: built.append((kind, nu)) or real(kind, nu))
+        zmod.clear_cache()
+        try:
+            assert find_breaking(10.0, 1.001, 10_000).s == 2126
+        finally:
+            zmod.clear_cache()
+        assert set(built) == {(ZeroKind.J, 10.0), (ZeroKind.Y, 10.0 + 1.001)}
+        assert len(built) == 2 * math.ceil(2176 / 64) == 68
 
     def test_regime_guard(self):
         # An infinite eps passes the eps range and fails nu + eps <= NU_MAX, under the same code.

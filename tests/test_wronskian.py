@@ -122,6 +122,14 @@ class TestHasPositiveZero:
         assert oracle.wronskian(nu, mu, root * (1.0 - 1e-9)) > 0 > oracle.wronskian(nu, mu, root * (1.0 + 1e-9))
         assert has_positive_zero(nu, mu, 60.0) == pytest.approx(root, rel=1e-11)
 
+    # J_{nu+1} reads 0.0 near the root while J_nu does not: J'_nu lost
+    # that term, and 0.8999824203634987 and 1.5809629407558903 were
+    # returned where mpmath's W keeps its sign.
+    @pytest.mark.parametrize("nu,mu,root", [(140.0, 0.0, 0.8999825522480531), (155.0, 0.5, 1.580963467913563)])
+    def test_root_where_j_nu_plus_1_underflows(self, nu, mu, root):
+        assert oracle.wronskian(nu, mu, root * (1.0 - 1e-9)) > 0 > oracle.wronskian(nu, mu, root * (1.0 + 1e-9))
+        assert has_positive_zero(nu, mu, 60.0) == pytest.approx(root, rel=1e-11)
+
     # J_600 underflows on all of (0, y_{2,1}), so x*W reads exactly 0.0
     # there and shows no sign; 9.58e-73, where mpmath gives W > 0, was
     # returned as a root.
