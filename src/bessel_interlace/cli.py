@@ -147,10 +147,10 @@ def cmd_zeros(args: argparse.Namespace) -> tuple[int, str]:
                 "nu": args.nu,
                 "zeros": [
                     {
-                        "s": r.id.s,
+                        "s": r.s,
                         "value": r.value,
-                        "bracket_lo": r.bracket.lo,
-                        "bracket_hi": r.bracket.hi,
+                        "bracket_lo": r.lo,
+                        "bracket_hi": r.hi,
                         "residual": r.residual,
                     }
                     for r in records
@@ -161,10 +161,7 @@ def cmd_zeros(args: argparse.Namespace) -> tuple[int, str]:
         # One format string per record: every field but s is a float, and
         # f"{x:.17g}" is the same float.__format__ that fmt calls.
         head = f"{kind.value},{fmt(args.nu)},"
-        lines = (
-            f"{head}{r.id.s},{r.value:.17g},{r.bracket.lo:.17g},{r.bracket.hi:.17g},{r.residual:.17g}"
-            for r in records
-        )
+        lines = (f"{head}{r.s},{r.value:.17g},{r.lo:.17g},{r.hi:.17g},{r.residual:.17g}" for r in records)
         body = to_csv(["kind", "nu", "s", "value", "bracket_lo", "bracket_hi", "residual"], lines)
     return 0, body
 
@@ -395,14 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(out: str, body: str) -> None:
-    if out == "-":
-        sys.stdout.write(body)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(body)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -423,7 +412,15 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # malformed input must never escape as a traceback
         print(f"bessel-interlace {args.command}: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
-    _emit(args.out, body)
+    if args.out == "-":
+        sys.stdout.write(body)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(body)
+    except OSError as exc:  # a path that cannot be written is bad input, not a violation
+        print(f"bessel-interlace {args.command}: error (--out): {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -4,9 +4,10 @@ Every zero is certified by a sign-change bracket. A cached sequence is
 extended one zero at a time by one loop, ``_extend_sequence``, which
 builds F once per extension and hands each zero from one stage to the
 next: ``initial_bracket`` walks to a bracket (lo, hi, F(lo), F(hi)),
-and ``refine`` polishes that bracket into a ZeroRecord. The ZeroId
-that ``zero`` or ``zeros_upto`` builds holds the one domain check, so
-the ids the loop names for the ranks up to it skip that check.
+and ``refine`` polishes that bracket into a ZeroRecord, one flat record
+(s, value, lo, hi, residual, iterations) per zero. The ZeroId that
+``zero`` or ``zeros_upto`` builds holds the one domain check; the loop
+hands its stages the kind, order and rank as they are.
 
 The walk starts from a lower anchor (x = nu for the first zero, then
 the upper end of the previous walk's bracket, which held the previous
@@ -65,7 +66,6 @@ from .errors import BracketError, ConvergenceError, DomainError
 __all__ = [
     "ZeroKind",
     "ZeroId",
-    "Bracket",
     "ZeroRecord",
     "zero",
     "zeros_upto",
@@ -145,38 +145,19 @@ class ZeroId:
         check_rank(self.s)
 
 
-def _unchecked_id(kind: ZeroKind, nu: float, s: int) -> ZeroId:
-    """ZeroId(kind, nu, s) without its domain check, for ``_extend_sequence``:
-    kind and nu passed that check in the caller's id, and every rank up to
-    the checked one passes ``check_rank``."""
-    id = object.__new__(ZeroId)
-    object.__setattr__(id, "kind", kind)
-    object.__setattr__(id, "nu", nu)
-    object.__setattr__(id, "s", s)
-    return id
-
-
-@dataclass(frozen=True, slots=True)
-class Bracket:
-    """Interval whose endpoints carry opposite function signs.
-
-    The conventional j'_{0,1} zero uses the degenerate bracket [0, 0],
-    and a zero hit exactly at a point, the bracket [x, x].
-    """
-
-    lo: float
-    hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
 @dataclass(frozen=True, slots=True)
 class ZeroRecord:
-    id: ZeroId
+    """The s-th zero of its sequence, certified by F changing sign across
+    [lo, hi]; ``residual`` is F(value) and ``iterations`` refine's iterates.
+
+    The conventional j'_{0,1} zero has the degenerate bracket [0, 0], and a
+    zero hit exactly at a point x, the bracket [x, x].
+    """
+
+    s: int
     value: float
-    bracket: Bracket
+    lo: float
+    hi: float
     residual: float
     iterations: int
 
@@ -228,16 +209,17 @@ def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
 
 # Not underscored: perfbench/spans.py spans this stage by its name.
 def initial_bracket(
-    id: ZeroId, target: tuple, prev: float | None, x: float | None, fx: float | None, guess: tuple[float, float] | None
+    kind: ZeroKind, nu: float, s: int, target: tuple, prev: float | None, x: float | None, fx: float | None, guess: tuple | None
 ) -> tuple[float, float, float, float]:
-    """A bracket (lo, hi, F(lo), F(hi)) certified to hold exactly zero ``id``.
+    """A bracket (lo, hi, F(lo), F(hi)) certified to hold exactly the s-th
+    zero of the kind at order nu.
 
     ``target`` is F's ``_target`` triple and ``prev`` the previous zero
     of the sequence, None for the first. The walk starts at the anchor x
     with F(x) = fx: the upper end of prev's own walk bracket, so no zero
     lies in (prev, x]. With x None it starts at _scan_start(prev) and
     evaluates F there. It steps below the minimum zero spacing, so the
-    first sign change it meets belongs to rank ``id.s``. A walk point
+    first sign change it meets belongs to rank s. A walk point
     where F is exactly 0.0 is such a zero: it ends the walk as the
     bracket's upper end, and refine returns it with the bracket [x, x].
     Raises BracketError if no sign change appears within _REACH of the
@@ -253,7 +235,7 @@ def initial_bracket(
     """
     value = target[0]
     if x is None:
-        x = _scan_start(id.kind, id.nu, prev)
+        x = _scan_start(kind, nu, prev)
         fx = value(x)
         if fx == 0.0 or math.isnan(fx):
             x *= 1.0 + 1e-9
@@ -273,13 +255,13 @@ def initial_bracket(
         fx2 = value(x2)
         if math.isnan(fx2):
             raise BracketError(
-                f"evaluator returned NaN at x={x2} while bracketing {id}",
+                f"evaluator returned NaN at x={x2} while bracketing {ZeroId(kind, nu, s)}",
                 code="BRACKET_NOT_FOUND",
             )
         if fx2 == 0.0 or fx < 0.0 < fx2 or fx2 < 0.0 < fx:
             return x, x2, fx, fx2
         x, fx = x2, fx2
-    raise BracketError(f"no sign change found for {id} within {_REACH} of its anchor", code="BRACKET_NOT_FOUND")
+    raise BracketError(f"no sign change found for {ZeroId(kind, nu, s)} within {_REACH} of its anchor", code="BRACKET_NOT_FOUND")
 
 
 def _settled(fx: float, d: float, tol: float, dx_old: float) -> bool:
@@ -291,9 +273,10 @@ def _settled(fx: float, d: float, tol: float, dx_old: float) -> bool:
 
 
 # Not underscored: perfbench/spans.py spans this stage by its name.
-def refine(id: ZeroId, target: tuple, a: float, b: float, fa: float, fb: float) -> ZeroRecord:
-    """Polish the walk's bracket [a, b] of zero ``id``, with fa = F(a) and
-    fb = F(b), by Newton safeguarded by bisection.
+def refine(kind: ZeroKind, nu: float, s: int, target: tuple, a: float, b: float, fa: float, fb: float) -> ZeroRecord:
+    """Polish the walk's bracket [a, b] of the s-th zero of the kind at
+    order nu, with fa = F(a) and fb = F(b), by Newton safeguarded by
+    bisection.
 
     Newton starts at the secant point a - F(a) (b - a) / (F(b) - F(a)) of
     the bracket, or at its midpoint when that point is not strictly
@@ -324,9 +307,9 @@ def refine(id: ZeroId, target: tuple, a: float, b: float, fa: float, fb: float) 
     """
     value, value_slope, slope = target
     if fa == 0.0:
-        return ZeroRecord(id, a, Bracket(a, a), 0.0, 0)
+        return ZeroRecord(s, a, a, a, 0.0, 0)
     if fb == 0.0:
-        return ZeroRecord(id, b, Bracket(b, b), 0.0, 0)
+        return ZeroRecord(s, b, b, b, 0.0, 0)
 
     x = a - fa * (b - a) / (fb - fa)
     if not a < x < b:
@@ -350,7 +333,9 @@ def refine(id: ZeroId, target: tuple, a: float, b: float, fa: float, fb: float) 
         if b - a <= WIDTH_TOL * max(1.0, abs(x)):
             break
         if iterations > MAX_REFINE_ITERS:
-            raise ConvergenceError(f"no convergence for {id} after {MAX_REFINE_ITERS} iterations", code="NO_CONVERGENCE")
+            raise ConvergenceError(
+                f"no convergence for {ZeroId(kind, nu, s)} after {MAX_REFINE_ITERS} iterations", code="NO_CONVERGENCE"
+            )
         tol = 0.5 * WIDTH_TOL * max(1.0, abs(x))
         # Tested before the in-bracket test below, which a sub-ulp Newton
         # step never passes. An estimated slope that fails is replaced by
@@ -387,7 +372,7 @@ def refine(id: ZeroId, target: tuple, a: float, b: float, fa: float, fb: float) 
         x = x_new
 
     # Every exit leaves x at a or b with fx = F(x) already evaluated.
-    return ZeroRecord(id, x, Bracket(a, b), fx, iterations)
+    return ZeroRecord(s, x, a, b, fx, iterations)
 
 
 # --- cached sequential enumeration ----------------------------------------
@@ -491,20 +476,19 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
         x, fx, row, d_old, d_last = _anchors.pop(key, None) or (None,) * 5
         target = _target(kind, nu)
         if not records and kind is ZeroKind.JPRIME and nu == 0.0:
-            records.append(ZeroRecord(_unchecked_id(kind, nu, 1), 0.0, Bracket(0.0, 0.0), 0.0, 0))
+            records.append(ZeroRecord(1, 0.0, 0.0, 0.0, 0.0, 0))
         while len(records) < s_max:
             s = len(records) + 1
-            id = _unchecked_id(kind, nu, s)
             # McMahon's guess needs two walked zeros before it (j'_{0,1} = 0
             # is not walked), so a sequence that stops short of that
             # builds no row.
             if row is None and s > 2 and records[-2].value > 0.0:
                 row = _mcmahon_row(kind, nu)
-                d_old, d_last = (r.value - _mcmahon(row, r.id.s) for r in records[-2:])
+                d_old, d_last = (r.value - _mcmahon(row, r.s) for r in records[-2:])
             m = _mcmahon(row, s) if row else None
             prev = records[-1].value if records else None
-            a, b, fa, fb = initial_bracket(id, target, prev, x, fx, _predict(records, m, d_old, d_last))
-            rec = refine(id, target, a, b, fa, fb)
+            a, b, fa, fb = initial_bracket(kind, nu, s, target, prev, x, fx, _predict(records, m, d_old, d_last))
+            rec = refine(kind, nu, s, target, a, b, fa, fb)
             if records and not rec.value > prev:
                 raise ConvergenceError(
                     f"zeros of {kind.name} nu={nu} failed to increase at s={s}",
@@ -512,7 +496,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
                 )
             if abs(rec.residual) > RESID_TOL * max(1.0, abs(rec.value)):
                 raise ConvergenceError(
-                    f"residual {rec.residual!r} above tolerance for {id}",
+                    f"residual {rec.residual!r} above tolerance for {ZeroId(kind, nu, s)}",
                     code="NO_CONVERGENCE",
                 )
             records.append(rec)

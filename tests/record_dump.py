@@ -4,11 +4,13 @@ Prints one line per record, every float as ``float.hex``: kind, order,
 rank, value, bracket lo and hi, residual and iterations. The sample is
 every kind at the orders in ORDERS, ranks 1..60, then Y_{2.5} ranks
 1..10^4, each sequence built from a cold cache. Two source trees hold
-the same records exactly when their dumps are byte-identical:
+the same records exactly when their dumps are byte-identical. Each
+tree's dump is made by that tree's own copy of this script, since it
+reads the record fields of its own tree:
 
     PYTHONPATH=src python tests/record_dump.py > change.hex
     git archive <commit> | tar -x -C <dir>
-    PYTHONPATH=<dir>/src python tests/record_dump.py > parent.hex
+    PYTHONPATH=<dir>/src python <dir>/tests/record_dump.py > parent.hex
     python tests/record_dump.py --compare parent.hex change.hex
 
 ``--compare`` asserts that both dumps name the same (kind, order, rank)
@@ -21,8 +23,7 @@ so a script can use it as the bit-identity check. With ``--oracle``
 dump's distance from the mpmath root (``oracle.root_near``) in ulps of
 that value, median and max.
 
-Only the public API is used, so the script also runs against a tree
-that predates it. Not a test module: pytest does not collect it.
+Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def dump(out) -> int:
     for kind, nu, s_max in sample:
         clear_cache()
         for r in zeros_upto(kind, nu, s_max):
-            floats = (r.value, r.bracket.lo, r.bracket.hi, r.residual)
-            out.write(f"{kind.value} {nu.hex()} {r.id.s} {' '.join(float(v).hex() for v in floats)} {r.iterations}\n")
+            floats = (r.value, r.lo, r.hi, r.residual)
+            out.write(f"{kind.value} {nu.hex()} {r.s} {' '.join(float(v).hex() for v in floats)} {r.iterations}\n")
             count += 1
     return count
 

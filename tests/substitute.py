@@ -23,14 +23,14 @@ def substituted_zeros(changes):
     """
     table = {(ZeroKind(k), float(nu), s): f for (k, nu, s), f in changes.items()}
 
-    def swap(rec):
-        f = table.get((rec.id.kind, float(rec.id.nu), rec.id.s))
+    def swap(kind, nu, rec):
+        f = table.get((kind, float(nu), rec.s))
         return rec if f is None else dataclasses.replace(rec, value=f(rec.value))
 
     true_zero, true_zeros_upto = zeros.zero, zeros.zeros_upto
     wrappers = {
-        "zero": lambda id: swap(true_zero(id)),
-        "zeros_upto": lambda kind, nu, s_max: [swap(r) for r in true_zeros_upto(kind, nu, s_max)],
+        "zero": lambda id: swap(id.kind, id.nu, true_zero(id)),
+        "zeros_upto": lambda kind, nu, s_max: [swap(kind, nu, r) for r in true_zeros_upto(kind, nu, s_max)],
     }
     with contextlib.ExitStack() as stack:
         for module in (interlace, wronskian, cli):

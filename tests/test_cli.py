@@ -69,10 +69,7 @@ class TestZerosRendering:
         assert (code, err) == (0, "")
         zkind = zmod.ZeroKind.parse(kind)
         records = zmod.zeros_upto(zkind, float(nu), smax)
-        expected = [
-            cli._csv_line([zkind.value, float(nu), r.id.s, r.value, r.bracket.lo, r.bracket.hi, r.residual])
-            for r in records
-        ]
+        expected = [cli._csv_line([zkind.value, float(nu), r.s, r.value, r.lo, r.hi, r.residual]) for r in records]
         assert out.split("\n") == [self.HEADER, *expected, ""]
         target = tmp_path / "zeros.csv"
         assert main([*argv, "--out", str(target)]) == 0
@@ -328,6 +325,17 @@ class TestHarness:
         data = target.read_bytes()
         assert data.endswith(b"\n")
         assert b"\r" not in data
+
+    # An --out path that cannot be written is bad input: exit 2 with one
+    # stderr line that names the flag, never a traceback (exit 1 is kept
+    # for a mathematical violation).
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(capsys, "zeros", "--kind", "j", "--nu", "0", "--smax", "2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("bessel-interlace zeros: error (--out): ") and err.count("\n") == 1
+        assert str(target) in err
 
     def test_seventeen_digit_round_trip(self):
         import math

@@ -153,10 +153,10 @@ class TestXCap:
     # y_{0,s} is the least of them, since y_{mu,s} rises with the order and
     # j_{nu,s} > y_{nu,s}. Checked on the certified brackets at the cap.
     def test_below_every_zero_at_the_rank_cap(self):
-        y0 = zero(ZeroId(ZeroKind.Y, 0.0, S_MAX_LIMIT)).bracket
+        y0 = zero(ZeroId(ZeroKind.Y, 0.0, S_MAX_LIMIT))
         assert y0.lo > _X_CAP
-        assert zero(ZeroId(ZeroKind.J, 0.0, S_MAX_LIMIT)).bracket.lo > y0.hi
-        assert zero(ZeroId(ZeroKind.Y, 0.5, S_MAX_LIMIT)).bracket.lo > y0.hi
+        assert zero(ZeroId(ZeroKind.J, 0.0, S_MAX_LIMIT)).lo > y0.hi
+        assert zero(ZeroId(ZeroKind.Y, 0.5, S_MAX_LIMIT)).lo > y0.hi
 
 
 class TestExtremalCharacterization:

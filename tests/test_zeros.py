@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import statistics
@@ -14,7 +15,6 @@ from scipy.special import jv, jvp, yv, yvp
 import fixtures
 import oracle
 from bessel_interlace import (
-    Bracket,
     DomainError,
     ZeroId,
     ZeroKind,
@@ -47,12 +47,12 @@ def cold_zero(id):
 def spied(monkeypatch, name, id):
     """zero(id) from a cold cache, with each call the sequence loop makes to
     zmod.<name> (``initial_bracket`` or ``refine``) recorded by rank as
-    (args after the id, result)."""
+    (args, result); the rank is the third argument, after kind and order."""
     real, calls = getattr(zmod, name), {}
 
-    def spy(id, *args):
-        calls[id.s] = args, real(id, *args)
-        return calls[id.s][1]
+    def spy(*args):
+        calls[args[2]] = args, real(*args)
+        return calls[args[2]][1]
 
     with monkeypatch.context() as m:
         m.setattr(zmod, name, spy)
@@ -161,7 +161,7 @@ class TestInitialBracket:
     def test_conventional_zero_is_not_walked(self, monkeypatch):
         rec, walks = spied(monkeypatch, "initial_bracket", ZeroId(ZeroKind.JPRIME, 0.0, 1))
         assert walks == {}
-        assert rec.bracket == Bracket(0.0, 0.0)
+        assert (rec.lo, rec.hi) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "kind,nu,s",
@@ -232,7 +232,7 @@ class TestWalkStop:
 
         monkeypatch.setattr(zmod, "_target", line)
         rec = cold_zero(id)
-        assert (rec.value, rec.bracket, rec.residual, rec.iterations) == (r, Bracket(r, r), 0.0, 0)
+        assert (rec.value, rec.lo, rec.hi, rec.residual, rec.iterations) == (r, r, r, 0.0, 0)
         assert seen == [x0, x0 + _STEP, r]
 
     def test_underflowing_product_is_no_bracket(self, monkeypatch):
@@ -244,7 +244,7 @@ class TestWalkStop:
         monkeypatch.setattr(zmod, "_target", lambda kind, nu: (line, None, lambda x, fx: slope(x)))
         assert line(2.0) * line(2.0 + _STEP) == 0.0
         rec = cold_zero(id)
-        assert rec.bracket.lo <= 10.0 <= rec.bracket.hi
+        assert rec.lo <= 10.0 <= rec.hi
         assert rec.value == pytest.approx(10.0, abs=1e-13)
 
     def test_sign_change_between_tiny_values(self, monkeypatch):
@@ -255,7 +255,7 @@ class TestWalkStop:
         monkeypatch.setattr(zmod, "_target", lambda kind, nu: (line, None, lambda x, fx: 1e-170))
         assert line(9.0) * line(11.0) == 0.0
         rec = cold_zero(id)
-        assert rec.bracket.lo <= 10.0 <= rec.bracket.hi
+        assert rec.lo <= 10.0 <= rec.hi
         assert rec.value == pytest.approx(10.0, abs=1e-13)
 
     # F reading exactly 0.0 or NaN at the walk's start says nothing of the
@@ -274,7 +274,7 @@ class TestWalkStop:
         monkeypatch.setattr(zmod, "_target", lambda kind, nu: (value, None, lambda x, fx: 1.0))
         rec = cold_zero(id)
         assert seen[:3] == [x0, x0 * (1.0 + 1e-9), x0 * (1.0 + 1e-9) + _STEP]
-        assert rec.bracket.lo <= 10.0 <= rec.bracket.hi
+        assert rec.lo <= 10.0 <= rec.hi
         assert rec.value == pytest.approx(10.0, abs=1e-13)
 
     # A walk that meets no sign change within _REACH of its anchor, or F
@@ -300,7 +300,7 @@ class TestRefine:
     def test_refine_j01(self):
         rec = cold_zero(ZeroId(ZeroKind.J, 0.0, 1))
         assert rec.value == pytest.approx(fixtures.ORACLE_ZEROS[("j", 0.0, 1)], abs=1e-12)
-        assert rec.bracket.lo <= rec.value <= rec.bracket.hi
+        assert rec.lo <= rec.value <= rec.hi
 
     def test_refine_y11(self):
         rec = cold_zero(ZeroId(ZeroKind.Y, 1.0, 1))
@@ -309,7 +309,7 @@ class TestRefine:
     def test_degenerate_conventional_bracket(self, monkeypatch):
         rec, polished = spied(monkeypatch, "refine", ZeroId(ZeroKind.JPRIME, 0.0, 1))
         assert polished == {}
-        assert (rec.value, rec.bracket, rec.residual, rec.iterations) == (0.0, Bracket(0.0, 0.0), 0.0, 0)
+        assert (rec.value, rec.lo, rec.hi, rec.residual, rec.iterations) == (0.0, 0.0, 0.0, 0.0, 0)
 
 
 class TestStraddleProbe:
@@ -339,10 +339,10 @@ class TestStraddleProbe:
 
         real_refine = zmod.refine
 
-        def polish(id, target, a, b, fa, fb):
+        def polish(kind, nu, s, target, a, b, fa, fb):
             del seen[:]  # the walk's points
             polished.append((a, b))
-            return real_refine(id, target, a, b, fa, fb)
+            return real_refine(kind, nu, s, target, a, b, fa, fb)
 
         polished = []
         monkeypatch.setattr(zmod, "_target", too_steep)
@@ -369,7 +369,7 @@ class TestStraddleProbe:
         ]
         assert missed
         f = target(kind, nu)
-        lo, hi = rec.bracket.lo, rec.bracket.hi
+        lo, hi = rec.lo, rec.hi
         assert f(lo) * f(hi) < 0.0
         assert hi - lo <= WIDTH_TOL * max(1.0, rec.value)
         assert rec.value in (lo, hi)
@@ -526,9 +526,9 @@ class TestEvaluationBudget:
 
         real_refine = zmod.refine
 
-        def polish(id, target, a, b, fa, fb):
+        def polish(*args):
             before = above[0]
-            rec = real_refine(id, target, a, b, fa, fb)
+            rec = real_refine(*args)
             if rec.iterations == 1:
                 unstepped.append(above[0] - before)
             else:
@@ -576,14 +576,14 @@ class TestZero:
 
     def test_records_certify_roots(self):
         for rec in zeros_upto(ZeroKind.Y, 2.7, 8):
-            assert rec.bracket.lo <= rec.value <= rec.bracket.hi
+            assert rec.lo <= rec.value <= rec.hi
             assert abs(rec.residual) <= 1e-10 * max(1.0, rec.value)
 
     def test_consecutive_zeros_separated_by_nonzero_point(self):
         records = zeros_upto(ZeroKind.J, 1.5, 10)
         f = target(ZeroKind.J, 1.5)
         for a, b in zip(records, records[1:]):
-            assert a.bracket.hi < b.bracket.lo
+            assert a.hi < b.lo
             assert f(0.5 * (a.value + b.value)) != 0.0
 
     def test_deep_rank_matches_mcmahon(self):
@@ -664,12 +664,14 @@ class TestLookupCost:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rec.id.s == 10_000
+        assert rec.s == 10_000
         assert peak < 8_000
 
     def test_cached_record_size(self):
-        # A cold J_1 sequence to rank 2,000; a record with a __dict__ takes
-        # ~430 bytes, a slotted one ~285.
+        # A cold J_1 sequence to rank 2,000. A flat slotted record (s, value,
+        # lo, hi, residual, iterations) takes ~187 bytes with its floats and
+        # list slot; one holding a ZeroId and a Bracket took ~283, and one
+        # with a __dict__ ~430.
         zmod.clear_cache()
         tracemalloc.start()
         try:
@@ -678,8 +680,19 @@ class TestLookupCost:
         finally:
             tracemalloc.stop()
             zmod.clear_cache()
-        assert current / 2000 <= 300
+        assert current / 2000 <= 200
         assert not hasattr(zero(ZeroId(ZeroKind.J, 1.0, 1)), "__dict__")
+
+    def test_cached_record_is_immutable(self):
+        # Every lookup shares the cache's record, and its lo and hi are the
+        # certificate: no caller may rewrite them.
+        id = ZeroId(ZeroKind.Y, 2.5, 7)
+        rec = zero(id)
+        bits = _record_bits(rec)
+        for field, v in (("value", 1.0), ("lo", rec.hi), ("hi", rec.lo)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, field, v)
+        assert zero(id) is rec and _record_bits(zero(id)) == bits
 
     def test_zeros_upto_returns_a_copy(self):
         records = zeros_upto(ZeroKind.J, 1.5, 5)
@@ -688,8 +701,8 @@ class TestLookupCost:
 
 
 def _record_bits(rec):
-    floats = (rec.id.nu, rec.value, rec.bracket.lo, rec.bracket.hi, rec.residual)
-    return (rec.id.kind, rec.id.s, rec.iterations, *(v.hex() for v in floats))
+    floats = (rec.value, rec.lo, rec.hi, rec.residual)
+    return (rec.s, rec.iterations, *(v.hex() for v in floats))
 
 
 class TestIntOrders:
@@ -713,7 +726,7 @@ class TestIntOrders:
         assert [_record_bits(r) for r in got] == [_record_bits(r) for r in self.cold(lambda: zeros_upto(kind, float(nu), 6))]
 
     # The walk and refine of an int order are handed exactly the float
-    # order's anchors and brackets.
+    # order, anchors and brackets of the float one.
     @pytest.mark.parametrize("kind", [ZeroKind.J, ZeroKind.YPRIME])
     @pytest.mark.parametrize("stage", ["initial_bracket", "refine"])
     def test_walk_and_refine(self, monkeypatch, kind, stage):
@@ -801,7 +814,7 @@ class TestRankCertification:
     def test_first_jprime_zeros_at_tiny_orders(self, nu):
         first, second = zeros_upto(ZeroKind.JPRIME, nu, 2)
         root = oracle.root_near("jp", nu, math.sqrt(2.0 * nu), 0.5 * math.sqrt(2.0 * nu))
-        assert first.bracket.lo <= root <= first.bracket.hi
+        assert first.lo <= root <= first.hi
         assert abs(first.value - root) <= WIDTH_TOL
         assert second.value == pytest.approx(float(oracle.root_near("jp", nu, 3.8317, 1e-3)), rel=1e-13)
 
@@ -843,9 +856,9 @@ class TestWrongGuess:
         fake = self.GUESSES[guess]
         real_walk, walked = zmod.initial_bracket, {}
 
-        def walk(id, target, prev, x, fx, guess):
-            walked[id.s] = guess
-            return real_walk(id, target, prev, x, fx, guess)
+        def walk(kind, nu, s, target, prev, x, fx, guess):
+            walked[s] = guess
+            return real_walk(kind, nu, s, target, prev, x, fx, guess)
 
         monkeypatch.setattr(zmod, "_predict", lambda records, *carry: None)
         cold = self.values(kind, nu, self.RANKS)
@@ -910,7 +923,7 @@ class TestCarriedAnchor:
         monkeypatch.setattr(zmod, "_predict", lambda records, *carry: (z - 2.0 * h, h) if len(records) == s - 1 else predict(records, *carry))
         records, seen = self.build(monkeypatch, kind, nu, forced_zero=z)
         hit = records[s - 1]
-        assert (hit.value, hit.bracket, hit.residual, hit.iterations) == (z, Bracket(z, z), 0.0, 0)
+        assert (hit.value, hit.lo, hit.hi, hit.residual, hit.iterations) == (z, z, z, 0.0, 0)
         grid = TestRankCertification.ranked(kind, nu)[: self.RANKS]
         assert [r.value for r in records] == pytest.approx(grid, rel=1e-10, abs=1e-12)
         restarts = {_scan_start(kind, nu, r.value) for r in records[:-1]}
@@ -924,10 +937,10 @@ class TestCarriedAnchor:
         zmod.clear_cache()
         real_refine = zmod.refine
 
-        def failing(id, *args):
-            if id.s == 6:
+        def failing(kind, nu, s, *args):
+            if s == 6:
                 raise zmod.ConvergenceError("forced", code="NO_CONVERGENCE")
-            return real_refine(id, *args)
+            return real_refine(kind, nu, s, *args)
 
         monkeypatch.setattr(zmod, "refine", failing)
         with pytest.raises(zmod.ConvergenceError):
@@ -981,10 +994,10 @@ class TestMcMahonCarry:
         real_refine, cut = zmod.refine, self.RANKS // 2
         if interruption == "failed":
 
-            def failing(id, *args):
-                if id.s == cut:
+            def failing(kind, nu, s, *args):
+                if s == cut:
                     raise zmod.ConvergenceError("forced", code="NO_CONVERGENCE")
-                return real_refine(id, *args)
+                return real_refine(kind, nu, s, *args)
 
             monkeypatch.setattr(zmod, "refine", failing)
             for s in range(1, cut):
@@ -1196,9 +1209,9 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(old)
         for (kind, nu, n), recs in zip(jobs, results):
-            assert [r.id.s for r in recs] == list(range(1, n + 1))
+            assert [r.s for r in recs] == list(range(1, n + 1))
         for recs in zmod._cache.values():
-            assert [r.id.s for r in recs] == list(range(1, len(recs) + 1))
+            assert [r.s for r in recs] == list(range(1, len(recs) + 1))
             assert all(b.value > a.value for a, b in zip(recs, recs[1:]))
 
 
@@ -1213,7 +1226,7 @@ def test_zero_record_properties(kind, nu, s):
     if kind is ZeroKind.JPRIME and nu == 0.0 and s == 1:
         assert rec.value == 0.0
         return
-    assert rec.bracket.lo <= rec.value <= rec.bracket.hi
+    assert rec.lo <= rec.value <= rec.hi
     assert abs(rec.residual) <= 1e-10 * max(1.0, rec.value)
     assert rec.value > 0.0
     if s > 1:
