@@ -139,30 +139,16 @@ def thread_count(text: str) -> int:
 
 def cmd_zeros(args: argparse.Namespace) -> tuple[int, str]:
     kind = ZeroKind.parse(args.kind)
-    records = zeros_upto(kind, args.nu, args.smax)
+    table = zeros_upto(kind, args.nu, args.smax)
+    rows = zip(range(1, len(table) + 1), table.value, table.lo, table.hi, table.residual)
     if args.format == "json":
-        body = to_json(
-            {
-                "kind": kind.value,
-                "nu": args.nu,
-                "zeros": [
-                    {
-                        "s": r.s,
-                        "value": r.value,
-                        "bracket_lo": r.lo,
-                        "bracket_hi": r.hi,
-                        "residual": r.residual,
-                    }
-                    for r in records
-                ],
-            }
-        )
+        found = [{"s": s, "value": v, "bracket_lo": lo, "bracket_hi": hi, "residual": r} for s, v, lo, hi, r in rows]
+        body = to_json({"kind": kind.value, "nu": args.nu, "zeros": found})
     else:
-        # One format string per record: every field but s is a float, and
-        # f"{x:.17g}" is the same float.__format__ that fmt calls.
-        head = f"{kind.value},{fmt(args.nu)},"
-        lines = (f"{head}{r.s},{r.value:.17g},{r.lo:.17g},{r.hi:.17g},{r.residual:.17g}" for r in records)
-        body = to_csv(["kind", "nu", "s", "value", "bracket_lo", "bracket_hi", "residual"], lines)
+        # One row template: every field but s is a float, and "%.17g" renders
+        # a float exactly as format(x, ".17g"), which fmt calls.
+        template = f"{kind.value},{fmt(args.nu)},%d,%.17g,%.17g,%.17g,%.17g"
+        body = to_csv(["kind", "nu", "s", "value", "bracket_lo", "bracket_hi", "residual"], (template % row for row in rows))
     return 0, body
 
 

@@ -17,9 +17,10 @@ y_{nu+eps,s} > j_{nu,s}.
 
 All node values come from the shared zero-finder cache, so a value
 reused across chains is bit-for-bit identical. A suite, like a chain
-table, reads each node family once through ``zeros_upto`` as floats and
-checks each row as one pass over its node columns, each column sliced
-by its node's rank offset; witnesses are built only for failing ranks.
+table, reads each node family once through ``zeros_upto`` as its value
+column and checks each row as one pass over its node columns, each
+column sliced by its node's rank offset; witnesses are built only for
+failing ranks.
 ``find_breaking`` reads its two families the same way, in chunks of
 ``_CHUNK`` ranks. ``build_chain`` and ``counterexample_scan`` read one
 zero per node (``_zval``).
@@ -225,7 +226,7 @@ def _columns(chains, nu: float, eps: float, s_max: int):
     need: dict[tuple[ZeroKind, bool], int] = {}
     for node in (n for c in chains for n in _top_nodes(c)):
         need[node.kind, node.shifted] = max(need.get((node.kind, node.shifted), 0), s_max + node.offset)
-    families = {(k, sh): [r.value for r in zeros_upto(k, nu + eps if sh else nu, n)] for (k, sh), n in need.items()}
+    families = {(k, sh): zeros_upto(k, nu + eps if sh else nu, n).value for (k, sh), n in need.items()}
     for chain in chains:
         columns = [families[n.kind, n.shifted][n.offset : s_max + n.offset] for n in chain.nodes]
         if chain.open:
@@ -333,9 +334,7 @@ def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:
     left, right = _BREAKING.nodes
     for lo in range(0, s_cap, _CHUNK):
         hi = min(lo + _CHUNK, s_cap)
-        lefts, rights = (
-            [r.value for r in zeros_upto(n.kind, nu + eps if n.shifted else nu, hi)[lo:]] for n in (left, right)
-        )
+        lefts, rights = (zeros_upto(n.kind, nu + eps if n.shifted else nu, hi).value[lo:] for n in (left, right))
         for s, (yv, jv) in enumerate(zip(lefts, rights), lo + 1):
             if yv > jv:
                 return ViolationWitness(nu, eps, s, left.label(s), right.label(s), yv, jv)

@@ -65,8 +65,8 @@ def eval_W(nu: float, mu: float, x: float) -> float:
 
 
 def _extremal_points(nu: float, mu: float, s_max: int) -> list[tuple[float, str]]:
-    pts = [(r.value, "J-zero") for r in zeros_upto(ZeroKind.J, nu, s_max)]
-    pts += [(r.value, "Y-zero") for r in zeros_upto(ZeroKind.Y, mu, s_max)]
+    pts = [(x, "J-zero") for x in zeros_upto(ZeroKind.J, nu, s_max).value]
+    pts += [(x, "Y-zero") for x in zeros_upto(ZeroKind.Y, mu, s_max).value]
     pts.sort()
     return pts
 

@@ -1,13 +1,18 @@
 """Enumeration of positive real zeros j_{nu,s}, y_{nu,s}, j'_{nu,s}, y'_{nu,s}.
 
 Every zero is certified by a sign-change bracket. A cached sequence is
-extended one zero at a time by one loop, ``_extend_sequence``, which
-builds F once per extension and hands each zero from one stage to the
-next: ``initial_bracket`` walks to a bracket (lo, hi, F(lo), F(hi)),
-and ``refine`` polishes that bracket into a ZeroRecord, one flat record
-(s, value, lo, hi, residual, iterations) per zero. The ZeroId that
-``zero`` or ``zeros_upto`` builds holds the one domain check; the loop
-hands its stages the kind, order and rank as they are.
+held as columns, float64 ``value``, ``lo``, ``hi`` and ``residual`` and
+an integer ``iterations``, with the rank s as the position; it costs
+~40 bytes per zero and is extended one zero at a time by one loop,
+``_extend_sequence``, which builds F once per extension and hands each
+zero from one stage to the next: ``initial_bracket`` walks to a bracket
+(lo, hi, F(lo), F(hi)), and ``refine`` polishes that bracket into the
+tuple (value, lo, hi, residual, iterations) that the loop appends to the
+columns. The ZeroId that ``zero`` or ``zeros_upto`` builds holds the one
+domain check; the loop hands its stages the kind, order and rank as they
+are. ``zeros_upto`` returns a read-only ``ZeroTable`` over the live
+columns, and ``zero`` and a table's index build a ``ZeroRecord`` per
+call; no record is kept.
 
 The walk starts from a lower anchor (x = nu for the first zero, then
 the upper end of the previous walk's bracket, which held the previous
@@ -42,7 +47,7 @@ fetches C_{nu+1}(x) for its slope only when Newton has to step.
 Newton runs until its step |F/F'| is at most tol / 16, or at most tol
 twice running, with tol = WIDTH_TOL/2 * max(1, x); one probe tol past
 the iterate, on the root's side, then certifies it when F changes sign
-there, and the record's bracket is {iterate, probe}.
+there, and the zero's bracket is {iterate, probe}.
 Signs are compared directly, never through a product of F values, which
 underflows to 0.0 once both are below ~1e-162.
 
@@ -58,6 +63,7 @@ import enum
 import functools
 import math
 import threading
+from array import array
 from dataclasses import dataclass
 
 from . import evaluate as ev
@@ -67,18 +73,19 @@ __all__ = [
     "ZeroKind",
     "ZeroId",
     "ZeroRecord",
+    "ZeroTable",
     "zero",
     "zeros_upto",
 ]
 
 S_MAX_LIMIT = 10_000
 
-#: Widest bracket a ZeroRecord may carry, relative to max(1, root): a
+#: Widest bracket a zero may carry, relative to max(1, root): a
 #: converged Newton iterate is certified by a probe half this far away,
 #: and refinement also stops once the bracket narrows to this width.
 WIDTH_TOL = 1e-14
 
-#: |f(root)| certified by every ZeroRecord, relative to max(1, root).
+#: |f(root)| certified by every zero, relative to max(1, root).
 RESID_TOL = 1e-10
 
 MAX_REFINE_ITERS = 200
@@ -160,6 +167,62 @@ class ZeroRecord:
     hi: float
     residual: float
     iterations: int
+
+
+def _record(columns: tuple[array, ...], k: int) -> ZeroRecord:
+    """The ZeroRecord of rank k + 1 of a sequence's columns."""
+    value, lo, hi, residual, iterations = columns
+    return ZeroRecord(k + 1, value[k], lo[k], hi[k], residual[k], iterations[k])
+
+
+def _column(i: int, name: str) -> property:
+    return property(lambda self: self._columns[i][: self._n], doc=f"A copy of the {name} column, ranks 1..n.")
+
+
+class ZeroTable:
+    """Ranks 1..n of one zero sequence, read-only: a view of the cache's
+    columns at length n, made without a copy.
+
+    An int index builds that rank's ZeroRecord (index s - 1 for rank s),
+    and a slice a list of them. ``value``, ``lo``, ``hi``, ``residual``
+    and ``iterations`` return copies of the columns cut to n, as float64
+    (integer for ``iterations``) ``array.array``s. Two tables are equal
+    when their columns hold the same bits. A cached sequence only grows,
+    so ranks 1..n never change: the view keeps them after the sequence
+    grows and after ``clear_cache``.
+    """
+
+    __slots__ = ("_columns", "_n")
+
+    def __init__(self, columns: tuple[array, ...], n: int) -> None:
+        """A view of the first n entries of ``columns``, (value, lo, hi,
+        residual, iterations), which must each hold at least n and never
+        change below n."""
+        self._columns = columns
+        self._n = n
+
+    value = _column(0, "value")
+    lo = _column(1, "lo")
+    hi = _column(2, "hi")
+    residual = _column(3, "residual")
+    iterations = _column(4, "iterations")
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        # range(n) does a sequence's index rules: negatives, bounds, slices.
+        k = range(self._n)[index]
+        return [_record(self._columns, i) for i in k] if isinstance(k, range) else _record(self._columns, k)
+
+    def __iter__(self):
+        return (_record(self._columns, k) for k in range(self._n))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ZeroTable):
+            return NotImplemented
+        n = self._n
+        return n == other._n and all(a[:n].tobytes() == b[:n].tobytes() for a, b in zip(self._columns, other._columns))
 
 
 # Per kind: the name of its C_nu evaluator on ``ev``, and whether F is C'_nu.
@@ -273,10 +336,13 @@ def _settled(fx: float, d: float, tol: float, dx_old: float) -> bool:
 
 
 # Not underscored: perfbench/spans.py spans this stage by its name.
-def refine(kind: ZeroKind, nu: float, s: int, target: tuple, a: float, b: float, fa: float, fb: float) -> ZeroRecord:
+def refine(
+    kind: ZeroKind, nu: float, s: int, target: tuple, a: float, b: float, fa: float, fb: float
+) -> tuple[float, float, float, float, int]:
     """Polish the walk's bracket [a, b] of the s-th zero of the kind at
     order nu, with fa = F(a) and fb = F(b), by Newton safeguarded by
-    bisection.
+    bisection, into the tuple (value, lo, hi, residual, iterations): the
+    zero's columns, in the order ``_extend_sequence`` appends them.
 
     Newton starts at the secant point a - F(a) (b - a) / (F(b) - F(a)) of
     the bracket, or at its midpoint when that point is not strictly
@@ -295,7 +361,7 @@ def refine(kind: ZeroKind, nu: float, s: int, target: tuple, a: float, b: float,
     at the first iterate, the last iterate's F' after that. It calls
     C_{nu+1}(x) for F'(x) itself when the estimate is not finite or fails
     the test, and when Newton has to step. The estimate only decides
-    whether to probe: the probe's sign change certifies every record.
+    whether to probe: the probe's sign change certifies every zero.
 
     ``iterations`` counts every iterate, also one that ends the loop by
     an exact zero or the width stop, and not the probes. F at the ends
@@ -307,9 +373,9 @@ def refine(kind: ZeroKind, nu: float, s: int, target: tuple, a: float, b: float,
     """
     value, value_slope, slope = target
     if fa == 0.0:
-        return ZeroRecord(s, a, a, a, 0.0, 0)
+        return a, a, a, 0.0, 0
     if fb == 0.0:
-        return ZeroRecord(s, b, b, b, 0.0, 0)
+        return b, b, b, 0.0, 0
 
     x = a - fa * (b - a) / (fb - fa)
     if not a < x < b:
@@ -372,12 +438,15 @@ def refine(kind: ZeroKind, nu: float, s: int, target: tuple, a: float, b: float,
         x = x_new
 
     # Every exit leaves x at a or b with fx = F(x) already evaluated.
-    return ZeroRecord(s, x, a, b, fx, iterations)
+    return x, a, b, fx, iterations
 
 
 # --- cached sequential enumeration ----------------------------------------
 
-_cache: dict[tuple[ZeroKind, float], list[ZeroRecord]] = {}
+# Per cached sequence, its columns (value, lo, hi, residual, iterations):
+# float64 arrays and an int array, all of one length, the rank s at index
+# s - 1. They only grow, and only under _cache_lock.
+_cache: dict[tuple[ZeroKind, float], tuple[array, ...]] = {}
 # Per cached sequence, what its last extension hands the next, (x, F(x),
 # row, d_old, d_last): x is the upper end of the last walk's bracket, where
 # the next walk starts (None when that walk hit its zero exactly), and that
@@ -385,8 +454,10 @@ _cache: dict[tuple[ZeroKind, float], list[ZeroRecord]] = {}
 # the sequence's _mcmahon_row, and d = z - M(s) of its last two zeros; all
 # three are None until the sequence has two walked zeros.
 _anchors: dict[tuple[ZeroKind, float], tuple] = {}
-# Guards every read and extension of the cache. Extending a sequence never
+# Guards every lookup and extension of the cache. Extending a sequence never
 # looks up another one, so holding it across the refinement cannot deadlock.
+# A ZeroTable reads its columns below its length without it: those
+# entries never change.
 _cache_lock = threading.Lock()
 
 
@@ -434,9 +505,10 @@ def _mcmahon(row: tuple[float, float, float, float, float], s: int) -> float:
     return 0.125 * b8 - (c1 + t * (c3 + t * (c5 + t * c7))) / b8
 
 
-def _predict(records: list[ZeroRecord], m: float | None, d_old: float | None, d_last: float | None) -> tuple[float, float] | None:
-    """A guess (g, h) at the next zero, where h bounds g's error, from the
-    source whose h is smaller; None before either has its history.
+def _predict(values: array, m: float | None, d_old: float | None, d_last: float | None) -> tuple[float, float] | None:
+    """A guess (g, h) at the next zero of the sequence whose ``values``
+    column this is, where h bounds g's error, from the source whose h is
+    smaller; None before either has its history.
 
     McMahon's, from rank 3, with ``m`` = M(s) and d = z - M of the last
     two zeros, ``d_old`` before ``d_last``: g = m + d_last and h =
@@ -448,71 +520,81 @@ def _predict(records: list[ZeroRecord], m: float | None, d_old: float | None, d_
     if d_old is not None:
         g = m + d_last
         h = max(2.0 * abs(d_last - d_old), 4.0 * math.ulp(g))
-        if h < 2e-11 or len(records) < 3:
+        if h < 2e-11 or len(values) < 3:
             return g, h
-    elif len(records) < 3:
+    elif len(values) < 3:
         return None
-    z1, z2, z3 = records[-3].value, records[-2].value, records[-1].value
+    z1, z2, z3 = values[-3], values[-2], values[-1]
     gq = 3.0 * (z3 - z2) + z1
     hq = max(abs(gq - (2.0 * z3 - z2)), 2e-11 * max(1.0, gq))
     return (g, h) if d_old is not None and h < hq else (gq, hq)
 
 
-def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
-    """The cached records of (kind, nu), extended to at least s_max ranks.
+def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]:
+    """The cached columns of (kind, nu), extended to at least s_max ranks.
 
     kind, nu and s_max must have passed ``ZeroId``'s domain check.
-    Returns the cache's own list, which only ever grows: read it, never
-    modify it.
+    Returns the cache's own columns, which only ever grow: read them,
+    never modify them.
     """
     key = (kind, nu)
     with _cache_lock:
-        records = _cache.setdefault(key, [])
-        if len(records) >= s_max:
-            return records
+        columns = _cache.get(key)
+        if columns is None:
+            columns = _cache[key] = (array("d"), array("d"), array("d"), array("d"), array("i"))
+        values, los, his, residuals, iterations = columns
+        if len(values) >= s_max:
+            return columns
         # Taken out for an extension and put back at its end, so one that
         # raises leaves no anchor: the next walk starts past the last zero,
-        # and d is derived again from the records, to the same bits.
+        # and d is derived again from the values, to the same bits.
         x, fx, row, d_old, d_last = _anchors.pop(key, None) or (None,) * 5
         target = _target(kind, nu)
-        if not records and kind is ZeroKind.JPRIME and nu == 0.0:
-            records.append(ZeroRecord(1, 0.0, 0.0, 0.0, 0.0, 0))
-        while len(records) < s_max:
-            s = len(records) + 1
+        if not values and kind is ZeroKind.JPRIME and nu == 0.0:
+            for column in columns:
+                column.append(0)
+        while len(values) < s_max:
+            s = len(values) + 1
             # McMahon's guess needs two walked zeros before it (j'_{0,1} = 0
             # is not walked), so a sequence that stops short of that
             # builds no row.
-            if row is None and s > 2 and records[-2].value > 0.0:
+            if row is None and s > 2 and values[-2] > 0.0:
                 row = _mcmahon_row(kind, nu)
-                d_old, d_last = (r.value - _mcmahon(row, r.s) for r in records[-2:])
+                d_old, d_last = (values[r - 1] - _mcmahon(row, r) for r in (s - 2, s - 1))
             m = _mcmahon(row, s) if row else None
-            prev = records[-1].value if records else None
-            a, b, fa, fb = initial_bracket(kind, nu, s, target, prev, x, fx, _predict(records, m, d_old, d_last))
-            rec = refine(kind, nu, s, target, a, b, fa, fb)
-            if records and not rec.value > prev:
+            prev = values[-1] if values else None
+            a, b, fa, fb = initial_bracket(kind, nu, s, target, prev, x, fx, _predict(values, m, d_old, d_last))
+            z, lo, hi, residual, its = refine(kind, nu, s, target, a, b, fa, fb)
+            if values and not z > prev:
                 raise ConvergenceError(
                     f"zeros of {kind.name} nu={nu} failed to increase at s={s}",
                     code="NO_CONVERGENCE",
                 )
-            if abs(rec.residual) > RESID_TOL * max(1.0, abs(rec.value)):
+            if abs(residual) > RESID_TOL * max(1.0, abs(z)):
                 raise ConvergenceError(
-                    f"residual {rec.residual!r} above tolerance for {ZeroId(kind, nu, s)}",
+                    f"residual {residual!r} above tolerance for {ZeroId(kind, nu, s)}",
                     code="NO_CONVERGENCE",
                 )
-            records.append(rec)
+            values.append(z)
+            los.append(lo)
+            his.append(hi)
+            residuals.append(residual)
+            iterations.append(its)
             x, fx = (b, fb) if fb != 0.0 else (None, None)
             if row:
-                d_old, d_last = d_last, rec.value - m
+                d_old, d_last = d_last, z - m
         _anchors[key] = x, fx, row, d_old, d_last
-        return records
+        return columns
 
 
 def zero(id: ZeroId) -> ZeroRecord:
-    """The zero named by ``id``, with its certifying bracket."""
-    return _extend_sequence(id.kind, id.nu, id.s)[id.s - 1]
+    """The zero named by ``id``, with its certifying bracket: a new
+    ZeroRecord built from the cache's columns."""
+    return _record(_extend_sequence(id.kind, id.nu, id.s), id.s - 1)
 
 
-def zeros_upto(kind: ZeroKind, nu: float, s_max: int) -> list[ZeroRecord]:
-    """Records for ranks 1..s_max, strictly increasing in value."""
+def zeros_upto(kind: ZeroKind, nu: float, s_max: int) -> ZeroTable:
+    """Ranks 1..s_max, strictly increasing in value, as a read-only
+    ``ZeroTable`` over the cache's columns."""
     id = ZeroId(kind, nu, s_max)
-    return _extend_sequence(kind, id.nu, s_max)[:s_max]
+    return ZeroTable(_extend_sequence(kind, id.nu, s_max), s_max)

@@ -27,10 +27,19 @@ def substituted_zeros(changes):
         f = table.get((kind, float(nu), rec.s))
         return rec if f is None else dataclasses.replace(rec, value=f(rec.value))
 
+    def swap_table(kind, nu, true):
+        """A table over copies of ``true``'s columns, its value column swapped."""
+        value = true.value
+        for s, v in enumerate(value, 1):
+            f = table.get((kind, float(nu), s))
+            if f is not None:
+                value[s - 1] = f(v)
+        return zeros.ZeroTable((value, true.lo, true.hi, true.residual, true.iterations), len(true))
+
     true_zero, true_zeros_upto = zeros.zero, zeros.zeros_upto
     wrappers = {
         "zero": lambda id: swap(id.kind, id.nu, true_zero(id)),
-        "zeros_upto": lambda kind, nu, s_max: [swap(kind, nu, r) for r in true_zeros_upto(kind, nu, s_max)],
+        "zeros_upto": lambda kind, nu, s_max: swap_table(kind, nu, true_zeros_upto(kind, nu, s_max)),
     }
     with contextlib.ExitStack() as stack:
         for module in (interlace, wronskian, cli):

@@ -126,7 +126,7 @@ class TestTable:
         zmod.clear_cache()
         check_derivative_chains(0.5, 0.5, 3)
         check_theorem1(2.0, 3)
-        lengths = {(kind.value, nu): len(recs) for (kind, nu), recs in zmod._cache.items()}
+        lengths = {(kind.value, nu): len(columns[0]) for (kind, nu), columns in zmod._cache.items()}
         assert lengths == {
             ("jp", 0.5): 3,
             ("jp", 1.0): 3,
@@ -299,7 +299,9 @@ class TestColumnPass:
         with substituted_zeros(changes):
             found = check(nu, eps, s_max)
             expect = reference(nu, eps, s_max)
-        assert found == expect
+        # Compared by repr, which is exact for floats: a NaN read from a
+        # column is a new object each time, and NaN != NaN.
+        assert list(map(repr, found)) == list(map(repr, expect))
         assert witnesses(found) == self.EXPECT[case]
 
     @pytest.mark.parametrize("suite", list(CHECKS))

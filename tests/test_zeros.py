@@ -2,8 +2,10 @@ import dataclasses
 import functools
 import math
 import statistics
+import sys
 import tracemalloc
 import types
+from array import array
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from bessel_interlace import (
     zeros_upto,
 )
 import bessel_interlace.evaluate as ev
+import bessel_interlace.interlace as imod
 import bessel_interlace.zeros as zmod
 from bessel_interlace.zeros import _MIN_GAP, _REACH, _STEP, WIDTH_TOL, _scan_start, _target
 
@@ -515,7 +518,7 @@ class TestEvaluationBudget:
     @pytest.mark.parametrize("kind,nu,ranks", [(ZeroKind.Y, 2.5, 2000), (ZeroKind.J, 10.0, 1500)])
     def test_c_nu_plus_1_only_to_step(self, monkeypatch, kind, nu, ranks):
         above = [0]  # C_{nu+1} calls so far
-        unstepped, later = [], []  # C_{nu+1} calls per zero without a stepping iterate; (calls, record) for the others
+        unstepped, later = [], []  # C_{nu+1} calls per zero without a stepping iterate; (calls, iterations) for the others
 
         def counted(bessel):
             def wrapper(order, x):
@@ -528,12 +531,13 @@ class TestEvaluationBudget:
 
         def polish(*args):
             before = above[0]
-            rec = real_refine(*args)
-            if rec.iterations == 1:
+            polished = real_refine(*args)
+            *_, iterations = polished
+            if iterations == 1:
                 unstepped.append(above[0] - before)
             else:
-                later.append((above[0] - before, rec))
-            return rec
+                later.append((above[0] - before, iterations))
+            return polished
 
         zmod.clear_cache()
         for name in ("bessel_j", "bessel_y"):
@@ -545,7 +549,7 @@ class TestEvaluationBudget:
         assert len(unstepped) >= 0.8 * ranks
         assert not any(unstepped)
         # Every iterate is counted, the one that ends refine too, and none makes two calls.
-        assert all(calls <= rec.iterations for calls, rec in later)
+        assert all(calls <= iterations for calls, iterations in later)
         assert above[0] == sum(calls for calls, _ in later)
 
 
@@ -661,17 +665,19 @@ class TestLookupCost:
         tracemalloc.start()
         try:
             rec = zero(id)
+            table = zeros_upto(ZeroKind.J, 0.0, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rec.s == 10_000
+        assert rec.s == 10_000 and len(table) == 10_000
         assert peak < 8_000
 
     def test_cached_record_size(self):
-        # A cold J_1 sequence to rank 2,000. A flat slotted record (s, value,
-        # lo, hi, residual, iterations) takes ~187 bytes with its floats and
-        # list slot; one holding a ZeroId and a Bracket took ~283, and one
-        # with a __dict__ ~430.
+        # A cold J_1 sequence to rank 2,000. The cache holds it as five
+        # columns, four of float64 and one of int32, so a zero takes 36
+        # bytes plus the arrays' growth slack (~1/16); a flat slotted
+        # ZeroRecord per zero took ~187 bytes, with a ZeroId and a Bracket
+        # ~283, and with a __dict__ ~430.
         zmod.clear_cache()
         tracemalloc.start()
         try:
@@ -680,29 +686,117 @@ class TestLookupCost:
         finally:
             tracemalloc.stop()
             zmod.clear_cache()
-        assert current / 2000 <= 200
+        assert current / 2000 <= 48
         assert not hasattr(zero(ZeroId(ZeroKind.J, 1.0, 1)), "__dict__")
 
+    def test_sweep_cache_size(self):
+        # The orders and ranks of `verify --suite all --nu-grid 0:10:0.25
+        # --smax 20`: 180 sequences of 20 or 21 zeros. Their column buffers
+        # hold at most 48 bytes per cached zero (36 bytes, and capacity for
+        # 25 zeros each). On top of that each sequence holds ~1 KB: five
+        # array headers, its key, its anchor and its McMahon row; so the
+        # whole cache takes ~93 bytes per zero, against ~188 for a
+        # ZeroRecord per zero.
+        zmod.clear_cache()
+        tracemalloc.start()
+        try:
+            for suite, rules in imod.SUITES.items():
+                for nu in (0.25 * i for i in range(41)):
+                    for eps in (0.25, 0.5, 0.75, 1.0) if rules.eps is None else (rules.eps,):
+                        imod.check_suite(suite, nu, eps, 20)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        try:
+            cached = sum(len(columns[0]) for columns in zmod._cache.values())
+            buffers = sum(sys.getsizeof(c) - sys.getsizeof(array(c.typecode)) for cs in zmod._cache.values() for c in cs)
+        finally:
+            zmod.clear_cache()
+        assert cached == 3641
+        assert buffers / cached <= 48
+        assert current / cached <= 120
+
     def test_cached_record_is_immutable(self):
-        # Every lookup shares the cache's record, and its lo and hi are the
-        # certificate: no caller may rewrite them.
+        # Every call builds a new record from the columns; its lo and hi are
+        # the certificate, and no caller may rewrite them.
         id = ZeroId(ZeroKind.Y, 2.5, 7)
         rec = zero(id)
-        bits = _record_bits(rec)
+        assert _record_bits(zero(id)) == _record_bits(rec)
         for field, v in (("value", 1.0), ("lo", rec.hi), ("hi", rec.lo)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(rec, field, v)
-        assert zero(id) is rec and _record_bits(zero(id)) == bits
-
-    def test_zeros_upto_returns_a_copy(self):
-        records = zeros_upto(ZeroKind.J, 1.5, 5)
-        records[0] = None
-        assert zeros_upto(ZeroKind.J, 1.5, 5)[0] is not None
+        assert _record_bits(zero(id)) == _record_bits(rec)
 
 
 def _record_bits(rec):
     floats = (rec.value, rec.lo, rec.hi, rec.residual)
     return (rec.s, rec.iterations, *(v.hex() for v in floats))
+
+
+COLUMNS = ("value", "lo", "hi", "residual", "iterations")
+
+
+class TestZeroTable:
+    # zeros_upto returns a read-only view of the cache's columns at a fixed
+    # length; records are built per lookup, from the columns.
+    def test_a_table_keeps_its_ranks_and_bits(self):
+        zmod.clear_cache()
+        table = zeros_upto(ZeroKind.Y, 2.5, 5)
+        bits = [_record_bits(r) for r in table]
+        try:
+            zeros_upto(ZeroKind.Y, 2.5, 300)  # its sequence grows
+            assert len(table) == 5 and [_record_bits(r) for r in table] == bits
+            zmod.clear_cache()
+            assert len(table) == 5 and [_record_bits(r) for r in table] == bits
+            assert [len(getattr(table, name)) for name in COLUMNS] == [5] * 5
+            assert zeros_upto(ZeroKind.Y, 2.5, 5) == table  # a cold rebuild, bit for bit
+        finally:
+            zmod.clear_cache()
+
+    def test_item_assignment_raises(self):
+        table = zeros_upto(ZeroKind.J, 1.5, 5)
+        with pytest.raises(TypeError):
+            table[0] = None
+        with pytest.raises(TypeError):
+            del table[0]
+        assert zeros_upto(ZeroKind.J, 1.5, 5)[0].s == 1
+
+    def test_writing_a_column_leaves_the_next_lookup_unchanged(self):
+        table = zeros_upto(ZeroKind.J, 1.5, 5)
+        bits = [_record_bits(r) for r in table]
+        for name in COLUMNS:
+            column = getattr(table, name)
+            column[0] = -1
+            column.append(7)
+        assert [_record_bits(r) for r in zeros_upto(ZeroKind.J, 1.5, 5)] == bits
+        assert [_record_bits(r) for r in table] == bits
+
+    @pytest.mark.parametrize("kind,nu", [(ZeroKind.J, 1.5), (ZeroKind.JPRIME, 0.0)])
+    def test_field_types(self, kind, nu):
+        for rec in [zero(ZeroId(kind, nu, 1)), *zeros_upto(kind, nu, 3)]:
+            assert type(rec.s) is int and type(rec.iterations) is int
+            assert {type(getattr(rec, name)) for name in ("value", "lo", "hi", "residual")} == {float}
+
+    def test_index_slice_and_iteration(self):
+        table = zeros_upto(ZeroKind.J, 1.5, 6)
+        records = list(table)
+        assert [r.s for r in records] == list(range(1, 7))
+        assert table[-1] == records[-1] and table[2] == zero(ZeroId(ZeroKind.J, 1.5, 3))
+        assert table[1:5:2] == records[1:5:2] and table[10:] == []
+        assert list(table.value) == [r.value for r in records]
+        with pytest.raises(IndexError):
+            table[6]
+        with pytest.raises(IndexError):
+            table[-7]
+
+    def test_equality_compares_bits(self):
+        def table(v):
+            return zmod.ZeroTable((array("d", [v]), array("d", [v]), array("d", [v]), array("d", [0.0]), array("i", [1])), 1)
+
+        assert table(math.nan) == table(math.nan)
+        assert table(0.0) != table(-0.0)
+        assert table(1.0) == table(1.0) and table(1.0) != table(2.0)
+        assert zeros_upto(ZeroKind.J, 1.5, 5) != zeros_upto(ZeroKind.J, 1.5, 6)
 
 
 class TestIntOrders:
@@ -1011,7 +1105,7 @@ class TestMcMahonCarry:
             zmod.clear_cache()
         counts = self.counted_mcmahon(monkeypatch)
         try:
-            before = len(zmod._cache.get((kind, nu), []))
+            before = len(zmod._cache[kind, nu][0]) if (kind, nu) in zmod._cache else 0
             ranked = [_record_bits(zero(ZeroId(kind, nu, s))) for s in range(1, self.RANKS + 1)]
         finally:
             zmod.clear_cache()
@@ -1208,11 +1302,50 @@ class TestConcurrency:
                 results = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(old)
-        for (kind, nu, n), recs in zip(jobs, results):
-            assert [r.s for r in recs] == list(range(1, n + 1))
-        for recs in zmod._cache.values():
-            assert [r.s for r in recs] == list(range(1, len(recs) + 1))
-            assert all(b.value > a.value for a, b in zip(recs, recs[1:]))
+        for (kind, nu, n), table in zip(jobs, results):
+            assert [r.s for r in table] == list(range(1, n + 1))
+        for columns in zmod._cache.values():
+            TestConcurrency.assert_whole(columns)
+
+    @staticmethod
+    def assert_whole(columns):
+        """All columns of one length, each rank's fields one zero (its value
+        inside its own bracket), and values strictly increasing."""
+        values, los, his, _, iterations = columns
+        assert len({len(c) for c in columns}) == 1
+        assert all(lo <= v <= hi for lo, v, hi in zip(los, values, his))
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert all(0 <= i <= zmod.MAX_REFINE_ITERS + 1 for i in iterations)
+
+    def test_table_held_while_eight_threads_extend(self):
+        # One thread reads a table of 10 ranks over and over while 8 threads
+        # extend its sequence to up to 330 ranks: the table keeps its ranks
+        # and bits throughout, and every longer table begins with them.
+        from concurrent.futures import ThreadPoolExecutor
+
+        zmod.clear_cache()
+        held = zeros_upto(ZeroKind.J, 1.5, 10)
+        bits = [_record_bits(r) for r in held]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(zeros_upto, ZeroKind.J, 1.5, 10 + 40 * i) for i in range(1, 9)]
+                reads = 0
+                while not all(f.done() for f in futures) or not reads:
+                    assert [_record_bits(r) for r in held] == bits and len(held.value) == 10
+                    reads += 1
+                tables = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        try:
+            assert [_record_bits(r) for r in held] == bits
+            longest = [_record_bits(r) for r in tables[-1]]
+            for table in tables:
+                assert [_record_bits(r) for r in table] == longest[: len(table)]
+            TestConcurrency.assert_whole(zmod._cache[ZeroKind.J, 1.5])
+        finally:
+            zmod.clear_cache()
 
 
 @settings(max_examples=30, deadline=None)
