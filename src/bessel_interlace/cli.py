@@ -203,12 +203,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
     violations = []
     notes = []
-    for name, (fixed_eps, _, _, note) in suites.items():
+    for name, rules in suites.items():
         for nu in nu_grid:
-            for eps in eps_grid if fixed_eps is None else (fixed_eps,):
+            for eps in eps_grid if rules.eps is None else (rules.eps,):
                 violations += [(name, w) for w in interlace.check_suite(name, nu, eps, args.smax)]
-                if note and nu == 0.0 and eps == 1.0:
-                    notes.append({"suite": name, "nu": nu, "note": note})
+                if rules.note and nu == 0.0 and eps == 1.0:
+                    notes.append({"suite": name, "nu": nu, "note": rules.note})
     violations.sort(key=lambda sw: (sw[0], sw[1].nu, sw[1].eps, sw[1].s, sw[1].left_label))
     notes.sort(key=lambda n: (n["suite"], n["nu"]))
 

@@ -25,8 +25,8 @@ class DomainError(BesselInterlaceError):
 
     Codes: DOMAIN_NU, OVERFLOW_NU (an order above NU_MAX), DOMAIN_EPS (also
     nu + eps above NU_MAX), DOMAIN_X, DOMAIN_S, DOMAIN_KIND (also from
-    ZeroId), DOMAIN_PAIR, DOMAIN_N; from the CLI, DOMAIN_GRID and
-    DOMAIN_MU. Each message names the input at fault.
+    ZeroId), DOMAIN_PAIR, DOMAIN_SUITE, DOMAIN_N; from the CLI,
+    DOMAIN_GRID and DOMAIN_MU. Each message names the input at fault.
     """
 
     code = "DOMAIN"

@@ -1,10 +1,10 @@
 """Interlacing chains for Bessel zeros, their checks, and breaking searches.
 
 Every comparison of zeros the package makes is one parsed row: a chain
-of ``_TABLE`` below, whose suite's rules are one entry of ``SUITES``,
-or a search row beside them (``_BREAKING``, ``PAIRS``). Theorem 1's
-leading bound nu <= j'_{nu,1} alone is not a row. The unified chain at
-order nu, increment eps, rank s is
+of a suite of ``SUITES`` below, whose entry holds its rows and its
+rules, or a search row beside them (``_BREAKING``, ``PAIRS``). Theorem
+1's leading bound nu <= j'_{nu,1} is its entry's lead node, not a row.
+The unified chain at order nu, increment eps, rank s is
 
     j'_{nu,s} < y_{nu,s} < y_{nu+eps,s} < y'_{nu,s}
              < j_{nu,s} < j_{nu+eps,s} < j'_{nu,s+1}
@@ -52,43 +52,6 @@ __all__ = [
     "counterexample_scan",
 ]
 
-#: Every interlacing inequality the package checks, one row per chain of
-#: the paper: (suite, chain, per_rank). A chain holds at every rank
-#: s = 1..s_max for the orders v = nu and v+e = nu + eps. "<=" marks a
-#: pair that is an exact identity at nu = 0, eps = 1 and strict
-#: everywhere else. A chain ending in "< ..." is an interleaving that
-#: continues into rank s + 1; it stops at rank s_max and never reads rank
-#: s_max + 1. A closed chain with an s+1 node reads rank s_max + 1, so it
-#: allows s_max <= S_MAX_LIMIT - 1. A per_rank row reports, like
-#: ``check_chain``, only the first failure of each rank, under its labels
-#: as written.
-_TABLE = (
-    ("theorem1", "j(v,s) < j(v+e,s) < ...", False),
-    ("theorem1", "y(v,s) < y(v+e,s) < ...", False),
-    ("theorem1", "jp(v,s) < y(v,s) < yp(v,s) < j(v,s) < jp(v,s+1)", False),
-    ("theorem1", "jp(v,s) < jp(v+e,s) < ...", False),
-    ("theorem1", "yp(v,s) < yp(v+e,s) < ...", False),
-    ("proposition", "j(v+e,s) <= jp(v,s+1)", False),
-    ("proposition", "y(v+e,s) <= yp(v,s)", False),
-    ("derivative-chains", "jp(v,s) < jp(v+e,s) < ...", False),
-    ("derivative-chains", "yp(v,s) < yp(v+e,s) < ...", False),
-    ("theorem2", "jp(v,s) < y(v,s) < y(v+e,s) <= yp(v,s) < j(v,s) < j(v+e,s) <= jp(v,s+1)", True),
-)
-
-
-#: The rules of each suite of ``_TABLE``, in the order ``verify`` runs them:
-#: the eps it is stated at (None: the caller's), the largest eps it
-#: accepts, its rank cap (None: S_MAX_LIMIT less the largest rank offset
-#: it reads) and the note ``verify`` prints at nu = 0, eps = 1.
-_Suite = NamedTuple("_Suite", [("eps", float | None), ("max_eps", float), ("cap", int | None), ("note", str | None)])
-SUITES = {
-    "theorem1": _Suite(1.0, 1.0, 100, None),
-    "proposition": _Suite(1.0, 1.0, None, "j(1,s)=jp(0,s+1) and y(1,s)=yp(0,s) exactly; equalities exempt"),
-    "derivative-chains": _Suite(None, 1.0, None, None),
-    "theorem2": _Suite(None, math.inf, None, "nu=0, eps=1 equality pairs exempt"),
-}
-
-
 #: Ranks ``find_breaking`` reads per lookup: enough to make the per-lookup
 #: cost negligible, few enough that a witness at a low rank computes little
 #: past it.
@@ -111,14 +74,12 @@ class _Node(NamedTuple):
 
 
 class _Chain(NamedTuple):
-    suite: str
     nodes: tuple[_Node, ...]
     identities: frozenset[int]  # positions i of the "<=" pairs (node i, node i+1)
     open: bool
-    per_rank: bool
 
 
-def _parse(suite: str, text: str, per_rank: bool) -> _Chain:
+def _parse(text: str) -> _Chain:
     tokens = text.split()
     is_open = tokens[-1] == "..."
     if is_open:
@@ -128,21 +89,65 @@ def _parse(suite: str, text: str, per_rank: bool) -> _Chain:
         kind, order, rank = _NODE.fullmatch(token).groups()
         nodes.append(_Node(token, ZeroKind(kind), order == "v+e", int(rank == "s+1")))
     identities = frozenset(i for i, sign in enumerate(tokens[1::2]) if sign == "<=")
-    return _Chain(suite, tuple(nodes), identities, is_open, per_rank)
+    return _Chain(tuple(nodes), identities, is_open)
 
 
-_CHAINS = tuple(_parse(*row) for row in _TABLE)
-_SEVEN_NODE = next(c for c in _CHAINS if c.suite == "theorem2")
+def _top_nodes(chain: _Chain) -> tuple[_Node, ...]:
+    """The nodes ``chain`` reads at its top rank: an open chain's last node is left out."""
+    return chain.nodes[:-1] if chain.open else chain.nodes
+
+
+class _Suite(NamedTuple):
+    eps: float | None  # the eps it is stated at; None: the caller's
+    max_eps: float  # the largest eps it accepts
+    cap: int  # its rank cap
+    note: str | None  # the note ``verify`` prints at nu = 0, eps = 1
+    per_rank: bool  # reports each rank's first failure only, under its labels as written
+    chains: tuple[_Chain, ...]
+    lead: _Node | None  # a bound nu <= lead at rank 1, equality allowed, checked after the rows
+
+
+def _suite(eps, max_eps, *, rows, cap=None, note=None, per_rank=False, lead=None) -> _Suite:
+    """A ``_Suite``; its cap defaults to S_MAX_LIMIT less the largest rank offset its rows read."""
+    chains = tuple(map(_parse, rows))
+    cap = cap or S_MAX_LIMIT - max(n.offset for c in chains for n in _top_nodes(c))
+    return _Suite(eps, max_eps, cap, note, per_rank, chains, lead and _parse(lead).nodes[0])  # a one-node row
+
+
+#: Every interlacing inequality the package checks, one row per chain of
+#: the paper, with the rules of its suite, in the order ``verify`` runs
+#: them. A row holds at every rank s = 1..s_max for the orders v = nu and
+#: v+e = nu + eps. "<=" marks a pair that is an exact identity at nu = 0,
+#: eps = 1 and strict everywhere else. A row ending in "< ..." is an
+#: interleaving that continues into rank s + 1; it stops at rank s_max and
+#: never reads rank s_max + 1. A closed row with an s+1 node reads rank
+#: s_max + 1. Theorem 1's lead is its leading bound nu <= j'_{nu,1}.
+SUITES = {
+    "theorem1": _suite(1.0, 1.0, cap=100, lead="jp(v,s)", rows=(
+        "j(v,s) < j(v+e,s) < ...",
+        "y(v,s) < y(v+e,s) < ...",
+        "jp(v,s) < y(v,s) < yp(v,s) < j(v,s) < jp(v,s+1)",
+        "jp(v,s) < jp(v+e,s) < ...",
+        "yp(v,s) < yp(v+e,s) < ...",
+    )),
+    "proposition": _suite(1.0, 1.0, rows=("j(v+e,s) <= jp(v,s+1)", "y(v+e,s) <= yp(v,s)"),
+                          note="j(1,s)=jp(0,s+1) and y(1,s)=yp(0,s) exactly; equalities exempt"),
+    "derivative-chains": _suite(None, 1.0, rows=("jp(v,s) < jp(v+e,s) < ...", "yp(v,s) < yp(v+e,s) < ...")),
+    "theorem2": _suite(None, math.inf, rows=("jp(v,s) < y(v,s) < y(v+e,s) <= yp(v,s) < j(v,s) < j(v+e,s) <= jp(v,s+1)",),
+                       note="nu=0, eps=1 equality pairs exempt", per_rank=True),
+}
+
+[_SEVEN_NODE] = SUITES["theorem2"].chains
 
 #: Labels of the seven chain nodes, in order. ``v`` is the base order,
 #: ``v+e`` the incremented one.
 CHAIN_LABELS = tuple(node.text for node in _SEVEN_NODE.nodes)
 
 #: The search rows: the one ``find_breaking`` breaks, and the pairs ``counterexample_scan`` orders.
-_BREAKING = _parse("break", "y(v+e,s) < j(v,s)", False)
+_BREAKING = _parse("y(v+e,s) < j(v,s)")
 PAIRS = {
-    "jp-vs-y": _parse("counterexample", "jp(v+e,s) < y(v,s)", False),
-    "yp-vs-j": _parse("counterexample", "yp(v+e,s) < j(v,s)", False),
+    "jp-vs-y": _parse("jp(v+e,s) < y(v,s)"),
+    "yp-vs-j": _parse("yp(v+e,s) < j(v,s)"),
 }
 
 
@@ -179,11 +184,6 @@ def _zval(node: _Node, nu: float, eps: float, s: int) -> float:
     return zero(ZeroId(node.kind, nu + eps if node.shifted else nu, s + node.offset)).value
 
 
-def _top_nodes(chain: _Chain) -> tuple[_Node, ...]:
-    """The nodes ``chain`` reads at its top rank: an open chain's last node is left out."""
-    return chain.nodes[:-1] if chain.open else chain.nodes
-
-
 def check_eps(eps: float, lo: float = 0.0, hi: float = 1.0) -> float:
     """Validate an increment eps in (lo, hi], returning it as float. Raises DomainError (DOMAIN_EPS)."""
     eps = float(eps)
@@ -192,13 +192,14 @@ def check_eps(eps: float, lo: float = 0.0, hi: float = 1.0) -> float:
     return eps
 
 
-def _check_eps_and_rank(suite: str, nu: float, eps: float, s: int) -> None:
-    """Reject a bad eps or order, or a top rank s past the cap of ``suite``, before any zero is computed."""
-    rules = SUITES[suite]
+def _check_eps_and_rank(suite: str, nu: float, eps: float, s: int) -> _Suite:
+    """The entry of ``suite``, after rejecting an unknown suite, a bad eps or order, or a rank s past its cap."""
+    if (rules := SUITES.get(suite)) is None:
+        raise DomainError(f"suite must be one of {', '.join(map(repr, SUITES))}, got {suite!r}", code="DOMAIN_SUITE")
     check_eps(eps, hi=rules.max_eps)
     ev.check_orders(nu, eps)
-    cap = rules.cap or S_MAX_LIMIT - max(n.offset for c in _CHAINS if c.suite == suite for n in _top_nodes(c))
-    check_rank(s, cap, of=f" of the {suite} chains")
+    check_rank(s, rules.cap, of=f" of the {suite} chains")
+    return rules
 
 
 def _failing(chain: _Chain, nu: float, eps: float, columns) -> list[tuple[int, int]]:
@@ -236,20 +237,20 @@ def _columns(chains, nu: float, eps: float, s_max: int):
 
 def check_suite(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
     """Violations of the rows of ``suite`` at (nu, eps), ranks 1..s_max, in row, rank, pair order;
-    for theorem1, a failed leading bound nu <= j'_{nu,1} (equality allowed) comes first."""
+    a failed lead bound nu <= lead at rank 1 (equality allowed) comes first."""
     nu, eps = float(nu), float(eps)
-    _check_eps_and_rank(suite, nu, eps, s_max)
+    rules = _check_eps_and_rank(suite, nu, eps, s_max)
     out = []
-    for chain, columns in _columns([c for c in _CHAINS if c.suite == suite], nu, eps, s_max):
+    for chain, columns in _columns(rules.chains, nu, eps, s_max):
         failing = _failing(chain, nu, eps, columns)
-        if chain.per_rank:  # each rank's first failure only; reversed, the lowest pair is written last
+        if rules.per_rank:  # each rank's first failure only; reversed, the lowest pair is written last
             failing = sorted(dict(reversed(failing)).items())
         for s, i in failing:
             left, right = chain.nodes[i], chain.nodes[i + 1]
-            labels = (left.text, right.text) if chain.per_rank else (left.label(s), right.label(s))
+            labels = (left.text, right.text) if rules.per_rank else (left.label(s), right.label(s))
             out.append(ViolationWitness(nu, eps, s, *labels, columns[i][s - 1], columns[i + 1][s - 1]))
-    if suite == "theorem1" and (jp1 := _zval(_SEVEN_NODE.nodes[0], nu, eps, 1)) < nu - 1e-12 * max(1.0, nu):
-        out.insert(0, ViolationWitness(nu, eps, 1, "nu", _SEVEN_NODE.nodes[0].label(1), nu, jp1))
+    if rules.lead and (lead := _zval(rules.lead, nu, eps, 1)) < nu - 1e-12 * max(1.0, nu):
+        out.insert(0, ViolationWitness(nu, eps, 1, "nu", rules.lead.label(1), nu, lead))
     return out
 
 
@@ -329,7 +330,7 @@ def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:
     computes both up to the end of its chunk.
     """
     eps = check_eps(eps, 1.0, math.inf)
-    check_rank(s_cap)
+    s_cap = check_rank(s_cap)
     nu = ev.check_orders(nu, eps)
     left, right = _BREAKING.nodes
     for lo in range(0, s_cap, _CHUNK):

@@ -13,6 +13,7 @@ strictly monotone, which makes bisection on a sign change safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import evaluate as ev
@@ -201,8 +202,12 @@ def sign_agreement(nu: float, s: int, n_samples: int) -> SignIntervalReport:
     # Checked before any zero is computed, and named as the caller passed
     # them: nu + 1 and rank s + 1 are read too.
     nu = ev.check_orders(nu, 1.0, code="OVERFLOW_NU")
-    check_rank(s, S_MAX_LIMIT - 1)
-    if not isinstance(n_samples, int) or n_samples < 3:
+    s = check_rank(s, S_MAX_LIMIT - 1)
+    try:
+        n = operator.index(n_samples)
+    except TypeError:
+        n = 0
+    if n < 3:
         raise DomainError(f"n_samples must be an integer >= 3, got {n_samples!r}", code="DOMAIN_N")
 
     y_nu = zeros_upto(ZeroKind.Y, nu, s + 1)
@@ -211,12 +216,12 @@ def sign_agreement(nu: float, s: int, n_samples: int) -> SignIntervalReport:
     diff_iv = (y_nu[s - 1].value, y_nu1[s - 1].value)
 
     same_ok = True
-    for x in _chebyshev_interior(*same_iv, n_samples):
+    for x in _chebyshev_interior(*same_iv, n):
         if ev.bessel_y(nu, x) * ev.bessel_y(nu + 1.0, x) <= 0.0:
             same_ok = False
             break
     diff_ok = True
-    for x in _chebyshev_interior(*diff_iv, n_samples):
+    for x in _chebyshev_interior(*diff_iv, n):
         if ev.bessel_y(nu, x) * ev.bessel_y(nu + 1.0, x) >= 0.0:
             diff_ok = False
             break

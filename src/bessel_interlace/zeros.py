@@ -62,6 +62,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import threading
 from array import array
 from dataclasses import dataclass
@@ -122,13 +123,17 @@ class ZeroKind(enum.Enum):
 
 
 def check_rank(s: int, cap: int = S_MAX_LIMIT, of: str = "") -> int:
-    """Validate a rank s in 1..cap, returning it. Raises DomainError (DOMAIN_S);
-    ``of`` ends the message of a rank past the cap."""
-    if not isinstance(s, int) or s < 1:
+    """Validate a rank s in 1..cap of any integral type, returning it as int.
+    Raises DomainError (DOMAIN_S); ``of`` ends the message of a rank past the cap."""
+    try:
+        rank = operator.index(s)
+    except TypeError:
+        rank = 0
+    if rank < 1:
         raise DomainError(f"rank must be a positive integer, got {s!r}", code="DOMAIN_S")
-    if s > cap:
-        raise DomainError(f"rank {s} exceeds the supported cap {cap}{of}", code="DOMAIN_S")
-    return s
+    if rank > cap:
+        raise DomainError(f"rank {rank} exceeds the supported cap {cap}{of}", code="DOMAIN_S")
+    return rank
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,10 +151,11 @@ class ZeroId:
         """Raises DomainError on a kind, order or rank outside the supported domain."""
         if not isinstance(self.kind, ZeroKind):
             raise DomainError(f"zero kind must be a ZeroKind, got {self.kind!r}", code="DOMAIN_KIND")
-        # The scalar evaluators take floats only (scipy's typed entry
-        # points have no int signature), so an int order is converted here.
+        # The scalar evaluators take floats only (scipy's typed entry points
+        # have no int signature), so an int order becomes a float here; a rank
+        # of any integral type becomes an int.
         object.__setattr__(self, "nu", ev.check_order(self.nu))
-        check_rank(self.s)
+        object.__setattr__(self, "s", check_rank(self.s))
 
 
 @dataclass(frozen=True, slots=True)
@@ -597,4 +603,4 @@ def zeros_upto(kind: ZeroKind, nu: float, s_max: int) -> ZeroTable:
     """Ranks 1..s_max, strictly increasing in value, as a read-only
     ``ZeroTable`` over the cache's columns."""
     id = ZeroId(kind, nu, s_max)
-    return ZeroTable(_extend_sequence(kind, id.nu, s_max), s_max)
+    return ZeroTable(_extend_sequence(kind, id.nu, id.s), id.s)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import fixtures
@@ -149,7 +150,8 @@ def per_rank_reference(suite, nu, eps, s_max):
     Reads the node families through ``interlace.zeros_upto``, so it sees
     the same substitutions as the checks.
     """
-    chains = [c for c in imod._CHAINS if c.suite == suite]
+    rules = imod.SUITES[suite]
+    chains = rules.chains
     need = {}
     for chain in chains:
         for node in chain.nodes[:-1] if chain.open else chain.nodes:
@@ -167,15 +169,16 @@ def per_rank_reference(suite, nu, eps, s_max):
                 if nu == 0.0 and eps == 1.0 and i in chain.identities and abs(gap) <= imod.EQ_TOL:
                     continue
                 a, b = chain.nodes[i], chain.nodes[i + 1]
-                labels = (a.text, b.text) if chain.per_rank else (a.label(s), b.label(s))
+                labels = (a.text, b.text) if rules.per_rank else (a.label(s), b.label(s))
                 out.append(ViolationWitness(nu, eps, s, *labels, left, right))
-                if chain.per_rank:
+                if rules.per_rank:
                     break
     return out
 
 
 def theorem1_reference(nu, eps, s_max):
-    jp1 = imod.zero(ZeroId(ZeroKind.JPRIME, nu, 1)).value
+    node = imod.SUITES["theorem1"].lead
+    jp1 = imod.zero(ZeroId(node.kind, nu, 1 + node.offset)).value
     lead = [ViolationWitness(nu, 1.0, 1, "nu", "jp(v,1)", nu, jp1)] if jp1 < nu - 1e-12 * max(1.0, nu) else []
     return lead + per_rank_reference("theorem1", nu, 1.0, s_max)
 
@@ -409,15 +412,32 @@ class TestLookups:
 
 
 class TestSuites:
-    """``SUITES`` holds the rules of exactly the suites ``_TABLE`` has rows for."""
+    """Each ``SUITES`` entry holds a suite's rows and rules, resolved at import."""
 
     # Theorem 1's leading bound nu <= j'_{nu,1} fails, and every suite has a
     # pair that ends at j'_{1,2}.
     FORCED = {("jp", 1.0, 1): lambda v: 0.5, ("jp", 1.0, 2): lambda v: v - 100.0}
 
-    def test_every_suite_has_rows_and_every_row_a_suite(self):
-        assert {suite for suite, _, _ in imod._TABLE} == set(imod.SUITES)
+    def test_caps_resolved_and_verify_runs_every_suite(self):
+        caps = {suite: rules.cap for suite, rules in imod.SUITES.items()}
+        assert caps == {"theorem1": 100, "proposition": 9999, "derivative-chains": 10000, "theorem2": 9999}
         assert cli._SUITES == (*imod.SUITES, "all")
+
+    def test_only_theorem1_has_a_lead_and_only_theorem2_reports_per_rank(self):
+        assert [s for s, rules in imod.SUITES.items() if rules.lead] == ["theorem1"]
+        assert imod.SUITES["theorem1"].lead.label(1) == "jp(v,1)"
+        assert [s for s, rules in imod.SUITES.items() if rules.per_rank] == ["theorem2"]
+
+    @pytest.mark.parametrize("suite", ["bogus", "all", "Theorem1"])
+    def test_unknown_suite_is_a_domain_error_before_any_zero(self, suite):
+        zmod.clear_cache()
+        with pytest.raises(DomainError) as err:
+            imod.check_suite(suite, 1.0, 1.0, 3)
+        assert err.value.code == "DOMAIN_SUITE"
+        assert str(err.value) == (
+            f"suite must be one of 'theorem1', 'proposition', 'derivative-chains', 'theorem2', got {suite!r}"
+        )
+        assert zmod._cache == {}
 
     @pytest.mark.parametrize("suite", list(CHECKS))
     @pytest.mark.parametrize("forced", [False, True], ids=["clean", "forced"])
@@ -548,6 +568,12 @@ class TestFindBreaking:
         with pytest.raises(SearchError) as exc:
             find_breaking(10.0, 1.25, 3)
         assert exc.value.code == "NOT_FOUND_WITHIN_CAP"
+
+    def test_numpy_integer_cap(self):
+        assert find_breaking(10.0, 1.5, np.int64(100)) == find_breaking(10.0, 1.5, 100)
+        with pytest.raises(SearchError) as exc:
+            find_breaking(10.0, 1.25, np.int64(3))
+        assert str(exc.value).startswith("no rank s <= 3 ")
 
     # Witnesses at both ends of the first two 64-rank reads.
     BOUNDARIES = [(1.0323, 64), (1.0318, 65), (1.01637, 128), (1.0162, 129)]

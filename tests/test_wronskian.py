@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import bessel_interlace.wronskian as wmod
@@ -192,10 +193,15 @@ class TestSignAgreement:
         assert rep.same_sign_ok and rep.differ_ok
 
     def test_needs_three_samples(self):
-        for n in (2, 3.5):
+        for n in (2, 3.5, 3.0, np.int64(2)):
             with pytest.raises(DomainError) as exc:
                 sign_agreement(0.0, 1, n)
             assert exc.value.code == "DOMAIN_N"
+
+    def test_numpy_integer_rank_and_samples(self):
+        rep = sign_agreement(2.0, np.int64(3), np.int64(5))
+        assert rep == sign_agreement(2.0, 3, 5)
+        assert type(rep.s) is int
 
     def test_order_past_cap_rejected_before_any_zero(self):
         # nu + 1 = 600.5 is past NU_MAX; the error names the nu passed, and

@@ -104,7 +104,11 @@ class TestZeroIdDomain:
             (600.5, 1, "OVERFLOW_NU"),
             (2.0, 0, "DOMAIN_S"),
             (2.0, 1.5, "DOMAIN_S"),
+            (2.0, 2.0, "DOMAIN_S"),
             (2.0, 10_001, "DOMAIN_S"),
+            (2.0, np.int64(0), "DOMAIN_S"),
+            (2.0, np.int64(10_001), "DOMAIN_S"),
+            (2.0, np.float64(2.0), "DOMAIN_S"),
         ],
     )
     def test_out_of_domain_rejected_on_construction(self, nu, s, code):
@@ -115,6 +119,13 @@ class TestZeroIdDomain:
     def test_int_order_stored_as_float(self):
         nu = ZeroId(ZeroKind.J, 2, 1).nu
         assert type(nu) is float and nu == 2.0
+
+    def test_numpy_integer_rank_stored_as_int(self):
+        id = ZeroId(ZeroKind.J, 1.0, np.int64(3))
+        assert type(id.s) is int and id == ZeroId(ZeroKind.J, 1.0, 3)
+        zmod.clear_cache()
+        table = zeros_upto(ZeroKind.J, 1.0, np.int64(3))
+        assert len(table) == 3 and table == zeros_upto(ZeroKind.J, 1.0, 3)
 
     # A kind's text is parsed by ZeroKind.parse only; the constructor takes no strings.
     @pytest.mark.parametrize("kind", ["j", None, ZeroKind])
@@ -139,6 +150,16 @@ class TestZeroIdDomain:
         with pytest.raises(DomainError) as err:
             zmod.check_rank(cap + 1, cap, of=" of the suite")
         assert (err.value.code, str(err.value)) == ("DOMAIN_S", f"rank {cap + 1} exceeds the supported cap {cap} of the suite")
+        # Any integral type converts to int; a float, even an integral one, does not.
+        rank = zmod.check_rank(np.int64(cap), cap)
+        assert type(rank) is int and rank == cap
+        with pytest.raises(DomainError) as err:
+            zmod.check_rank(np.int64(cap + 1), cap, of=" of the suite")
+        assert str(err.value) == f"rank {cap + 1} exceeds the supported cap {cap} of the suite"
+        for bad in (np.int64(0), 1.0, 2.0, 1.5):
+            with pytest.raises(DomainError) as err:
+                zmod.check_rank(bad, cap)
+            assert (err.value.code, str(err.value)) == ("DOMAIN_S", f"rank must be a positive integer, got {bad!r}")
 
 
 class TestInitialBracket:
