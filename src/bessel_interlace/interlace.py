@@ -192,14 +192,13 @@ def check_eps(eps: float, lo: float = 0.0, hi: float = 1.0) -> float:
     return eps
 
 
-def _check_eps_and_rank(suite: str, nu: float, eps: float, s: int) -> _Suite:
-    """The entry of ``suite``, after rejecting an unknown suite, a bad eps or order, or a rank s past its cap."""
+def _check_eps_and_rank(suite: str, nu: float, eps: float, s: int) -> tuple[_Suite, int]:
+    """The entry of ``suite`` and s as int, after rejecting an unknown suite, a bad eps or order, or a rank s past its cap."""
     if (rules := SUITES.get(suite)) is None:
         raise DomainError(f"suite must be one of {', '.join(map(repr, SUITES))}, got {suite!r}", code="DOMAIN_SUITE")
     check_eps(eps, hi=rules.max_eps)
     ev.check_orders(nu, eps)
-    check_rank(s, rules.cap, of=f" of the {suite} chains")
-    return rules
+    return rules, check_rank(s, rules.cap, of=f" of the {suite} chains")
 
 
 def _failing(chain: _Chain, nu: float, eps: float, columns) -> list[tuple[int, int]]:
@@ -239,7 +238,7 @@ def check_suite(suite: str, nu: float, eps: float, s_max: int) -> list[Violation
     """Violations of the rows of ``suite`` at (nu, eps), ranks 1..s_max, in row, rank, pair order;
     a failed lead bound nu <= lead at rank 1 (equality allowed) comes first."""
     nu, eps = float(nu), float(eps)
-    rules = _check_eps_and_rank(suite, nu, eps, s_max)
+    rules, s_max = _check_eps_and_rank(suite, nu, eps, s_max)
     out = []
     for chain, columns in _columns(rules.chains, nu, eps, s_max):
         failing = _failing(chain, nu, eps, columns)
@@ -265,7 +264,7 @@ def chain_reports(nu: float, eps: float, s_max: int) -> list[ChainReport]:
 def build_chain(nu: float, eps: float, s: int) -> InterlaceChain:
     """The seven chain nodes at rank s, through the zero finder."""
     nu, eps = float(nu), float(eps)
-    _check_eps_and_rank("theorem2", nu, eps, s)
+    _, s = _check_eps_and_rank("theorem2", nu, eps, s)
     return InterlaceChain(nu, eps, s, tuple(_zval(node, nu, eps, s) for node in _SEVEN_NODE.nodes))
 
 
@@ -361,6 +360,7 @@ def counterexample_scan(
     if pair not in PAIRS:
         raise DomainError(f"pair must be {' or '.join(map(repr, PAIRS))}, got {pair!r}", code="DOMAIN_PAIR")
     left, right = PAIRS[pair].nodes
+    s = check_rank(s)
 
     greater = less = None
     for nu in nu_list:

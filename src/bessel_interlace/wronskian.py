@@ -215,16 +215,8 @@ def sign_agreement(nu: float, s: int, n_samples: int) -> SignIntervalReport:
     same_iv = (y_nu1[s - 1].value, y_nu[s].value)
     diff_iv = (y_nu[s - 1].value, y_nu1[s - 1].value)
 
-    same_ok = True
-    for x in _chebyshev_interior(*same_iv, n):
-        if ev.bessel_y(nu, x) * ev.bessel_y(nu + 1.0, x) <= 0.0:
-            same_ok = False
-            break
-    diff_ok = True
-    for x in _chebyshev_interior(*diff_iv, n):
-        if ev.bessel_y(nu, x) * ev.bessel_y(nu + 1.0, x) >= 0.0:
-            diff_ok = False
-            break
+    same_ok = not any(ev.bessel_y(nu, x) * ev.bessel_y(nu + 1.0, x) <= 0.0 for x in _chebyshev_interior(*same_iv, n))
+    diff_ok = not any(ev.bessel_y(nu, x) * ev.bessel_y(nu + 1.0, x) >= 0.0 for x in _chebyshev_interior(*diff_iv, n))
     return SignIntervalReport(nu, s, same_iv, diff_iv, same_ok, diff_ok)
 
 

@@ -1,9 +1,10 @@
 """Enumeration of positive real zeros j_{nu,s}, y_{nu,s}, j'_{nu,s}, y'_{nu,s}.
 
 Every zero is certified by a sign-change bracket. A cached sequence is
-held as columns, float64 ``value``, ``lo``, ``hi`` and ``residual`` and
-an integer ``iterations``, with the rank s as the position; it costs
-~40 bytes per zero and is extended one zero at a time by one loop,
+one cache entry: its columns, float64 ``value``, ``lo``, ``hi`` and
+``residual`` and an integer ``iterations``, with the rank s as the
+position, and the anchor its next extension starts from. It costs ~40
+bytes per zero and is extended one zero at a time by one loop,
 ``_extend_sequence``, which builds F once per extension and hands each
 zero from one stage to the next: ``initial_bracket`` walks to a bracket
 (lo, hi, F(lo), F(hi)), and ``refine`` polishes that bracket into the
@@ -449,17 +450,17 @@ def refine(
 
 # --- cached sequential enumeration ----------------------------------------
 
-# Per cached sequence, its columns (value, lo, hi, residual, iterations):
-# float64 arrays and an int array, all of one length, the rank s at index
-# s - 1. They only grow, and only under _cache_lock.
-_cache: dict[tuple[ZeroKind, float], tuple[array, ...]] = {}
-# Per cached sequence, what its last extension hands the next, (x, F(x),
-# row, d_old, d_last): x is the upper end of the last walk's bracket, where
-# the next walk starts (None when that walk hit its zero exactly), and that
-# bracket held the last zero alone, so no zero lies between them. row is
-# the sequence's _mcmahon_row, and d = z - M(s) of its last two zeros; all
-# three are None until the sequence has two walked zeros.
-_anchors: dict[tuple[ZeroKind, float], tuple] = {}
+# Per cached sequence, one entry (columns, anchor), dropped as one. The
+# columns (value, lo, hi, residual, iterations) are float64 arrays and an
+# int array, all of one length, the rank s at index s - 1; they only grow,
+# and only under _cache_lock. The anchor, None or (x, F(x), row, d_old,
+# d_last), is what the last extension hands the next: x is the upper end of
+# the last walk's bracket, where the next walk starts (None when that walk
+# hit its zero exactly), and that bracket held the last zero alone, so no
+# zero lies between them. row is the sequence's _mcmahon_row, and d = z -
+# M(s) of its last two zeros; all three are None until the sequence has two
+# walked zeros.
+_cache: dict[tuple[ZeroKind, float], tuple[tuple[array, ...], tuple | None]] = {}
 # Guards every lookup and extension of the cache. Extending a sequence never
 # looks up another one, so holding it across the refinement cannot deadlock.
 # A ZeroTable reads its columns below its length without it: those
@@ -471,7 +472,6 @@ def clear_cache() -> None:
     """Drop all memoized zero sequences (mainly for tests)."""
     with _cache_lock:
         _cache.clear()
-        _anchors.clear()
 
 
 def _mcmahon_row(kind: ZeroKind, nu: float) -> tuple[float, float, float, float, float]:
@@ -541,20 +541,19 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]
 
     kind, nu and s_max must have passed ``ZeroId``'s domain check.
     Returns the cache's own columns, which only ever grow: read them,
-    never modify them.
+    never modify them. The entry is stored without its anchor while the
+    sequence grows, so an extension that raises leaves none: the next
+    walk starts past the last zero, and d is derived again from the
+    values, to the same bits.
     """
     key = (kind, nu)
     with _cache_lock:
-        columns = _cache.get(key)
-        if columns is None:
-            columns = _cache[key] = (array("d"), array("d"), array("d"), array("d"), array("i"))
+        columns, anchor = _cache.get(key) or ((array("d"), array("d"), array("d"), array("d"), array("i")), None)
         values, los, his, residuals, iterations = columns
         if len(values) >= s_max:
             return columns
-        # Taken out for an extension and put back at its end, so one that
-        # raises leaves no anchor: the next walk starts past the last zero,
-        # and d is derived again from the values, to the same bits.
-        x, fx, row, d_old, d_last = _anchors.pop(key, None) or (None,) * 5
+        _cache[key] = columns, None
+        x, fx, row, d_old, d_last = anchor or (None,) * 5
         target = _target(kind, nu)
         if not values and kind is ZeroKind.JPRIME and nu == 0.0:
             for column in columns:
@@ -589,7 +588,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]
             x, fx = (b, fb) if fb != 0.0 else (None, None)
             if row:
                 d_old, d_last = d_last, z - m
-        _anchors[key] = x, fx, row, d_old, d_last
+        _cache[key] = columns, (x, fx, row, d_old, d_last)
         return columns
 
 

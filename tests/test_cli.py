@@ -117,6 +117,7 @@ class TestRankCapUpFront:
             (["break", "--nu", "0", "--eps", "700"], "--eps", "nu=0.0 plus eps=700.0"),
             (["verify", "--suite", "theorem2", "--nu-grid", "599:599.75:0.25", "--eps-grid", "0.25:0.5:0.25"], "--nu-grid", "nu=599.75 plus eps=0.5"),
             (["wronskian", "--nu", "0", "--mu", "2", "--smax", "10000", "--xmax", "-1"], "--xmax", "got -1.0"),
+            (["counterexample", "--eps", "1", "--nu-list", "700", "--s", "0"], "--s", "got 0"),
             # J_0 and Y_2 have their 10^4-th zeros near 31,416, below --xmax.
             (["wronskian", "--nu", "0", "--mu", "2", "--smax", "10000", "--xmax", "40000"], "--xmax", "40000.0"),
         ],
@@ -129,6 +130,7 @@ class TestRankCapUpFront:
             "break-shifted-order",
             "verify-eps-grid-top",
             "wronskian-xmax",
+            "counterexample-rank-before-order",
             "wronskian-xmax-past-the-cap",
         ],
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fixtures
+from cache_view import cached_columns
 import bessel_interlace.interlace as imod
 import bessel_interlace.zeros as zmod
 from bessel_interlace import cli
@@ -68,6 +69,18 @@ class TestBuildChain:
         with pytest.raises(DomainError):
             build_chain(1.0, 0.0, 1)
 
+    def test_numpy_integer_rank_is_stored_as_int(self):
+        chain = build_chain(2.5, 0.75, np.int64(4))
+        assert type(chain.s) is int and chain == build_chain(2.5, 0.75, 4)
+
+    @pytest.mark.parametrize("s", [0, 10_000, 2.0])
+    def test_bad_rank_rejected_before_any_zero(self, s):
+        zmod.clear_cache()
+        with pytest.raises(DomainError) as exc:
+            build_chain(2.5, 0.75, s)
+        assert exc.value.code == "DOMAIN_S"
+        assert zmod._cache == {}
+
 
 class TestCheckChain:
     def test_interior_order_ok(self):
@@ -127,7 +140,7 @@ class TestTable:
         zmod.clear_cache()
         check_derivative_chains(0.5, 0.5, 3)
         check_theorem1(2.0, 3)
-        lengths = {(kind.value, nu): len(columns[0]) for (kind, nu), columns in zmod._cache.items()}
+        lengths = {(kind.value, nu): len(columns[0]) for (kind, nu), columns in cached_columns().items()}
         assert lengths == {
             ("jp", 0.5): 3,
             ("jp", 1.0): 3,
@@ -599,7 +612,8 @@ class TestFindBreaking:
             with pytest.raises(SearchError) as exc:
                 find_breaking(10.0, eps, rank - 1)
             assert exc.value.code == "NOT_FOUND_WITHIN_CAP"
-            assert 0 < max(map(len, zmod._cache.values())) <= rank - 1
+            lengths = {key: len(columns[0]) for key, columns in cached_columns().items()}
+            assert lengths == {(ZeroKind.Y, 10.0 + eps): rank - 1, (ZeroKind.J, 10.0): rank - 1}
         finally:
             zmod.clear_cache()
 
@@ -672,6 +686,21 @@ class TestCounterexampleScan:
     def test_eps_regime_guard(self):
         with pytest.raises(DomainError):
             counterexample_scan(1.5, [0.5, 5.0], 1)
+
+    def test_numpy_integer_rank_is_stored_as_int(self):
+        witnesses = counterexample_scan(1.0, [0.0, 599.0], np.int64(1))
+        assert [type(w.s) for w in witnesses] == [int, int]
+        assert witnesses == counterexample_scan(1.0, [0.0, 599.0], 1)
+
+    @pytest.mark.parametrize("s", [0, 10_001, 1.0])
+    def test_bad_rank_rejected_before_any_order(self, s):
+        # The rank is checked before the first entry, so an entry past
+        # NU_MAX does not hide it.
+        zmod.clear_cache()
+        with pytest.raises(DomainError) as exc:
+            counterexample_scan(1.0, [700.0, 0.0], s)
+        assert exc.value.code == "DOMAIN_S"
+        assert zmod._cache == {}
 
     @pytest.mark.parametrize(
         "eps,nu_list,named",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bessel_interlace.evaluate as ev
 import bessel_interlace.wronskian as wmod
 import bessel_interlace.zeros as zmod
 import fixtures
@@ -202,6 +203,17 @@ class TestSignAgreement:
         rep = sign_agreement(2.0, np.int64(3), np.int64(5))
         assert rep == sign_agreement(2.0, 3, 5)
         assert type(rep.s) is int
+
+    @pytest.mark.parametrize("reading,verdicts,calls", [(-1.0, (False, True), 12), (0.0, (False, False), 4), (math.nan, (True, True), 20)])
+    def test_a_verdict_fails_only_on_a_product_of_the_wrong_sign(self, monkeypatch, reading, verdicts, calls):
+        # Each interval stops at its first failing sample; a NaN product has
+        # no sign, fails neither verdict, and every sample is read.
+        sign_agreement(2.0, 3, 5)  # the zeros, computed before the stub
+        seen = []
+        monkeypatch.setattr(ev, "bessel_y", lambda nu, x: seen.append(x) or (reading if nu == 2.0 else 1.0))
+        rep = sign_agreement(2.0, 3, 5)
+        assert (rep.same_sign_ok, rep.differ_ok) == verdicts
+        assert len(seen) == calls
 
     def test_order_past_cap_rejected_before_any_zero(self):
         # nu + 1 = 600.5 is past NU_MAX; the error names the nu passed, and

@@ -16,6 +16,7 @@ from scipy.special import jv, jvp, yv, yvp
 
 import fixtures
 import oracle
+from cache_view import cached_columns
 from bessel_interlace import (
     DomainError,
     ZeroId,
@@ -715,9 +716,9 @@ class TestLookupCost:
         # --smax 20`: 180 sequences of 20 or 21 zeros. Their column buffers
         # hold at most 48 bytes per cached zero (36 bytes, and capacity for
         # 25 zeros each). On top of that each sequence holds ~1 KB: five
-        # array headers, its key, its anchor and its McMahon row; so the
-        # whole cache takes ~93 bytes per zero, against ~188 for a
-        # ZeroRecord per zero.
+        # array headers, its key, its entry with its anchor, and its McMahon
+        # row; so the whole cache takes ~91 bytes per zero, against ~188 for
+        # a ZeroRecord per zero.
         zmod.clear_cache()
         tracemalloc.start()
         try:
@@ -729,8 +730,9 @@ class TestLookupCost:
         finally:
             tracemalloc.stop()
         try:
-            cached = sum(len(columns[0]) for columns in zmod._cache.values())
-            buffers = sum(sys.getsizeof(c) - sys.getsizeof(array(c.typecode)) for cs in zmod._cache.values() for c in cs)
+            sequences = cached_columns().values()
+            cached = sum(len(columns[0]) for columns in sequences)
+            buffers = sum(sys.getsizeof(c) - sys.getsizeof(array(c.typecode)) for cs in sequences for c in cs)
         finally:
             zmod.clear_cache()
         assert cached == 3641
@@ -1061,19 +1063,25 @@ class TestCarriedAnchor:
         with pytest.raises(zmod.ConvergenceError):
             zeros_upto(ZeroKind.J, 2.5, 8)
         monkeypatch.undo()
-        assert not zmod._anchors
+        columns, anchor = zmod._cache[ZeroKind.J, 2.5]
+        assert (len(columns[0]), anchor) == (5, None)
         assert zeros_upto(ZeroKind.J, 2.5, 8) == cold
         zmod.clear_cache()
 
-    def test_clear_cache_drops_the_anchors(self):
-        # A stale anchor would start rank 1's walk past the first zero.
+    def test_evicting_one_sequence_rebuilds_it_cold(self):
+        # Dropping a sequence's entry drops its anchor with it: a stale
+        # anchor would start rank 1's walk past j_{2.5,5}, and rank 1 would
+        # read j_{2.5,6}. The other sequence keeps its entry.
         zmod.clear_cache()
-        first = zeros_upto(ZeroKind.Y, 2.5, 5)
-        assert zmod._anchors
-        zmod.clear_cache()
-        assert not zmod._anchors
-        assert zeros_upto(ZeroKind.Y, 2.5, 5) == first
-        zmod.clear_cache()
+        cold = zeros_upto(ZeroKind.J, 2.5, 5)
+        other = zeros_upto(ZeroKind.Y, 2.5, 5)
+        try:
+            with zmod._cache_lock:
+                del zmod._cache[ZeroKind.J, 2.5]
+            assert zeros_upto(ZeroKind.J, 2.5, 5) == cold
+            assert cached_columns()[ZeroKind.Y, 2.5][0] is other._columns[0]
+        finally:
+            zmod.clear_cache()
 
 
 class TestMcMahonCarry:
@@ -1126,7 +1134,7 @@ class TestMcMahonCarry:
             zmod.clear_cache()
         counts = self.counted_mcmahon(monkeypatch)
         try:
-            before = len(zmod._cache[kind, nu][0]) if (kind, nu) in zmod._cache else 0
+            before = len(cached_columns().get((kind, nu), ((),))[0])
             ranked = [_record_bits(zero(ZeroId(kind, nu, s))) for s in range(1, self.RANKS + 1)]
         finally:
             zmod.clear_cache()
@@ -1325,7 +1333,7 @@ class TestConcurrency:
             sys.setswitchinterval(old)
         for (kind, nu, n), table in zip(jobs, results):
             assert [r.s for r in table] == list(range(1, n + 1))
-        for columns in zmod._cache.values():
+        for columns in cached_columns().values():
             TestConcurrency.assert_whole(columns)
 
     @staticmethod
@@ -1364,7 +1372,7 @@ class TestConcurrency:
             longest = [_record_bits(r) for r in tables[-1]]
             for table in tables:
                 assert [_record_bits(r) for r in table] == longest[: len(table)]
-            TestConcurrency.assert_whole(zmod._cache[ZeroKind.J, 1.5])
+            TestConcurrency.assert_whole(cached_columns()[ZeroKind.J, 1.5])
         finally:
             zmod.clear_cache()
 
