@@ -11,6 +11,23 @@ so the same bits, without the ufunc's per-call dispatch. They take
 doubles only: the public functions and the ``ZeroId`` constructor
 convert an order or argument to float once, at the boundary.
 
+The two are loaded without running ``scipy.special``'s package
+``__init__``, which costs ~350 ms, mostly in its array-API backend layer
+(it imports ``numpy.testing`` and ``numpy.f2py``). While ``scipy.special``
+is not imported, ``_load_jv_yv`` puts a bare module with the package's
+path in its place and imports ``cython_special`` under it; that init
+loads only the compiled ``_ufuncs``, ``_ufuncs_cxx``, ``_special_ufuncs``,
+``_gufuncs`` and ``_ellip_harm_2``. It then drops the stub and every
+``scipy.special.*`` entry from ``sys.modules``, so a later
+``import scipy.special`` runs the real ``__init__``, binds its
+submodules and hands back the same extension objects. When
+``scipy.special`` is already imported, or anything under the stub
+raises, the plain import is taken, so a scipy whose ``cython_special``
+comes to need its package namespace still loads correctly, only slower.
+This import is not safe against another thread importing
+``scipy.special`` while this module is itself being imported: that
+thread could find the stub.
+
 Derivatives are formed from the downward recurrence
 C'_nu(x) = -C_{nu+1}(x) + (nu/x) C_nu(x), the same relation the
 interlacing analysis relies on, so derivative values are consistent
@@ -26,9 +43,10 @@ in-domain inputs.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import types
 from dataclasses import dataclass
-
-from scipy.special.cython_special import jv as _jv, yv as _yv
 
 from .errors import DomainError
 
@@ -39,6 +57,36 @@ __all__ = ["NU_MAX", "EvalResult", "eval_J", "eval_Y", "eval_dJ", "eval_dY"]
 NU_MAX = 600.0
 
 _EPS = 2.220446049250313e-16
+
+
+def _load_jv_yv():
+    """scipy's typed ``cython_special.jv`` and ``yv``, imported under a
+    stub ``scipy.special`` when that package is not imported yet."""
+    if "scipy.special" not in sys.modules:
+        try:
+            import scipy
+
+            stub = types.ModuleType("scipy.special")
+            stub.__path__ = [os.path.join(scipy.__path__[0], "special")]
+            sys.modules["scipy.special"] = stub
+            try:
+                from scipy.special.cython_special import jv, yv
+            finally:
+                # A submodule left behind would never be bound as an
+                # attribute of the real package once it is imported.
+                for name in list(sys.modules):
+                    if name == "scipy.special" or name.startswith("scipy.special."):
+                        del sys.modules[name]
+                vars(scipy).pop("special", None)
+            return jv, yv
+        except Exception:
+            pass  # the plain import below either works or raises the real error
+    from scipy.special.cython_special import jv, yv
+
+    return jv, yv
+
+
+_jv, _yv = _load_jv_yv()
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -144,6 +149,105 @@ class TestUfuncParity:
         # The grid reaches Y = -inf, and Y' = inf - inf before the NaN rule.
         assert -math.inf in [ev.bessel_y(505.0, x) for x in self.grid(505.0)]
         assert math.inf in [ev.bessel_dy(600.0, x) for x in self.grid(600.0)]
+
+
+def _fresh(code, *flags, stdin=""):
+    """Run ``code`` in a fresh interpreter that imports this library; its exit code, stdout and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ev.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *flags, "-c", code], input=stdin, capture_output=True, text=True, env=env)
+
+
+def _fresh_json(code, stdin=""):
+    proc = _fresh(code, stdin=stdin)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# Prefix for _fresh_json: the scipy.special modules loaded, and whether each
+# submodule is bound as an attribute of its parent package.
+_SPECIAL = """
+import json, sys
+def special():
+    return sorted(n for n in sys.modules if n == "scipy.special" or n.startswith("scipy.special."))
+def bound():
+    return all(getattr(sys.modules[n.rpartition(".")[0]], n.rpartition(".")[2], None) is sys.modules[n]
+               for n in special() if n != "scipy.special")
+"""
+
+
+class TestStubLoad:
+    # evaluate imports cython_special under a stub scipy.special unless the
+    # real package is imported already. This process has imported it, so
+    # every case runs in a fresh interpreter.
+    def test_leaves_no_stub(self):
+        code = _SPECIAL + "import scipy, bessel_interlace.cli\nprint(json.dumps([special(), 'special' in vars(scipy)]))"
+        assert _fresh_json(code) == [[], False]
+
+    def test_later_import_binds_the_same_objects(self):
+        # A submodule left in sys.modules would not be bound by the real
+        # package's init, and scipy.special.cython_special would raise.
+        code = _SPECIAL + """
+import bessel_interlace.evaluate as ev
+import scipy.special.cython_special
+import scipy.special as sp
+print(json.dumps([sp.cython_special.jv is ev._jv, sp.cython_special.yv is ev._yv, bound()]))
+"""
+        assert _fresh_json(code) == [True, True, True]
+
+    def test_plain_import_when_scipy_special_is_loaded(self):
+        code = _SPECIAL + """
+import scipy.special as sp
+import bessel_interlace.evaluate as ev
+print(json.dumps([sys.modules.get("scipy.special") is sp, sp.cython_special.jv is ev._jv,
+                  sp.cython_special.yv is ev._yv, bound()]))
+"""
+        assert _fresh_json(code) == [True, True, True, True]
+
+    @pytest.mark.parametrize("fail", ["scipy.special.cython_special", "scipy.special._gufuncs"])
+    def test_failure_under_the_stub_falls_back(self, fail):
+        # The finder refuses only while scipy.special is a bare module (no
+        # __file__); _gufuncs is refused after three siblings have loaded.
+        code = _SPECIAL + f"""
+class Refuse:
+    hits = 0
+    def find_spec(self, name, path=None, target=None):
+        if name == {fail!r} and not hasattr(sys.modules.get("scipy.special"), "__file__"):
+            Refuse.hits += 1
+            raise ImportError("refused under the stub")
+sys.meta_path.insert(0, Refuse())
+import bessel_interlace.evaluate as ev
+import scipy.special as sp
+print(json.dumps([Refuse.hits, sp.__file__.endswith("__init__.py"), bound(),
+                  sp.cython_special.jv is ev._jv, sp.cython_special.yv is ev._yv]))
+"""
+        assert _fresh_json(code) == [1, True, True, True, True]
+
+    def test_bit_parity_on_the_stub_path(self):
+        # TestUfuncParity's check, with the values computed before any
+        # scipy.special package is imported.
+        names = ["bessel_j", "bessel_y", "bessel_dj", "bessel_dy"]
+        points = [(nu, x) for nu in (0.0, 1e-300, 2.5, 141.0, 600.0) for x in TestUfuncParity.grid(nu)]
+        code = _SPECIAL + f"""
+import bessel_interlace.evaluate as ev
+fns = [getattr(ev, name) for name in {names!r}]
+values = [[f(nu, x) for f in fns] for nu, x in json.loads(sys.stdin.read())]
+print(json.dumps([special(), [[type(v).__name__, "nan" if v != v else v.hex()] for row in values for v in row]]))
+"""
+        loaded, got = _fresh_json(code, stdin=json.dumps(points))
+        assert loaded == []
+        want = [["float", _bits(TestUfuncParity.reference(name, nu, x))] for nu, x in points for name in names]
+        assert got == want
+
+    def test_import_graph(self):
+        # Deterministic where import timings are not: the package init's
+        # array-API layer, and what it imports, stay unloaded.
+        heavy = ["numpy.testing", "numpy.f2py", "scipy.special._support_alternative_backends"]
+        code = f"import json, sys, bessel_interlace.cli\nprint(json.dumps([m for m in {heavy!r} if m in sys.modules]))"
+        assert _fresh_json(code) == []
+
+    def test_import_is_warning_free(self):
+        proc = _fresh("import bessel_interlace.cli", "-W", "error")
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestTinyOrders:
