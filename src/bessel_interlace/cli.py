@@ -190,12 +190,16 @@ _SUITES = (*interlace.SUITES, "all")
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    suite = args.suite
+    suites = {name: rules for name, rules in interlace.SUITES.items() if args.suite in (name, "all")}
     nu_grid = parse_grid(args.nu_grid)
     eps_grid = _recode("DOMAIN_EPS", parse_grid, args.eps_grid)
+    if any(rules.eps is None for rules in suites.values()) and len(nu_grid) * len(eps_grid) > _GRID_MAX_POINTS:
+        raise DomainError(
+            f"--nu-grid times --eps-grid has more than {_GRID_MAX_POINTS} points, got {len(nu_grid)} x {len(eps_grid)}",
+            code="DOMAIN_GRID",
+        )
     for eps in eps_grid:
         interlace.check_eps(eps)
-    suites = {name: rules for name, rules in interlace.SUITES.items() if suite in (name, "all")}
     # Every order read, nu and nu + eps, is checked before any zero is computed.
     top_eps = max(rules.eps or max(eps_grid) for rules in suites.values())
     for nu in nu_grid:
@@ -214,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
     body = to_json(
         {
-            "suite": suite,
+            "suite": args.suite,
             "grid": {"nu": nu_grid, "eps": eps_grid, "smax": args.smax},
             "violations": [dict(asdict(w), suite=s) for s, w in violations],
             "exemptions": notes,
@@ -231,10 +235,7 @@ def _not_found(output_format: str, exc: SearchError) -> str:
 
 
 def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
-    try:
-        w = interlace.find_breaking(args.nu, args.eps, args.scap)
-    except SearchError as exc:
-        return 1, _not_found(args.format, exc)
+    w = interlace.find_breaking(args.nu, args.eps, args.scap)
     row = {"nu": w.nu, "eps": w.eps, "s": w.s, "y_value": w.left_value, "j_value": w.right_value}
     if args.format == "json":
         return 0, to_json({"found": True, **row})
@@ -270,10 +271,7 @@ def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_counterexample(args: argparse.Namespace) -> tuple[int, str]:
     nu_list = parse_nu_list(args.nu_list)
-    try:
-        greater, less = interlace.counterexample_scan(args.eps, nu_list, args.s, pair=args.pair)
-    except SearchError as exc:
-        return 1, _not_found(args.format, exc)
+    greater, less = interlace.counterexample_scan(args.eps, nu_list, args.s, pair=args.pair)
     witnesses = [("greater", greater), ("less", less)]
     if args.format == "json":
         body = to_json(
@@ -387,6 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, body = _HANDLERS[args.command](args)
+    except SearchError as exc:  # a search without its witness prints the not-found body
+        code, body = 1, _not_found(args.format, exc)
     except DomainError as exc:
         flag = _CODE_FLAGS_PER_COMMAND.get((args.command, exc.code)) or _CODE_FLAGS.get(exc.code, "")
         where = f" ({flag})" if flag else ""

@@ -27,13 +27,14 @@ bounds, for a guess (g, h) whose h bounds g's error. Of two guesses the
 one with the smaller h is used: McMahon's expansion M(s) (A&S 9.5.12 for
 j and y, 9.5.13 for j' and y') plus the last zero's offset d = z - M,
 with h twice the change in d, and from rank 4 the quadratic through the
-last three zeros. M's coefficients are built once per sequence, when it
-has two walked zeros, and carried with the last two d from one zero,
-and one extension, to the next, so each zero costs one M. The guess only
-places sign checks and never certifies a rank. A walk point where F is
-exactly 0.0 ends the walk with that point as its bracket's upper end,
-and refine returns it with the bracket [x, x]; the next walk then starts
-just past that zero.
+last three zeros. Each extension that reaches a rank past two walked
+zeros builds M's coefficients once and the last two d from its columns,
+then carries them from one zero to the next, so each zero costs one M;
+between extensions the cache keeps only the walk's restart point. The
+guess only places sign checks and never certifies a rank. A walk point
+where F is exactly 0.0 ends the walk with that point as its bracket's
+upper end, and refine returns it with the bracket [x, x]; the next walk
+then starts just past that zero.
 A walk step evaluates F alone (C_nu for J and Y), and the walk hands F
 at its bracket's ends to refine, as the loop hands it F at the anchor,
 so no point is evaluated twice. Deep in a sequence McMahon's guess puts
@@ -453,13 +454,10 @@ def refine(
 # Per cached sequence, one entry (columns, anchor), dropped as one. The
 # columns (value, lo, hi, residual, iterations) are float64 arrays and an
 # int array, all of one length, the rank s at index s - 1; they only grow,
-# and only under _cache_lock. The anchor, None or (x, F(x), row, d_old,
-# d_last), is what the last extension hands the next: x is the upper end of
-# the last walk's bracket, where the next walk starts (None when that walk
-# hit its zero exactly), and that bracket held the last zero alone, so no
-# zero lies between them. row is the sequence's _mcmahon_row, and d = z -
-# M(s) of its last two zeros; all three are None until the sequence has two
-# walked zeros.
+# and only under _cache_lock. The anchor, None or (x, F(x)), is where the
+# next walk starts: x is the upper end of the last walk's bracket, which
+# held the last zero alone, so no zero lies between them. It is None when
+# that walk hit its zero exactly, and before the first walk.
 _cache: dict[tuple[ZeroKind, float], tuple[tuple[array, ...], tuple | None]] = {}
 # Guards every lookup and extension of the cache. Extending a sequence never
 # looks up another one, so holding it across the refinement cannot deadlock.
@@ -541,10 +539,11 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]
 
     kind, nu and s_max must have passed ``ZeroId``'s domain check.
     Returns the cache's own columns, which only ever grow: read them,
-    never modify them. The entry is stored without its anchor while the
-    sequence grows, so an extension that raises leaves none: the next
-    walk starts past the last zero, and d is derived again from the
-    values, to the same bits.
+    never modify them. McMahon's row and the last two d are rebuilt from
+    the columns by each extension, to the bits one call would carry. The
+    entry is stored without its anchor while the sequence grows, so an
+    extension that raises leaves none: the next walk starts past the
+    last zero.
     """
     key = (kind, nu)
     with _cache_lock:
@@ -553,7 +552,8 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]
         if len(values) >= s_max:
             return columns
         _cache[key] = columns, None
-        x, fx, row, d_old, d_last = anchor or (None,) * 5
+        x, fx = anchor or (None, None)
+        row = d_old = d_last = None
         target = _target(kind, nu)
         if not values and kind is ZeroKind.JPRIME and nu == 0.0:
             for column in columns:
@@ -588,7 +588,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]
             x, fx = (b, fb) if fb != 0.0 else (None, None)
             if row:
                 d_old, d_last = d_last, z - m
-        _cache[key] = columns, (x, fx, row, d_old, d_last)
+        _cache[key] = columns, None if x is None else (x, fx)
         return columns
 
 

@@ -18,7 +18,10 @@ whichever tree ``PYTHONPATH`` names:
     python tests/command_dump.py --compare parent.txt change.txt
 
 The seeds default to 0. ``--compare`` prints each line that differs, or
-that only one dump has, and exits 1 when there is any.
+that only one dump has, and exits 1 when there is any; it skips lines
+that start with ``#``. ``tests/data/command_dump.txt`` is the seed-0 dump
+of a recorded commit, which its ``#`` lines name, and
+``test_command_dump.py`` compares the tree under test with it.
 
 Not a test module: pytest does not collect it.
 """
@@ -93,11 +96,11 @@ def dump(seeds: list[int], out) -> int:
 
 def compare(path_a, path_b, out) -> int:
     """Print each line of one dump that the other lacks, keyed by its first
-    five fields; returns how many keys differ."""
+    five fields, skipping ``#`` lines; returns how many keys differ."""
     dumps = []
     for path in (path_a, path_b):
         with open(path, encoding="ascii") as f:
-            dumps.append({tuple(line.split()[:5]): line.rstrip("\n") for line in f})
+            dumps.append({tuple(line.split()[:5]): line.rstrip("\n") for line in f if not line.startswith("#")})
     a, b = dumps
     keys = list(a) + [k for k in b if k not in a]
     differ = [k for k in keys if a.get(k) != b.get(k)]

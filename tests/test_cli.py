@@ -120,6 +120,12 @@ class TestRankCapUpFront:
             (["counterexample", "--eps", "1", "--nu-list", "700", "--s", "0"], "--s", "got 0"),
             # J_0 and Y_2 have their 10^4-th zeros near 31,416, below --xmax.
             (["wronskian", "--nu", "0", "--mu", "2", "--smax", "10000", "--xmax", "40000"], "--xmax", "40000.0"),
+            # Each grid is within the cap; their ~9.9e9 (nu, eps) points are not.
+            (
+                ["verify", "--suite", "theorem2", "--nu-grid", "0:99:0.001", "--eps-grid", "0.00001:1:0.00001"],
+                "--nu-grid",
+                "--nu-grid times --eps-grid has more than 100000 points, got 99001 x 100000",
+            ),
         ],
         ids=[
             "chain",
@@ -132,6 +138,7 @@ class TestRankCapUpFront:
             "wronskian-xmax",
             "counterexample-rank-before-order",
             "wronskian-xmax-past-the-cap",
+            "verify-grid-product",
         ],
     )
     def test_rejected_before_any_zero(self, capsys, argv, flag, values):
@@ -212,6 +219,22 @@ class TestVerifyCommand:
         assert "--threads" in err
         assert "usage:" in err and "argument --threads: must be >= 1, got 0" in err
 
+    # The (nu, eps) points are capped as each grid is; the eps grid counts
+    # only where a selected suite reads it.
+    def test_grid_product_capped(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_GRID_MAX_POINTS", 164)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--nu-grid", "0:10:0.25", "--smax", "20")
+        assert code == 0 and json.loads(out)["violations"] == []
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--nu-grid", "0:10.25:0.25", "--smax", "20")
+        assert (code, out) == (2, "")
+        assert err.endswith("error (--nu-grid): --nu-grid times --eps-grid has more than 164 points, got 42 x 4\n")
+        wide = ("--nu-grid", "0:1:1", "--eps-grid", "0.01:1:0.01", "--smax", "2")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "proposition", *wide)
+        assert code == 0 and len(json.loads(out)["grid"]["eps"]) == 100
+        code, out, err = run_cli(capsys, "verify", "--suite", "derivative-chains", *wide)
+        assert (code, out) == (2, "")
+        assert "got 2 x 100" in err
+
     def test_same_bytes_cold_warm_and_with_two_threads(self, capsys):
         args = ("verify", "--suite", "theorem2", "--nu-grid", "0:3:0.5", "--smax", "6")
         zmod.clear_cache()
@@ -244,6 +267,30 @@ class TestBreakCommand:
         code, out, _ = run_cli(capsys, "break", "--nu", "10", "--eps", "1.25", "--scap", "2", "--format", "json")
         assert code == 1
         assert json.loads(out)["found"] is False
+
+
+# A search that ends without its witness prints the not-found body, on
+# stdout or in the --out file, and exits 1 with nothing on stderr.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["break", "--nu", "10", "--eps", "1.25", "--scap", "2"], "NOT_FOUND_WITHIN_CAP"),
+        (["counterexample", "--eps", "0.1", "--nu-list", "0.5,5", "--s", "1"], "ONLY_ONE_ORDERING"),
+    ],
+    ids=["break", "counterexample"],
+)
+def test_search_not_found_body(capsys, tmp_path, argv, code, fmt):
+    exit_code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (exit_code, err) == (1, "")
+    if fmt == "json":
+        doc = json.loads(out)
+        assert (doc["found"], doc["code"]) == (False, code)
+    else:
+        assert out.startswith("found,error\nfalse,")
+    target = tmp_path / "body"
+    assert run_cli(capsys, *argv, "--format", fmt, "--out", str(target)) == (1, "", "")
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 class TestWronskianCommand:

@@ -8,6 +8,7 @@ import command_dump
 from bessel_interlace import cli
 
 SCRIPT = Path(command_dump.__file__)
+RECORDED = SCRIPT.parent / "data" / "command_dump.txt"
 # Two commands as dump() writes them: seed, workload, position, subcommand,
 # format, exit code, stdout sha256 and evaluator calls.
 LINES = [
@@ -55,3 +56,20 @@ def test_each_command_is_dumped_in_the_formats_it_takes():
     assert command_dump._formats(parser, "verify") == ("json",)
     for command in ("zeros", "break", "counterexample", "wronskian"):
         assert command_dump._formats(parser, command) == ("csv", "json")
+
+
+def test_comment_lines_are_skipped(tmp_path, capsys):
+    a, b = dumps(tmp_path, ["# recorded elsewhere\n", *LINES])
+    assert command_dump.compare(a, b, sys.stdout) == 0
+    assert capsys.readouterr().out == "2 and 2 lines, 0 differ\n"
+
+
+def test_seed_zero_matches_the_recorded_dump(tmp_path, capsys):
+    # Every seed-0 benchmark command keeps the exit code, stdout bytes and
+    # evaluator calls recorded in data/command_dump.txt. A change that
+    # moves one must re-record the file and say which line moved and why.
+    now = tmp_path / "now.txt"
+    with open(now, "w", encoding="ascii") as f:
+        assert command_dump.dump([0], f) == 10
+    differ = command_dump.compare(RECORDED, now, sys.stdout)
+    assert differ == 0, capsys.readouterr().out

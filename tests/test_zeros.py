@@ -16,7 +16,7 @@ from scipy.special import jv, jvp, yv, yvp
 
 import fixtures
 import oracle
-from cache_view import cached_columns
+from cache_view import cache_bytes, cached_columns
 from bessel_interlace import (
     DomainError,
     ZeroId,
@@ -715,10 +715,14 @@ class TestLookupCost:
         # The orders and ranks of `verify --suite all --nu-grid 0:10:0.25
         # --smax 20`: 180 sequences of 20 or 21 zeros. Their column buffers
         # hold at most 48 bytes per cached zero (36 bytes, and capacity for
-        # 25 zeros each). On top of that each sequence holds ~1 KB: five
-        # array headers, its key, its entry with its anchor, and its McMahon
-        # row; so the whole cache takes ~91 bytes per zero, against ~188 for
-        # a ZeroRecord per zero.
+        # 25 zeros each). On top of that each sequence holds ~0.77 KB: five
+        # array headers, the column tuple, its key, its entry, its anchor
+        # (x, F(x)) and its share of the dict; so the whole cache takes
+        # ~83 bytes per zero, against ~188 for a ZeroRecord per zero.
+        # The bound is on cache_bytes, which counts each object; tracemalloc
+        # misses those the free lists hand out from before it started, and
+        # read 72 to 83 here with the same cache, so it only bounds what
+        # else the sweep leaves alive.
         zmod.clear_cache()
         tracemalloc.start()
         try:
@@ -733,11 +737,13 @@ class TestLookupCost:
             sequences = cached_columns().values()
             cached = sum(len(columns[0]) for columns in sequences)
             buffers = sum(sys.getsizeof(c) - sys.getsizeof(array(c.typecode)) for cs in sequences for c in cs)
+            held = cache_bytes()
         finally:
             zmod.clear_cache()
         assert cached == 3641
         assert buffers / cached <= 48
-        assert current / cached <= 120
+        assert held / cached <= 85
+        assert current / cached <= 85
 
     def test_cached_record_is_immutable(self):
         # Every call builds a new record from the columns; its lo and hi are
@@ -1046,6 +1052,20 @@ class TestCarriedAnchor:
         restarts = {_scan_start(kind, nu, r.value) for r in records[:-1]}
         assert restarts & seen == {_scan_start(kind, nu, z)}
 
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_entry_keeps_the_restart_point_alone(self, kind):
+        # The anchor is (x, F(x)) with x past the last zero's bracket and
+        # short of the next zero; McMahon's row and offsets are not kept.
+        zmod.clear_cache()
+        try:
+            last = zeros_upto(kind, 2.5, 12)[-1]
+            _, anchor = zmod._cache[kind, 2.5]
+            x, fx = anchor
+            assert last.hi <= x < zval(kind, 2.5, 13)
+            assert fx == target(kind, 2.5)(x)
+        finally:
+            zmod.clear_cache()
+
     def test_failed_extension_leaves_no_anchor(self, monkeypatch):
         # The records kept before a refine that raises are followed by a walk
         # from just past the last of them, and every rank comes out as cold.
@@ -1086,9 +1106,10 @@ class TestCarriedAnchor:
 
 class TestMcMahonCarry:
     # The sequence loop carries McMahon's row and d = z - M(s) of the last
-    # two walked zeros from one extension to the next, so a sequence built
-    # one rank at a time builds the row once, evaluates M once per rank and
-    # gets the same records, bit for bit, as one built by a single call.
+    # two walked zeros from one zero to the next within an extension; the
+    # cache keeps neither, so each extension rebuilds them from its columns.
+    # A sequence built one rank at a time gets the same records, bit for
+    # bit, as one built by a single call.
     RANKS = 60
 
     @staticmethod
@@ -1139,11 +1160,14 @@ class TestMcMahonCarry:
         finally:
             zmod.clear_cache()
         assert ranked == whole
-        # j'_{0,1} = 0 is not walked and evaluates no M; after a failed
-        # extension, the row is built again and d derived once more from
-        # the last two records.
-        walked = self.RANKS - before - (kind is ZeroKind.JPRIME and nu == 0.0 and before == 0)
-        assert counts == {"builds": 1, "evals": walked + 2 * (interruption == "failed")}
+        # Each call here is one extension that walks one rank. One that
+        # walks a rank s >= 3 builds the row once and derives the two d
+        # before it with two M, then evaluates M once for s. Below rank 3
+        # the sequence has no two walked zeros, nor at j'_{0,3}, whose rank
+        # 1, j'_{0,1} = 0, is not walked.
+        first = 4 if kind is ZeroKind.JPRIME and nu == 0.0 else 3
+        builds = self.RANKS + 1 - max(before + 1, first)
+        assert counts == {"builds": builds, "evals": builds + 2 * builds}
 
     # From rank 50 McMahon's guess g = M(s) + d_{s-1}, h = max(2 |d_{s-1} -
     # d_{s-2}|, 4 ulp(g)) brackets the zero on the walk's points g - h and
