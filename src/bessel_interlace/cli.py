@@ -205,10 +205,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     for nu in nu_grid:
         _recode("DOMAIN_NU", ev.check_orders, nu, top_eps)
 
-    violations = []
-    notes = []
-    for name, rules in suites.items():
-        for nu in nu_grid:
+    # Grid points outermost, so every suite reads an order's sequences in turn; the sorts below fix the output order.
+    violations, notes = [], []
+    for nu in nu_grid:
+        for name, rules in suites.items():
             for eps in eps_grid if rules.eps is None else (rules.eps,):
                 violations += [(name, w) for w in interlace.check_suite(name, nu, eps, args.smax)]
                 if rules.note and nu == 0.0 and eps == 1.0:

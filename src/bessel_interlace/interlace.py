@@ -23,7 +23,7 @@ column sliced by its node's rank offset; witnesses are built only for
 failing ranks.
 ``find_breaking`` reads its two families the same way, in chunks of
 ``_CHUNK`` ranks. ``build_chain`` and ``counterexample_scan`` read one
-zero per node (``_zval``).
+zero per node (``_zval``), the last rank of its ``zeros_upto`` table.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from . import evaluate as ev
 from .errors import DomainError, SearchError
-from .zeros import S_MAX_LIMIT, ZeroId, ZeroKind, check_rank, zero, zeros_upto
+from .zeros import S_MAX_LIMIT, ZeroKind, check_rank, zeros_upto
 
 __all__ = [
     "CHAIN_LABELS",
@@ -181,7 +181,7 @@ class ViolationWitness:
 
 
 def _zval(node: _Node, nu: float, eps: float, s: int) -> float:
-    return zero(ZeroId(node.kind, nu + eps if node.shifted else nu, s + node.offset)).value
+    return zeros_upto(node.kind, nu + eps if node.shifted else nu, s + node.offset)[-1].value
 
 
 def check_eps(eps: float, lo: float = 0.0, hi: float = 1.0) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import evaluate as ev
 from .errors import DomainError
-from .zeros import S_MAX_LIMIT, ZeroId, ZeroKind, check_rank, zero, zeros_upto
+from .zeros import S_MAX_LIMIT, ZeroKind, check_rank, zeros_upto
 
 __all__ = [
     "WronskianProfile",
@@ -86,7 +86,7 @@ def profile_extrema(nu: float, mu: float, s_max: int) -> WronskianProfile:
     return WronskianProfile(nu, mu, samples, all_same_sign, min_abs)
 
 
-#: No zero of J_nu or Y_mu of rank S_MAX_LIMIT lies below this: j_{nu,s} > y_{nu,s} >= y_{0,s} > (s - 1) pi.
+#: No zero of J_nu or Y_mu of rank S_MAX_LIMIT lies below this: j_{nu,s} > y_{nu,s} >= y_{0,s} > (s - 1) pi (TestXCap).
 _X_CAP = (S_MAX_LIMIT - 1) * math.pi
 
 
@@ -101,13 +101,13 @@ def check_x_max(x_max: float) -> float:
 def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
     """A root of W on (0, x_max], or None if W keeps one sign there.
 
-    Segments between consecutive critical points of x*W (plus the
-    leading segment down to 0+ and the trailing one up to x_max) are
-    monotone for x*W, so one endpoint sign check per segment finds
-    every root; W is evaluated only up to the first, bisected to ~1e-12.
-    Raises DomainError (DOMAIN_NU) when x*W shows no sign left of the
-    first critical point: non-finite where Y_mu saturates, or 0.0 where
-    J_nu underflows.
+    x*W is monotone between consecutive critical points (zeros of J_nu
+    and Y_mu, read in blocks of 1, 2, 4, ... ranks), below the first and
+    past the last up to x_max, so one endpoint sign check per segment
+    finds every root; W is evaluated only up to the first, bisected to ~1e-12.
+    Raises DomainError when x*W shows no sign left of the first critical
+    point (non-finite where Y_mu saturates, 0.0 where J_nu underflows):
+    DOMAIN_X when none lies at or below x_max, else DOMAIN_NU.
     """
     nu = ev.check_order(nu)
     mu = ev.check_order(mu)
@@ -123,13 +123,13 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
         # order) and shows no sign, no more than a NaN or inf does.
         return math.isfinite(v) and v != 0.0
 
-    # Critical points of x*W up to x_max: zeros of J_nu and Y_mu.
+    # Critical points of x*W up to x_max: zeros of J_nu and Y_mu, read in blocks of doubling rank.
     pts: list[float] = []
     for kind, order in ((ZeroKind.J, nu), (ZeroKind.Y, mu)):
-        s = 1
-        while (v := zero(ZeroId(kind, order, s)).value) <= x_max:
-            pts.append(v)
-            s += 1
+        n, cap = 1, int(x_max / math.pi) + 2  # the zero of rank cap lies past x_max (_X_CAP)
+        while (table := zeros_upto(kind, order, n))[-1].value <= x_max and n < cap:
+            n = min(2 * n, cap)
+        pts += [v for v in table.value if v <= x_max]
     pts.sort()
 
     # Left edge: W(0+) is positive. Find an evaluable point left of the
@@ -153,6 +153,8 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
         x_left, f_left = candidate, value
         shrink += 1
     if not evaluable(f_left):
+        if not pts:  # x_max alone is at fault
+            raise DomainError(f"W is not evaluable on (0, x_max] below every critical point, x_max={x_max!r}", code="DOMAIN_X")
         raise DomainError(
             f"W is not evaluable left of its first critical point for nu={nu}, mu={mu}",
             code="DOMAIN_NU",
@@ -227,5 +229,5 @@ def eq19_residual(nu: float, s: int) -> float:
     the residual is the numerical witness of that identity.
     """
     nu = ev.check_order(nu)
-    r = zero(ZeroId(ZeroKind.YPRIME, nu, s)).value
+    r = zeros_upto(ZeroKind.YPRIME, nu, s)[-1].value
     return abs(ev.bessel_y(nu + 1.0, r) - (nu / r) * ev.bessel_y(nu, r))

@@ -23,6 +23,10 @@ so a script can use it as the bit-identity check. With ``--oracle``
 dump's distance from the mpmath root (``oracle.root_near``) in ulps of
 that value, median and max.
 
+``tests/data/record_dump.txt`` holds the sha256 and record count of a
+recorded commit's dump, which its ``#`` lines name, and
+``test_record_dump.py`` compares the tree under test with it.
+
 Not a test module: pytest does not collect it.
 """
 

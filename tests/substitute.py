@@ -1,14 +1,13 @@
 """Substitute chosen zero values at the package's lookup boundary.
 
-``substituted_zeros`` wraps ``zero`` and ``zeros_upto`` wherever
-``interlace``, ``wronskian`` and ``cli`` bind them, so every checker sees
-the substituted values while the zero cache keeps the true ones. Tests
-use it to force violations and exact equalities that real zeros never
-produce.
+The package reads the zero cache only through ``zeros_upto``.
+``substituted_zeros`` wraps it wherever ``interlace``, ``wronskian`` and
+``cli`` bind it, so every checker sees the substituted values while the
+zero cache keeps the true ones. Tests use it to force violations and
+exact equalities that real zeros never produce.
 """
 
 import contextlib
-import dataclasses
 from unittest import mock
 
 from bessel_interlace import cli, interlace, wronskian, zeros
@@ -23,12 +22,11 @@ def substituted_zeros(changes):
     """
     table = {(ZeroKind(k), float(nu), s): f for (k, nu, s), f in changes.items()}
 
-    def swap(kind, nu, rec):
-        f = table.get((kind, float(nu), rec.s))
-        return rec if f is None else dataclasses.replace(rec, value=f(rec.value))
+    true_zeros_upto = zeros.zeros_upto
 
-    def swap_table(kind, nu, true):
-        """A table over copies of ``true``'s columns, its value column swapped."""
+    def swapped(kind, nu, s_max):
+        """A table over copies of the true table's columns, its value column swapped."""
+        true = true_zeros_upto(kind, nu, s_max)
         value = true.value
         for s, v in enumerate(value, 1):
             f = table.get((kind, float(nu), s))
@@ -36,14 +34,7 @@ def substituted_zeros(changes):
                 value[s - 1] = f(v)
         return zeros.ZeroTable((value, true.lo, true.hi, true.residual, true.iterations), len(true))
 
-    true_zero, true_zeros_upto = zeros.zero, zeros.zeros_upto
-    wrappers = {
-        "zero": lambda id: swap(id.kind, id.nu, true_zero(id)),
-        "zeros_upto": lambda kind, nu, s_max: swap_table(kind, nu, true_zeros_upto(kind, nu, s_max)),
-    }
     with contextlib.ExitStack() as stack:
         for module in (interlace, wronskian, cli):
-            for name, wrapper in wrappers.items():
-                if hasattr(module, name):
-                    stack.enter_context(mock.patch.object(module, name, wrapper))
+            stack.enter_context(mock.patch.object(module, "zeros_upto", swapped))
         yield

@@ -208,6 +208,16 @@ class TestVerifyCommand:
         assert (code, calls) == (0, [(suite, 0.5, 1.0, 2)])
         assert json.loads(out)["violations"] == []
 
+    # Grid points outermost: every suite reads an order's sequences in turn,
+    # so a cache bounded to a few orders' sequences builds each once.
+    def test_grid_points_outermost(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(imod, "check_suite", lambda *a: calls.append(a[:3]) or [])
+        code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--nu-grid", "0:1:0.5", "--eps-grid", "0.5:1:0.5", "--smax", "2")
+        per_order = [("theorem1", 1.0), ("proposition", 1.0), ("derivative-chains", 0.5), ("derivative-chains", 1.0),
+                     ("theorem2", 0.5), ("theorem2", 1.0)]
+        assert (code, calls) == (0, [(suite, nu, eps) for nu in (0.0, 0.5, 1.0) for suite, eps in per_order])
+
     # BESSEL_INTERLACE_THREADS does not override the flag.
     @pytest.mark.parametrize("flag,env", [("0", None), ("0", "4")])
     def test_bad_thread_count_exits_two(self, capsys, monkeypatch, flag, env):
@@ -309,6 +319,15 @@ class TestWronskianCommand:
     def test_equal_orders_rejected(self, capsys):
         code, _, err = run_cli(capsys, "wronskian", "--nu", "1", "--mu", "1")
         assert code == 2
+
+    # W overflows on all of (0, 1e-120], below every critical point: the
+    # fault is --xmax's, not the orders'. At 1e-100 W is evaluable there.
+    def test_x_max_below_every_critical_point_names_xmax(self, capsys):
+        code, out, err = run_cli(capsys, "wronskian", "--nu", "0", "--mu", "2", "--xmax", "1e-120")
+        assert (code, out) == (2, "")
+        assert err.startswith("bessel-interlace wronskian: error (--xmax): ") and "x_max=1e-120" in err
+        code, out, _ = run_cli(capsys, "wronskian", "--nu", "0", "--mu", "2", "--xmax", "1e-100")
+        assert code == 0 and out.endswith(" first_zero=none\n")
 
 
 class TestCounterexampleCommand:

@@ -191,7 +191,7 @@ def per_rank_reference(suite, nu, eps, s_max):
 
 def theorem1_reference(nu, eps, s_max):
     node = imod.SUITES["theorem1"].lead
-    jp1 = imod.zero(ZeroId(node.kind, nu, 1 + node.offset)).value
+    jp1 = imod.zeros_upto(node.kind, nu, 1 + node.offset)[-1].value
     lead = [ViolationWitness(nu, 1.0, 1, "nu", "jp(v,1)", nu, jp1)] if jp1 < nu - 1e-12 * max(1.0, nu) else []
     return lead + per_rank_reference("theorem1", nu, 1.0, s_max)
 
@@ -353,7 +353,7 @@ class _SealedCache:
     """Stands in for ``zeros._cache``: any direct read fails the test."""
 
     def _read(self, *args):
-        raise AssertionError("zeros._cache read outside zeros_upto/zero")
+        raise AssertionError("zeros._cache read outside zeros_upto")
 
     __getattr__ = __getitem__ = __contains__ = __iter__ = __len__ = _read
 
@@ -371,57 +371,52 @@ class TestLookups:
 
     @staticmethod
     def spied(monkeypatch):
-        """Log each ``zeros_upto`` and ``zero`` call's arguments, and seal the cache to all else."""
-        real = zmod._cache
-        reads, single = [], []
+        """Log each ``zeros_upto`` call's arguments, and seal the cache to all else."""
+        real, fn = zmod._cache, imod.zeros_upto
+        reads = []
 
-        def spy(fn, log):
-            def read(*args):
-                log.append(args)
-                zmod._cache = real
-                try:
-                    return fn(*args)
-                finally:
-                    zmod._cache = sealed
-
-            return read
+        def read(*args):
+            reads.append(args)
+            zmod._cache = real
+            try:
+                return fn(*args)
+            finally:
+                zmod._cache = sealed
 
         sealed = _SealedCache()
-        monkeypatch.setattr(imod, "zeros_upto", spy(imod.zeros_upto, reads))
-        monkeypatch.setattr(imod, "zero", spy(imod.zero, single))
+        monkeypatch.setattr(imod, "zeros_upto", read)
         monkeypatch.setattr(zmod, "_cache", sealed)
-        return reads, single
+        return reads
 
     @pytest.mark.parametrize("suite", [*CHECKS, "chain"])
     def test_one_read_per_family_and_no_cache_access(self, suite, monkeypatch):
-        reads, single = self.spied(monkeypatch)
+        reads = self.spied(monkeypatch)
         if suite == "chain":
             reports = imod.chain_reports(2.0, 0.5, 20)
             assert [r.chain.s for r in reports if r.ok] == list(range(1, 21))
         else:
             assert CHECKS[suite][0](2.0, 0.5, 20) == []
-        families = [(kind.value, nu) for kind, nu, _ in reads]
+        # Theorem 1's leading bound nu <= j'_{nu,1} reads rank 1 last, besides its families.
+        lead = [(ZeroKind.JPRIME, 2.0, 1)] if suite == "theorem1" else []
+        assert reads[len(reads) - len(lead) :] == lead
+        families = [(kind.value, nu) for kind, nu, _ in reads[: len(reads) - len(lead)]]
         assert sorted(families) == sorted(self.FAMILIES[suite])  # each exactly once
-        # Only Theorem 1's leading bound nu <= j'_{nu,1} reads a single zero.
-        expect_single = [(ZeroId(ZeroKind.JPRIME, 2.0, 1),)] if suite == "theorem1" else []
-        assert single == expect_single
 
     def test_build_chain_reads_its_seven_nodes_only(self, monkeypatch):
-        reads, single = self.spied(monkeypatch)
+        reads = self.spied(monkeypatch)
         chain = build_chain(2.0, 0.5, 20)
-        assert reads == []  # no lower rank is built or checked
-        assert [(z.kind.value, z.nu, z.s) for (z,) in single] == [
+        # One read per node, each up to the node's rank: no lower rank is checked.
+        assert [(kind.value, nu, s) for kind, nu, s in reads] == [
             ("jp", 2.0, 20), ("y", 2.0, 20), ("y", 2.5, 20), ("yp", 2.0, 20),
             ("j", 2.0, 20), ("j", 2.5, 20), ("jp", 2.0, 21),
         ]
         assert check_chain(chain).ok
 
     def test_find_breaking_reads_64_ranks_per_lookup(self, monkeypatch):
-        reads, single = self.spied(monkeypatch)
+        reads = self.spied(monkeypatch)
         assert find_breaking(10.0, 1.0318, 100).s == 65  # the witness opens the second read
         y, j = (ZeroKind.Y, 10.0 + 1.0318), (ZeroKind.J, 10.0)
         assert reads == [(*y, 64), (*j, 64), (*y, 100), (*j, 100)]  # the second read stops at s_cap
-        assert single == []
 
 
 class TestSuites:

@@ -33,3 +33,14 @@ def test_root_exports_each_module_surface():
 def test_clear_cache_stays_in_its_module():
     assert "clear_cache" not in bessel_interlace.__all__
     assert callable(bessel_interlace.zeros.clear_cache)
+
+
+def test_package_reads_the_cache_only_through_zeros_upto():
+    # ``zero`` stays public, but no module of the package binds it or any
+    # other reader of the cache; each binds ``zeros_upto`` itself.
+    zmod = bessel_interlace.zeros
+    readers = (zmod.zero, zmod._extend_sequence, zmod._record, zmod._cache)
+    for module_name in ("cli", "interlace", "wronskian"):
+        module = importlib.import_module(f"bessel_interlace.{module_name}")
+        assert [name for name, obj in vars(module).items() if any(obj is r for r in readers)] == []
+        assert module.zeros_upto is zmod.zeros_upto

@@ -1,12 +1,16 @@
 """``record_dump.py --compare``, the bit-identity check between two dumps."""
 
+import hashlib
+import io
 import subprocess
 import sys
 from pathlib import Path
 
 import record_dump
+from bessel_interlace.zeros import clear_cache
 
 SCRIPT = Path(record_dump.__file__)
+RECORDED = SCRIPT.parent / "data" / "record_dump.txt"
 # Two records as dump() writes them: kind, order, rank, value, lo, hi,
 # residual (each float.hex) and iterations.
 LINES = [
@@ -44,3 +48,20 @@ def test_one_hex_field_moved_is_one_record(tmp_path, capsys):
     assert "hi: 1 differ, largest move 1 ulps\n" in out and "value: 0 differ" in out
     proc = cli(a, b)
     assert proc.returncode == 1 and "hi: 1 differ" in proc.stdout
+
+
+def test_dump_matches_the_recorded_hash():
+    # Every sampled record keeps the bits whose hash data/record_dump.txt
+    # holds. A change that moves one must re-record the file and say which
+    # records moved and why.
+    out = io.StringIO()
+    try:
+        count = record_dump.dump(out)
+    finally:
+        clear_cache()
+    now = f"sha256={hashlib.sha256(out.getvalue().encode('ascii')).hexdigest()} records={count}"
+    [recorded] = [line for line in RECORDED.read_text(encoding="ascii").splitlines() if not line.startswith("#")]
+    assert now == recorded, (
+        "records moved: dump the recorded commit's tree and this one, and run"
+        " `python tests/record_dump.py --compare parent.hex change.hex` to see which fields moved"
+    )

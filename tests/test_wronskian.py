@@ -142,6 +142,56 @@ class TestHasPositiveZero:
         assert exc.value.code == "DOMAIN_NU"
         assert "not evaluable" in str(exc.value)
 
+    # Y_2 overflows on all of (0, 1e-120], and no critical point lies
+    # there: x_max alone is at fault.
+    def test_x_max_below_every_critical_point_not_evaluable(self):
+        with pytest.raises(DomainError) as exc:
+            has_positive_zero(0.0, 2.0, 1e-120)
+        assert exc.value.code == "DOMAIN_X"
+        assert "not evaluable" in str(exc.value) and "x_max=1e-120" in str(exc.value)
+        assert has_positive_zero(0.0, 2.0, 1e-100) is None
+
+    def test_reads_each_family_in_doubling_blocks(self, monkeypatch):
+        # Ranks up to floor(600 / pi) + 2 = 192, whose zeros lie past x_max.
+        zmod.clear_cache()
+        reads = []
+        monkeypatch.setattr(wmod, "zeros_upto", lambda *a: reads.append(a) or zmod.zeros_upto(*a))
+        assert has_positive_zero(0.0, 2.0, 600.0) == pytest.approx(fixtures.W_0_2_FIRST_ZERO, abs=1e-9)
+        ranks = [1, 2, 4, 8, 16, 32, 64, 128, 192]
+        assert reads == [(ZeroKind.J, 0.0, n) for n in ranks] + [(ZeroKind.Y, 2.0, n) for n in ranks]
+
+    # Roots as the function returned them when it read its critical points
+    # one rank per lookup, until the first zero past x_max (commit 08b9213).
+    RANK_BY_RANK = {
+        (0.0, 2.0, 50.0): "0x1.66e2965539b8ap+0",
+        (0.0, 2.0, 600.0): "0x1.66e2965539b8ap+0",
+        (1.0, 4.5, 40.0): "0x1.77837e934729ep+1",
+        (3.0, 4.0, 50.0): None,
+        (2.0, 4.5, 200.0): "0x1.f2a5e9c43c1d6p+1",
+    }
+
+    @pytest.mark.parametrize("args", RANK_BY_RANK)
+    def test_block_reads_return_the_rank_by_rank_root(self, args):
+        zmod.clear_cache()
+        root = has_positive_zero(*args)
+        assert (None if root is None else root.hex()) == self.RANK_BY_RANK[args]
+
+    @pytest.mark.parametrize("nu,mu,x_max", [(3.0, 4.0, 50.0), (0.0, 0.5, 50.0), (1.0, 1.5, 100.0)])
+    def test_sign_checks_at_the_rank_by_rank_critical_points(self, monkeypatch, nu, mu, x_max):
+        # Without a root, W is checked at the left edge, at each critical
+        # point up to x_max in order, and at x_max: the points, taken one
+        # rank at a time through ``zero``, are the block reads' points.
+        expect = []
+        for kind, order in ((ZeroKind.J, nu), (ZeroKind.Y, mu)):
+            s = 1
+            while (v := zero(ZeroId(kind, order, s)).value) <= x_max:
+                expect.append(v)
+                s += 1
+        xs = []
+        monkeypatch.setattr(wmod, "eval_W", lambda *a: xs.append(a[2]) or eval_W(*a))
+        assert has_positive_zero(nu, mu, x_max) is None
+        assert xs[1:] == sorted(expect) + [x_max]
+
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
     def test_criterion_matches_order_gap(self, nu):
         for eps in (0.25, 0.5, 1.0):
@@ -151,14 +201,19 @@ class TestHasPositiveZero:
 
 
 class TestXCap:
-    # _X_CAP lies below every zero of rank S_MAX_LIMIT of J_nu and of Y_mu:
-    # y_{0,s} is the least of them, since y_{mu,s} rises with the order and
-    # j_{nu,s} > y_{nu,s}. Checked on the certified brackets at the cap.
-    def test_below_every_zero_at_the_rank_cap(self):
-        y0 = zero(ZeroId(ZeroKind.Y, 0.0, S_MAX_LIMIT))
-        assert y0.lo > _X_CAP
-        assert zero(ZeroId(ZeroKind.J, 0.0, S_MAX_LIMIT)).lo > y0.hi
-        assert zero(ZeroId(ZeroKind.Y, 0.5, S_MAX_LIMIT)).lo > y0.hi
+    # (s - 1) pi lies below every zero of rank s of J_nu and of Y_mu: y_{0,s}
+    # is the least of them, since y_{mu,s} rises with the order and
+    # j_{nu,s} > y_{nu,s}. So _X_CAP, the bound at s = S_MAX_LIMIT, caps
+    # x_max, and has_positive_zero reads no family past rank
+    # floor(x_max / pi) + 2. Checked on the certified brackets at every rank.
+    def test_below_every_zero_at_every_rank(self):
+        y0 = zmod.zeros_upto(ZeroKind.Y, 0.0, S_MAX_LIMIT)
+        lo, hi = np.array(y0.lo), np.array(y0.hi)
+        bound = np.arange(S_MAX_LIMIT) * math.pi
+        assert bound[-1] == _X_CAP
+        assert (lo > bound).all()  # the smallest margin is ~pi/4, at the top rank
+        assert (np.array(zmod.zeros_upto(ZeroKind.J, 0.0, S_MAX_LIMIT).lo) > hi).all()
+        assert (np.array(zmod.zeros_upto(ZeroKind.Y, 0.5, S_MAX_LIMIT).lo) > hi).all()
 
 
 class TestExtremalCharacterization:
