@@ -46,17 +46,14 @@ import math
 import os
 import sys
 import types
-from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["NU_MAX", "EvalResult", "eval_J", "eval_Y", "eval_dJ", "eval_dY"]
+__all__ = ["NU_MAX", "eval_J", "eval_Y", "eval_dJ", "eval_dY"]
 
 #: Order cap. Counterexample searches need orders of several hundred;
 #: evaluation accuracy is unverified above this.
 NU_MAX = 600.0
-
-_EPS = 2.220446049250313e-16
 
 
 def _load_jv_yv():
@@ -87,19 +84,6 @@ def _load_jv_yv():
 
 
 _jv, _yv = _load_jv_yv()
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """A function value plus an advisory absolute-error bound.
-
-    ``est_abs_error`` is a cheap upper-bound heuristic (roughly 10 ulp
-    of the value, with an amplitude floor in the oscillatory region),
-    not a certified enclosure.
-    """
-
-    value: float
-    est_abs_error: float
 
 
 def check_order(nu: float) -> float:
@@ -180,41 +164,25 @@ def bessel_dy(nu: float, x: float) -> float:
     return v
 
 
-def _error_estimate(nu: float, x: float, value: float) -> float:
-    if math.isinf(value):
-        return math.inf
-    # Oscillatory region: absolute floor at the asymptotic amplitude.
-    floor = math.sqrt(2.0 / (math.pi * x)) if x > max(nu, 1.0) else 0.0
-    return 10.0 * _EPS * max(abs(value), floor)
-
-
-def _checked(f, nu: float, x: float) -> EvalResult:
-    """f(nu, x) at a checked order and argument, with its error estimate."""
-    nu = check_order(nu)
-    x = check_argument(x)
-    v = f(nu, x)
-    return EvalResult(v, _error_estimate(nu, x, v))
-
-
-def eval_J(nu: float, x: float) -> EvalResult:
+def eval_J(nu: float, x: float) -> float:
     """J_nu(x) for nu in [0, NU_MAX], x > 0."""
-    return _checked(bessel_j, nu, x)
+    return bessel_j(check_order(nu), check_argument(x))
 
 
-def eval_Y(nu: float, x: float) -> EvalResult:
+def eval_Y(nu: float, x: float) -> float:
     """Y_nu(x) for nu in [0, NU_MAX], x > 0.
 
     Saturates to -inf when the true magnitude overflows the double
     range (small x, large nu).
     """
-    return _checked(bessel_y, nu, x)
+    return bessel_y(check_order(nu), check_argument(x))
 
 
-def eval_dJ(nu: float, x: float) -> EvalResult:
+def eval_dJ(nu: float, x: float) -> float:
     """J'_nu(x) = -J_{nu+1}(x) + (nu/x) J_nu(x)."""
-    return _checked(bessel_dj, nu, x)
+    return bessel_dj(check_order(nu), check_argument(x))
 
 
-def eval_dY(nu: float, x: float) -> EvalResult:
+def eval_dY(nu: float, x: float) -> float:
     """Y'_nu(x) = -Y_{nu+1}(x) + (nu/x) Y_nu(x)."""
-    return _checked(bessel_dy, nu, x)
+    return bessel_dy(check_order(nu), check_argument(x))

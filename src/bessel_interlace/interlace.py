@@ -38,17 +38,8 @@ from .errors import DomainError, SearchError
 from .zeros import S_MAX_LIMIT, ZeroKind, check_rank, zeros_upto
 
 __all__ = [
-    "CHAIN_LABELS",
-    "InterlaceChain",
-    "ChainReport",
-    "ViolationWitness",
-    "build_chain",
-    "check_chain",
-    "check_theorem1",
-    "check_proposition",
-    "check_derivative_chains",
-    "check_theorem2",
-    "find_breaking",
+    "CHAIN_LABELS", "SUITES", "InterlaceChain", "ChainReport", "ViolationWitness", "build_chain", "check_chain",
+    "check_suite", "check_theorem1", "check_proposition", "check_derivative_chains", "find_breaking",
     "counterexample_scan",
 ]
 
@@ -235,8 +226,10 @@ def _columns(chains, nu: float, eps: float, s_max: int):
 
 
 def check_suite(suite: str, nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
-    """Violations of the rows of ``suite`` at (nu, eps), ranks 1..s_max, in row, rank, pair order;
-    a failed lead bound nu <= lead at rank 1 (equality allowed) comes first."""
+    """Violations of the rows of ``suite``, a key of ``SUITES``, at (nu, eps), ranks 1..s_max, in row,
+    rank, pair order; a failed lead bound nu <= lead at rank 1 (equality allowed) comes first. A
+    ``per_rank`` suite (theorem2) reports each rank's first failure, labelled as its row is written
+    (``CHAIN_LABELS``); the others label each node at its rank."""
     nu, eps = float(nu), float(eps)
     rules, s_max = _check_eps_and_rank(suite, nu, eps, s_max)
     out = []
@@ -277,6 +270,7 @@ def check_chain(chain: InterlaceChain) -> ChainReport:
     return ChainReport(chain, first_failure is None, first_failure, margins)
 
 
+# Kept while perfbench/spans.py spans it by name.
 def check_theorem1(nu: float, s_max: int) -> list[ViolationWitness]:
     """The five classical interlacing chains at orders nu and nu+1, ranks s_max <= 100.
 
@@ -289,6 +283,7 @@ def check_theorem1(nu: float, s_max: int) -> list[ViolationWitness]:
     return check_suite("theorem1", nu, 1.0, s_max)
 
 
+# Kept while perfbench/spans.py spans it by name.
 def check_proposition(nu: float, s_max: int) -> list[ViolationWitness]:
     """j_{nu+1,s} < j'_{nu,s+1} and y_{nu+1,s} < y'_{nu,s} for s <= s_max.
 
@@ -299,6 +294,7 @@ def check_proposition(nu: float, s_max: int) -> list[ViolationWitness]:
     return check_suite("proposition", nu, 1.0, s_max)
 
 
+# Kept while perfbench/spans.py spans it by name.
 def check_derivative_chains(nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
     """Interlacing of derivative zeros across the order increment:
 
@@ -306,16 +302,6 @@ def check_derivative_chains(nu: float, eps: float, s_max: int) -> list[Violation
     Requires 0 < eps <= 1. No pair is an identity, so none is exempt.
     """
     return check_suite("derivative-chains", nu, eps, s_max)
-
-
-def check_theorem2(nu: float, eps: float, s_max: int) -> list[ViolationWitness]:
-    """The seven-node chain at ranks s <= s_max: each rank's first failure.
-
-    Witness labels are the ``CHAIN_LABELS`` entries, as ``check_chain``
-    reports them; the nu=0, eps=1 identity pairs are exempt. The chain
-    is evaluated at any eps > 0; it holds for 0 < eps <= 1.
-    """
-    return check_suite("theorem2", nu, eps, s_max)
 
 
 def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:

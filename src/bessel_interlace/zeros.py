@@ -3,55 +3,14 @@
 Every zero is certified by a sign-change bracket. A cached sequence is
 one cache entry: its columns, float64 ``value``, ``lo``, ``hi`` and
 ``residual`` and an integer ``iterations``, with the rank s as the
-position, and the anchor its next extension starts from. It costs ~40
-bytes per zero and is extended one zero at a time by one loop,
-``_extend_sequence``, which builds F once per extension and hands each
-zero from one stage to the next: ``initial_bracket`` walks to a bracket
-(lo, hi, F(lo), F(hi)), and ``refine`` polishes that bracket into the
-tuple (value, lo, hi, residual, iterations) that the loop appends to the
-columns. The ZeroId that ``zero`` or ``zeros_upto`` builds holds the one
-domain check; the loop hands its stages the kind, order and rank as they
-are. ``zeros_upto`` returns a read-only ``ZeroTable`` over the live
-columns, and ``zero`` and a table's index build a ``ZeroRecord`` per
-call; no record is kept.
-
-The walk starts from a lower anchor (x = nu for the first zero, then
-the upper end of the previous walk's bracket, which held the previous
-zero alone, so no zero lies between them) and steps strictly below the
-minimum spacing of consecutive zeros, so ranks cannot be skipped; it
-gives up _REACH past its anchor. No two zeros lie within twice that
-spacing of the previous one, so the first step from the anchor may reach
-that far past the previous zero. From rank 3 the walk's first points
-after the anchor are g - h and g + 2h when those steps keep within both
-bounds, for a guess (g, h) whose h bounds g's error. Of two guesses the
-one with the smaller h is used: McMahon's expansion M(s) (A&S 9.5.12 for
-j and y, 9.5.13 for j' and y') plus the last zero's offset d = z - M,
-with h twice the change in d, and from rank 4 the quadratic through the
-last three zeros. Each extension that reaches a rank past two walked
-zeros builds M's coefficients once and the last two d from its columns,
-then carries them from one zero to the next, so each zero costs one M;
-between extensions the cache keeps only the walk's restart point. The
-guess only places sign checks and never certifies a rank. A walk point
-where F is exactly 0.0 ends the walk with that point as its bracket's
-upper end, and refine returns it with the bracket [x, x]; the next walk
-then starts just past that zero.
-A walk step evaluates F alone (C_nu for J and Y), and the walk hands F
-at its bracket's ends to refine, as the loop hands it F at the anchor,
-so no point is evaluated twice. Deep in a sequence McMahon's guess puts
-g - h and g + 2h within WIDTH_TOL of each other, and refine stops on
-its width test at the bracket's secant point: a J or Y zero then costs 3
-scipy calls (2 walk points, 1 iterate) and a J' or Y' zero 6.
-Refinement is safeguarded Newton, started at the bracket's secant point,
-that falls back to bisection whenever a Newton step would leave the
-current bracket. A J' or Y' iterate takes its value and slope from one
-pair C_nu(x), C_{nu+1}(x). A J or Y iterate evaluates C_nu(x) alone and
-fetches C_{nu+1}(x) for its slope only when Newton has to step.
-Newton runs until its step |F/F'| is at most tol / 16, or at most tol
-twice running, with tol = WIDTH_TOL/2 * max(1, x); one probe tol past
-the iterate, on the root's side, then certifies it when F changes sign
-there, and the zero's bracket is {iterate, probe}.
-Signs are compared directly, never through a product of F values, which
-underflows to 0.0 once both are below ~1e-162.
+position (~40 bytes per zero), and the anchor its next extension starts
+from. One loop, ``_extend_sequence``, extends it a zero at a time:
+``initial_bracket`` walks to a bracket (lo, hi, F(lo), F(hi)) and states
+what certifies each zero's rank; ``refine`` polishes that bracket into
+the zero's columns and states when it stops and what a zero costs. Both
+compare signs directly, never through a product of F values, which
+underflows to 0.0 once both are below ~1e-162. No ``ZeroRecord`` is
+kept: ``zero`` and a ``ZeroTable``'s index build one per call.
 
 Indexing follows the classical convention: x = 0 counts as the first
 zero of J'_0, so j'_{0,1} = 0 and j'_{0,s} = j_{1,s-1} for s >= 2. The
@@ -94,10 +53,8 @@ RESID_TOL = 1e-10
 MAX_REFINE_ITERS = 200
 
 # No two consecutive zeros of any one target family sit closer than
-# this on x > 0 (zero spacing tends to pi from either side and only
-# widens near the turning point), so a walk step below it cannot
-# straddle two sign changes, nor can a first step of up to twice this
-# from the previous zero.
+# this on x > 0: zero spacing tends to pi from either side and only
+# widens near the turning point.
 _MIN_GAP = 2.2
 
 _STEP = 0.55 * _MIN_GAP
@@ -275,6 +232,8 @@ def _scan_start(kind: ZeroKind, nu: float, prev: float | None) -> float:
         # j'_{nu,1} ~ sqrt(2 nu) can sit arbitrarily close to 0, but above
         # sqrt(nu (nu + 2)) > sqrt(nu), a bound the checks never test.
         return min(1e-6, math.sqrt(nu))
+    # Every other first zero walked to lies above nu and above 1e-6; the
+    # tests check it against zeros found by a grid scan.
     return max(nu, 1e-6)
 
 
@@ -283,26 +242,22 @@ def initial_bracket(
     kind: ZeroKind, nu: float, s: int, target: tuple, prev: float | None, x: float | None, fx: float | None, guess: tuple | None
 ) -> tuple[float, float, float, float]:
     """A bracket (lo, hi, F(lo), F(hi)) certified to hold exactly the s-th
-    zero of the kind at order nu.
+    zero of the kind at order nu, for F's ``_target`` triple ``target``.
 
-    ``target`` is F's ``_target`` triple and ``prev`` the previous zero
-    of the sequence, None for the first. The walk starts at the anchor x
-    with F(x) = fx: the upper end of prev's own walk bracket, so no zero
-    lies in (prev, x]. With x None it starts at _scan_start(prev) and
-    evaluates F there. It steps below the minimum zero spacing, so the
-    first sign change it meets belongs to rank s. A walk point
-    where F is exactly 0.0 is such a zero: it ends the walk as the
-    bracket's upper end, and refine returns it with the bracket [x, x].
-    Raises BracketError if no sign change appears within _REACH of the
-    anchor.
+    The walk starts at an anchor x, with F(x) = fx, above the s - 1 zeros
+    found and below rank s: the upper end of the bracket that ``prev``, the
+    previous zero, was walked to, which held that zero alone; with x None,
+    at ``_scan_start``. It steps by _STEP < _MIN_GAP, so the first sign
+    change it meets, or a point where F is exactly 0.0, is rank s. It
+    raises BracketError when F reads NaN or no sign change appears within
+    _REACH of the anchor.
 
-    From a previous zero the walk may first visit g - h and g + 2h, for
-    a ``guess`` (g, h) at the zero. No two zeros lie within 2 * _MIN_GAP
-    of the previous one, so the first step may reach that far past it;
-    the step between the two points stays below _MIN_GAP. A guess that
-    would break either bound, or whose g - h is not past the anchor, is
-    not used. The guess only places sign checks: the ranks rest on the
-    spacing alone.
+    A ``guess`` (g, h), h bounding g's error, places the first two points
+    at g - h and g + 2h. Rank s lies at least _MIN_GAP past prev and rank
+    s + 1 at least 2 * _MIN_GAP, so a first step up to prev + 2 * _MIN_GAP
+    meets rank s at most. The guess is used only when g - h is past the
+    anchor and within that reach, and g + 2h less than _MIN_GAP above it.
+    It only places sign checks: the ranks rest on the spacing alone.
     """
     value = target[0]
     if x is None:
@@ -312,8 +267,6 @@ def initial_bracket(
             x *= 1.0 + 1e-9
             fx = value(x)
 
-    # Steps below the minimum zero spacing keep the rank certified; only
-    # the first step from a previous zero may reach 2 * _MIN_GAP past it.
     ahead = []
     if guess is not None and prev is not None:
         g, h = guess
@@ -347,37 +300,33 @@ def _settled(fx: float, d: float, tol: float, dx_old: float) -> bool:
 def refine(
     kind: ZeroKind, nu: float, s: int, target: tuple, a: float, b: float, fa: float, fb: float
 ) -> tuple[float, float, float, float, int]:
-    """Polish the walk's bracket [a, b] of the s-th zero of the kind at
-    order nu, with fa = F(a) and fb = F(b), by Newton safeguarded by
-    bisection, into the tuple (value, lo, hi, residual, iterations): the
-    zero's columns, in the order ``_extend_sequence`` appends them.
+    """Polish the walk's bracket [a, b] of the s-th zero, with fa = F(a)
+    and fb = F(b), into its columns (value, lo, hi, residual, iterations).
 
-    Newton starts at the secant point a - F(a) (b - a) / (F(b) - F(a)) of
-    the bracket, or at its midpoint when that point is not strictly
-    inside. It runs until its step |F/F'| is at most tol / 16 or, twice
-    running, at most tol, where tol = WIDTH_TOL/2 * max(1, |x|). One
-    probe tol past that iterate x, on the root's side, then returns x
-    with the bracket {x, probe} if F changes sign there; otherwise the
-    probe narrows the bracket and the loop goes on. It also stops once
-    the bracket is at most WIDTH_TOL * max(1, |x|) wide, and raises
-    ConvergenceError after MAX_REFINE_ITERS iterations. The value is the
-    evaluated iterate x, not x - F/F': that last step (one to three ulps)
-    is not applied, so ``residual`` is exactly F(value) at no extra call.
+    Newton, safeguarded by bisection, starts at the bracket's secant point
+    (its midpoint when that is not strictly inside) and runs until its step
+    |F/F'| is at most tol / 16 or, twice running, at most tol, with tol =
+    WIDTH_TOL/2 * max(1, |x|). One probe tol past that iterate x, on the
+    root's side, returns x with the bracket {x, probe} if F changes sign
+    there; otherwise the probe narrows the bracket and the loop goes on. It
+    also stops once the bracket is at most WIDTH_TOL * max(1, |x|) wide, and
+    raises ConvergenceError after MAX_REFINE_ITERS iterations. The value is
+    the evaluated iterate x, not x - F/F', so ``residual`` is F(value).
 
-    A J or Y iterate evaluates F = C_nu alone and runs that test with an
-    estimate of F'(x): the bracket's secant slope (F(b) - F(a)) / (b - a)
-    at the first iterate, the last iterate's F' after that. It calls
-    C_{nu+1}(x) for F'(x) itself when the estimate is not finite or fails
-    the test, and when Newton has to step. The estimate only decides
-    whether to probe: the probe's sign change certifies every zero.
+    A J or Y iterate evaluates F = C_nu alone and tests the step with an
+    estimate of F'(x), the secant slope first and the last iterate's F'
+    after. It calls C_{nu+1}(x) for F'(x) when the estimate is not finite
+    or fails the test, and when Newton has to step. The estimate only
+    decides whether to probe; the probe's sign change certifies the zero.
 
-    ``iterations`` counts every iterate, also one that ends the loop by
-    an exact zero or the width stop, and not the probes. F at the ends
-    comes with the bracket, so a zero costs its iterations plus its
-    probes in points: 1 when its first iterate ends the loop on the width
-    test, 2 when its first probe certifies it. A J or Y zero's points
-    cost one C_nu call each, plus one C_{nu+1} call per iterate that
-    steps; a J' or Y' point costs the pair.
+    ``iterations`` counts every iterate, also one that ends the loop, and
+    not the probes. F at the ends comes with the bracket, so a zero costs
+    its iterations plus its probes in points: 1 when its first iterate ends
+    the loop on the width test, 2 when its first probe certifies it. A J or Y point costs one C_nu call,
+    plus one C_{nu+1} call per iterate that steps; a J' or Y' point the
+    pair. Deep in a sequence McMahon's guess brackets a zero within
+    WIDTH_TOL: a J or Y zero costs 3 calls (2 walk points, 1 iterate) and a
+    J' or Y' zero 6.
     """
     value, value_slope, slope = target
     if fa == 0.0:
@@ -455,9 +404,8 @@ def refine(
 # columns (value, lo, hi, residual, iterations) are float64 arrays and an
 # int array, all of one length, the rank s at index s - 1; they only grow,
 # and only under _cache_lock. The anchor, None or (x, F(x)), is where the
-# next walk starts: x is the upper end of the last walk's bracket, which
-# held the last zero alone, so no zero lies between them. It is None when
-# that walk hit its zero exactly, and before the first walk.
+# next walk starts (``initial_bracket``); None before the first walk and
+# after a walk that hit its zero exactly.
 _cache: dict[tuple[ZeroKind, float], tuple[tuple[array, ...], tuple | None]] = {}
 # Guards every lookup and extension of the cache. Extending a sequence never
 # looks up another one, so holding it across the refinement cannot deadlock.

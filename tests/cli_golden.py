@@ -180,4 +180,8 @@ def record(path, names=()):
 
 
 if __name__ == "__main__":
+    # The first argument is the file written; an option in its place is a mistake.
+    if len(sys.argv) < 2 or sys.argv[1].startswith("-"):
+        print("usage: cli_golden.py OUT.json [NAME ...]", file=sys.stderr)
+        sys.exit(2)
     record(sys.argv[1], sys.argv[2:])

@@ -160,12 +160,12 @@ def test_criterion_7_function_quality(capsys):
     for _ in range(500):
         nu = rng.uniform(0.0, 20.0)
         x = rng.uniform(0.1, 100.0)
-        J = eval_J(nu, x).value
-        J1 = eval_J(nu + 1.0, x).value
-        dJ = eval_dJ(nu, x).value
-        Y = eval_Y(nu, x).value
-        Y1 = eval_Y(nu + 1.0, x).value
-        dY = eval_dY(nu, x).value
+        J = eval_J(nu, x)
+        J1 = eval_J(nu + 1.0, x)
+        dJ = eval_dJ(nu, x)
+        Y = eval_Y(nu, x)
+        Y1 = eval_Y(nu + 1.0, x)
+        dY = eval_dY(nu, x)
         worst_rec = max(
             worst_rec,
             abs(dJ - (-J1 + (nu / x) * J)) / max(1.0, abs(J)),
@@ -196,7 +196,7 @@ def test_criterion_8_proof_machinery(capsys):
         for s in range(1, 21):
             r = eq19_residual(nu, s)
             x = zero(ZeroId(ZeroKind.YPRIME, nu, s)).value
-            scaled = r / max(1.0, abs(eval_Y(nu, x).value))
+            scaled = r / max(1.0, abs(eval_Y(nu, x)))
             worst = max(worst, scaled)
             ok &= scaled <= 1e-11
             rep = sign_agreement(nu, s, 5)

@@ -162,8 +162,13 @@ class TestFlagAtFault:
             (["counterexample", "--eps", "1", "--nu-list", "0,700", "--s", "1"], "--nu-list"),
             (["verify", "--suite", "all", "--nu-grid=-1e308:1e308:1"], "--nu-grid"),
             (["verify", "--suite", "all", "--nu-grid", "0:1:1", "--eps-grid", "0:1:1e-6"], "--eps-grid"),
+            (["verify", "--suite", "all", "--nu-grid", "0:1:1", "--eps-grid", "0:1"], "--eps-grid"),
+            (["verify", "--suite", "all", "--nu-grid", "0:1"], "--nu-grid"),
         ],
-        ids=["eps-grid-format", "eps-grid-range", "nu-grid-order", "mu-order", "nu-list-order", "nu-grid-overflow", "eps-grid-size"],
+        ids=[
+            "eps-grid-format", "eps-grid-range", "nu-grid-order", "mu-order", "nu-list-order", "nu-grid-overflow",
+            "eps-grid-size", "eps-grid-two-parts", "nu-grid-two-parts",
+        ],
     )
     def test_error_names_the_flag_at_fault(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
@@ -348,6 +353,11 @@ class TestCounterexampleCommand:
         code, _, err = run_cli(capsys, "counterexample", "--eps", "0.1", "--nu-list", "a,b", "--s", "1")
         assert code == 2
 
+    def test_empty_nu_list(self, capsys):
+        code, out, err = run_cli(capsys, "counterexample", "--eps", "0.1", "--nu-list", ",", "--s", "1")
+        assert (code, out) == (2, "")
+        assert "error (--nu-list)" in err
+
 
 class TestHarness:
     def test_unknown_command_exits_two(self, capsys):
@@ -411,6 +421,10 @@ class TestHarness:
         rendered = to_json({"x": math.pi})
         assert json.loads(rendered)["x"] == math.pi
 
+    def test_non_finite_floats_render_as_strings(self):
+        # A violation can carry a saturated value, and JSON has no inf or nan.
+        assert to_json([float("inf"), float("-inf"), float("nan")]) == '["inf", "-inf", "nan"]\n'
+
     def test_grid_parsing(self):
         assert parse_grid("0:1:0.5") == [0.0, 0.5, 1.0]
         assert parse_grid("2:2:1") == [2.0]
@@ -419,7 +433,7 @@ class TestHarness:
 
     def test_grid_size_capped_before_building(self):
         assert len(parse_grid("0:99999:1")) == 100_000
-        for text in ("0:100000:1", "0:1:1e-6"):
+        for text in ("0:100000:1", "0:1:1e-6", "0:1", "a:1:1", "0:inf:1", "nan:1:1", "0:1:0", "0:1:-1"):
             with pytest.raises(DomainError) as info:
                 parse_grid(text)
             assert info.value.code == "DOMAIN_GRID"

@@ -33,44 +33,59 @@ JP11 = fixtures.ORACLE_ZEROS[("jp", 1.0, 1)]
 
 class TestExamples:
     def test_j_at_origin_limit(self):
-        assert eval_J(0.0, 1e-300).value == pytest.approx(1.0, abs=1e-12)
+        assert eval_J(0.0, 1e-300) == pytest.approx(1.0, abs=1e-12)
 
     def test_j_1_at_1(self):
-        assert eval_J(1.0, 1.0).value == pytest.approx(fixtures.J_1_AT_1, abs=1e-14)
+        assert eval_J(1.0, 1.0) == pytest.approx(fixtures.J_1_AT_1, abs=1e-14)
 
     def test_j_vanishes_at_first_zero(self):
-        assert abs(eval_J(0.0, J01).value) <= 1e-12
+        assert abs(eval_J(0.0, J01)) <= 1e-12
 
     def test_y_half_order_zero(self):
-        assert abs(eval_Y(0.5, math.pi / 2).value) <= 1e-12
+        assert abs(eval_Y(0.5, math.pi / 2)) <= 1e-12
 
     def test_y_vanishes_at_first_zero(self):
-        assert abs(eval_Y(0.0, Y01).value) <= 1e-12
+        assert abs(eval_Y(0.0, Y01)) <= 1e-12
 
     def test_y_negative_near_origin(self):
-        assert eval_Y(0.0, 0.01).value < 0.0
+        assert eval_Y(0.0, 0.01) < 0.0
 
     def test_dj_vanishes_at_j11(self):
         # J'_0 = -J_1, so j_{1,1} is a zero of J'_0.
-        assert abs(eval_dJ(0.0, J11).value) <= 1e-12
+        assert abs(eval_dJ(0.0, J11)) <= 1e-12
 
     def test_dj_negative_at_j01(self):
-        assert eval_dJ(0.0, J01).value < 0.0
+        assert eval_dJ(0.0, J01) < 0.0
 
     def test_dj_vanishes_at_jp11(self):
-        assert abs(eval_dJ(1.0, JP11).value) <= 1e-12
+        assert abs(eval_dJ(1.0, JP11)) <= 1e-12
 
     def test_dy_vanishes_at_y11(self):
         # Y'_0 = -Y_1.
-        assert abs(eval_dY(0.0, Y11).value) <= 1e-12
+        assert abs(eval_dY(0.0, Y11)) <= 1e-12
 
     def test_dy_positive_at_y01(self):
-        assert eval_dY(0.0, Y01).value > 0.0
+        assert eval_dY(0.0, Y01) > 0.0
 
     def test_dy_recurrence_composition(self):
-        lhs = eval_dY(2.0, 1.0).value
-        rhs = -eval_Y(3.0, 1.0).value + 2.0 * eval_Y(2.0, 1.0).value
+        lhs = eval_dY(2.0, 1.0)
+        rhs = -eval_Y(3.0, 1.0) + 2.0 * eval_Y(2.0, 1.0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    # Every (nu, x) the examples above evaluate at.
+    INPUTS = [
+        (0.0, 1e-300), (1.0, 1.0), (0.0, J01), (0.5, math.pi / 2), (0.0, Y01), (0.0, 0.01),
+        (0.0, J11), (1.0, JP11), (0.0, Y11), (2.0, 1.0), (3.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "fn,fast", [(eval_J, ev.bessel_j), (eval_Y, ev.bessel_y), (eval_dJ, ev.bessel_dj), (eval_dY, ev.bessel_dy)]
+    )
+    def test_checked_value_is_the_plain_float(self, fn, fast):
+        for nu, x in self.INPUTS:
+            got = fn(nu, x)
+            assert type(got) is float
+            assert _bits(got) == _bits(fast(nu, x)), (nu, x)
 
 
 class TestDomain:
@@ -89,9 +104,10 @@ class TestDomain:
         assert exc.value.code == "DOMAIN_NU"
 
     def test_rejects_order_above_cap(self):
-        with pytest.raises(DomainError) as exc:
-            eval_J(NU_MAX + 1.0, 10.0)
-        assert exc.value.code == "OVERFLOW_NU"
+        for fn in (eval_J, eval_Y, eval_dJ, eval_dY):
+            with pytest.raises(DomainError) as exc:
+                fn(NU_MAX + 1.0, 10.0)
+            assert exc.value.code == "OVERFLOW_NU"
 
     @pytest.mark.parametrize("code", ["DOMAIN_EPS", "OVERFLOW_NU"])
     def test_shifted_order_bound(self, code):
@@ -259,7 +275,7 @@ class TestTinyOrders:
         with mpmath.workdps(60):
             m_nu, m_x = mpmath.mpf(nu), mpmath.mpf(x)
             ref = float(m_nu / m_x * mpmath.besselj(m_nu, m_x) - mpmath.besselj(m_nu + 1, m_x))
-        assert eval_dJ(nu, x).value == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert eval_dJ(nu, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_order_zero_is_one_call(self, monkeypatch):
         calls = []
@@ -283,7 +299,7 @@ class TestUnderflowedJ:
     def test_dj_where_j_nu_plus_1_underflows(self, nu, x):
         assert jv(nu + 1.0, x) == 0.0 != jv(nu, x)
         ref = float(oracle.eval_kind("jp", nu, x))
-        assert eval_dJ(nu, x).value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert eval_dJ(nu, x) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_dj_where_j_nu_underflows_too(self):
         # J_{nu-1} alone would read twice J'; J' stays 0.0, as J_nu reads.
@@ -297,7 +313,7 @@ class TestIntInputs:
     @pytest.mark.parametrize("fn", [eval_J, eval_Y, eval_dJ, eval_dY])
     @pytest.mark.parametrize("nu,x", [(0, 3), (2, 3), (3, 1), (30, 40)])
     def test_eval(self, fn, nu, x):
-        assert _bits(fn(nu, x).value) == _bits(fn(float(nu), float(x)).value)
+        assert _bits(fn(nu, x)) == _bits(fn(float(nu), float(x)))
 
 
 def _quality_grid(n=500, seed=20260809):
@@ -308,18 +324,18 @@ def _quality_grid(n=500, seed=20260809):
 class TestInvariants:
     def test_recurrence_residual(self):
         for nu, x in _quality_grid(150):
-            J = eval_J(nu, x).value
+            J = eval_J(nu, x)
             tol = 1e-12 * max(1.0, abs(J))
-            rj = eval_dJ(nu, x).value - (-eval_J(nu + 1.0, x).value + (nu / x) * J)
-            ry = eval_dY(nu, x).value - (
-                -eval_Y(nu + 1.0, x).value + (nu / x) * eval_Y(nu, x).value
+            rj = eval_dJ(nu, x) - (-eval_J(nu + 1.0, x) + (nu / x) * J)
+            ry = eval_dY(nu, x) - (
+                -eval_Y(nu + 1.0, x) + (nu / x) * eval_Y(nu, x)
             )
             assert abs(rj) <= tol
             assert abs(ry) <= tol
 
     def test_same_order_wronskian_identity(self):
         for nu, x in _quality_grid(150):
-            w = eval_J(nu, x).value * eval_dY(nu, x).value - eval_dJ(nu, x).value * eval_Y(nu, x).value
+            w = eval_J(nu, x) * eval_dY(nu, x) - eval_dJ(nu, x) * eval_Y(nu, x)
             target = 2.0 / (math.pi * x)
             assert abs(w - target) <= 1e-12 * target
 
@@ -330,9 +346,9 @@ class TestInvariants:
         # J (|J| <= 1) reduces to plain 1e-9 * max(1, x^2).
         for nu, x in _quality_grid(150):
             for f, df in ((eval_J, eval_dJ), (eval_Y, eval_dY)):
-                c = f(nu, x).value
-                c1 = f(nu + 1.0, x).value
-                dc = df(nu, x).value
+                c = f(nu, x)
+                c1 = f(nu + 1.0, x)
+                dc = df(nu, x)
                 d2 = (nu * (nu - 1.0) / (x * x) - 1.0) * c + c1 / x
                 resid = x * x * d2 + x * dc + (x * x - nu * nu) * c
                 scale = max(1.0, x * x) * max(1.0, abs(c), abs(c1))
@@ -340,11 +356,11 @@ class TestInvariants:
 
     def test_reflection_identities(self):
         for x in np.linspace(0.1, 60.0, 37):
-            dj = eval_dJ(0.0, x).value
-            j1 = eval_J(1.0, x).value
+            dj = eval_dJ(0.0, x)
+            j1 = eval_J(1.0, x)
             assert abs(dj + j1) <= 1e-13 * max(abs(j1), 1e-300)
-            dy = eval_dY(0.0, x).value
-            y1 = eval_Y(1.0, x).value
+            dy = eval_dY(0.0, x)
+            y1 = eval_Y(1.0, x)
             assert abs(dy + y1) <= 1e-13 * max(abs(y1), 1e-300)
 
     def test_accuracy_against_extended_precision(self):
@@ -352,17 +368,11 @@ class TestInvariants:
         # absolute error <= 1e-13 * max(1, x).
         for nu, x in _quality_grid(40, seed=7):
             for lib, kind in ((eval_J, "j"), (eval_Y, "y")):
-                got = lib(nu, x).value
+                got = lib(nu, x)
                 ref = oracle.eval_kind(kind, nu, x)
                 abs_err = abs(ref - got)
                 rel_err = abs_err / abs(ref) if ref != 0 else 0.0
                 assert rel_err <= 1e-12 or abs_err <= 1e-13 * max(1.0, x), (nu, x, kind)
-
-    def test_error_estimate_is_advisory_upper_scale(self):
-        for nu, x in [(0.0, 1.0), (2.5, 7.0), (20.0, 55.0), (0.5, 0.2)]:
-            res = eval_J(nu, x)
-            assert res.est_abs_error >= 0.0
-            assert res.est_abs_error < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -373,11 +383,11 @@ class TestInvariants:
 def test_never_nan_and_wronskian_holds(nu, x):
     j = eval_J(nu, x)
     y = eval_Y(nu, x)
-    assert not math.isnan(j.value)
-    assert not math.isnan(y.value)
-    dy = eval_dY(nu, x).value
-    if math.isinf(y.value) or not math.isfinite(dy):
+    assert not math.isnan(j)
+    assert not math.isnan(y)
+    dy = eval_dY(nu, x)
+    if math.isinf(y) or not math.isfinite(dy):
         return
-    w = j.value * dy - eval_dJ(nu, x).value * y.value
+    w = j * dy - eval_dJ(nu, x) * y
     target = 2.0 / (math.pi * x)
     assert abs(w - target) <= 1e-11 * target

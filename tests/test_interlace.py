@@ -20,8 +20,8 @@ from bessel_interlace import (
     check_chain,
     check_derivative_chains,
     check_proposition,
+    check_suite,
     check_theorem1,
-    check_theorem2,
     counterexample_scan,
     find_breaking,
     zero,
@@ -207,7 +207,10 @@ CHECKS = {
         check_derivative_chains,
         lambda nu, eps, s_max: per_rank_reference("derivative-chains", nu, eps, s_max),
     ),
-    "theorem2": (check_theorem2, lambda nu, eps, s_max: per_rank_reference("theorem2", nu, eps, s_max)),
+    "theorem2": (
+        lambda nu, eps, s_max: check_suite("theorem2", nu, eps, s_max),
+        lambda nu, eps, s_max: per_rank_reference("theorem2", nu, eps, s_max),
+    ),
 }
 
 
@@ -465,7 +468,7 @@ class TestSweepArguments:
     @pytest.mark.parametrize(
         "check",
         [
-            lambda: check_theorem2(1.0, 0.5, 0),
+            lambda: check_suite("theorem2", 1.0, 0.5, 0),
             lambda: check_derivative_chains(1.0, 0.5, 0),
             lambda: check_proposition(1.0, 0),
         ],
@@ -482,7 +485,7 @@ class TestSweepArguments:
     @pytest.mark.parametrize(
         "check,message",
         [
-            (lambda: check_theorem2(0.5, 0.5, 10_000), "rank 10000 exceeds the supported cap 9999 "),
+            (lambda: check_suite("theorem2", 0.5, 0.5, 10_000), "rank 10000 exceeds the supported cap 9999 "),
             (lambda: check_proposition(0.5, 10_000), "rank 10000 exceeds the supported cap 9999 "),
             (lambda: check_derivative_chains(0.5, 0.5, 10_001), "rank 10001 exceeds the supported cap 10000 "),
             (lambda: check_theorem1(0.5, 101), "rank 101 exceeds the supported cap 100 "),
@@ -500,7 +503,7 @@ class TestSweepArguments:
     @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan, math.inf])
     def test_theorem2_rejects_bad_eps(self, eps):
         with pytest.raises(DomainError) as exc:
-            check_theorem2(1.0, eps, 3)
+            check_suite("theorem2", 1.0, eps, 3)
         assert exc.value.code == "DOMAIN_EPS"
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (1.0, math.inf)])
@@ -666,6 +669,11 @@ class TestCounterexampleScan:
     def test_single_point_errors(self):
         with pytest.raises(SearchError):
             counterexample_scan(0.1, [0.5], 1)
+
+    def test_empty_order_list(self):
+        with pytest.raises(DomainError) as exc:
+            counterexample_scan(1.0, [], 1)
+        assert exc.value.code == "DOMAIN_NU"
 
     def test_bad_pair_name(self):
         with pytest.raises(DomainError) as exc:

@@ -5,11 +5,11 @@ import bessel_interlace
 # The package root's public names: each module's __all__, plus __version__.
 ROOT_NAMES = {
     "errors": ["BesselInterlaceError", "DomainError", "BracketError", "ConvergenceError", "SearchError"],
-    "evaluate": ["NU_MAX", "EvalResult", "eval_J", "eval_Y", "eval_dJ", "eval_dY"],
+    "evaluate": ["NU_MAX", "eval_J", "eval_Y", "eval_dJ", "eval_dY"],
     "zeros": ["ZeroKind", "ZeroId", "ZeroRecord", "ZeroTable", "zero", "zeros_upto"],
     "interlace": [
-        "CHAIN_LABELS", "InterlaceChain", "ChainReport", "ViolationWitness", "build_chain", "check_chain",
-        "check_theorem1", "check_proposition", "check_derivative_chains", "check_theorem2", "find_breaking",
+        "CHAIN_LABELS", "SUITES", "InterlaceChain", "ChainReport", "ViolationWitness", "build_chain", "check_chain",
+        "check_suite", "check_theorem1", "check_proposition", "check_derivative_chains", "find_breaking",
         "counterexample_scan",
     ],
     "wronskian": [

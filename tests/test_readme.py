@@ -38,6 +38,7 @@ def test_library_block_claims():
     found = claims(block)
     assert [expr for expr, _, _ in found] == [
         "table[0].s, len(table)",
+        'check_suite("theorem2", 0.5, 0.5, 20)',
         "find_breaking(0.0, 2.0).s",
         "has_positive_zero(0.0, 2.0, 50.0)",
     ]

@@ -33,7 +33,7 @@ class TestEvalW:
     def test_first_term_drops_at_j_zero(self):
         x = zero(ZeroId(ZeroKind.J, 0.0, 1)).value
         w = eval_W(0.0, 1.0, x)
-        expect = -eval_dJ(0.0, x).value * eval_Y(1.0, x).value
+        expect = -eval_dJ(0.0, x) * eval_Y(1.0, x)
         assert w == pytest.approx(expect, rel=1e-12)
 
     def test_int_orders_and_argument(self):
@@ -296,16 +296,16 @@ class TestEq19:
         r = eq19_residual(0.0, 1)
         assert r <= 1e-11
         x = zero(ZeroId(ZeroKind.YPRIME, 0.0, 1)).value
-        assert abs(eval_Y(1.0, x).value) <= 1e-12
+        assert abs(eval_Y(1.0, x)) <= 1e-12
 
     @pytest.mark.parametrize("nu,s", [(1.0, 1), (4.2, 7)])
     def test_residual_bound(self, nu, s):
         x = zero(ZeroId(ZeroKind.YPRIME, nu, s)).value
-        assert eq19_residual(nu, s) <= 1e-11 * max(1.0, abs(eval_Y(nu, x).value))
+        assert eq19_residual(nu, s) <= 1e-11 * max(1.0, abs(eval_Y(nu, x)))
 
     def test_sign_coincidence_at_yprime_zeros(self):
         # Eq19 consequence: Y_nu and Y_{nu+1} share sign at y'_{nu,s}.
         for nu in (0.5, 2.0, 7.0):
             for s in (1, 3, 9):
                 x = zero(ZeroId(ZeroKind.YPRIME, nu, s)).value
-                assert eval_Y(nu, x).value * eval_Y(nu + 1.0, x).value > 0.0
+                assert eval_Y(nu, x) * eval_Y(nu + 1.0, x) > 0.0
