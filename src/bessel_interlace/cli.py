@@ -63,12 +63,9 @@ def _csv_line(row) -> str:
     return ",".join(_csv_cell(c) for c in row)
 
 
-def to_csv(header: list[str], lines: Iterable[str], trailer: str | None = None) -> str:
-    """The header, the already rendered lines and the trailer, one per line."""
-    parts = [",".join(header), *lines]
-    if trailer is not None:
-        parts.append(trailer)
-    return "\n".join(parts) + "\n"
+def to_csv(header: list[str], lines: Iterable[str]) -> str:
+    """The header and the already rendered lines, one per line."""
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 # --- argument parsing -------------------------------------------------------
@@ -108,12 +105,9 @@ def parse_grid(text: str) -> list[float]:
 
 def parse_nu_list(text: str) -> list[float]:
     try:
-        values = [float(p) for p in text.split(",") if p.strip() != ""]
+        return [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise DomainError(f"--nu-list must be comma-separated numbers, got {text!r}", code="DOMAIN_NU")
-    if not values:
-        raise DomainError("--nu-list must be nonempty", code="DOMAIN_NU")
-    return values
 
 
 def _recode(code: str, check, *args):
@@ -138,7 +132,7 @@ def thread_count(text: str) -> int:
 # --- subcommand handlers ----------------------------------------------------
 
 def cmd_zeros(args: argparse.Namespace) -> tuple[int, str]:
-    kind = ZeroKind.parse(args.kind)
+    kind = ZeroKind(args.kind)
     table = zeros_upto(kind, args.nu, args.smax)
     rows = zip(range(1, len(table) + 1), table.value, table.lo, table.hi, table.residual)
     if args.format == "json":
@@ -259,13 +253,13 @@ def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
             }
         )
     else:
-        rows = [[x, w, src] for x, w, src in profile.samples]
-        trailer = (
+        lines = [_csv_line(sample) for sample in profile.samples]
+        lines.append(
             f"# all_same_sign={str(profile.all_same_sign).lower()}"
             f" min_abs={fmt(profile.min_abs)}"
             f" first_zero={fmt(first_zero) if first_zero is not None else 'none'}"
         )
-        body = to_csv(["x", "w", "source"], map(_csv_line, rows), trailer=trailer)
+        body = to_csv(["x", "w", "source"], lines)
     return 0, body
 
 
@@ -309,7 +303,6 @@ _CODE_FLAGS = {
     "DOMAIN_X": "--xmax",
     "DOMAIN_S": "--smax",
     "DOMAIN_EPS": "--eps",
-    "DOMAIN_KIND": "--kind",
     "DOMAIN_GRID": "--nu-grid",
 }
 _CODE_FLAGS_PER_COMMAND = {
@@ -335,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=thread_count, default=None, help="ignored (every command runs serially); must be >= 1")
 
     sp = sub.add_parser("zeros", help="tabulate zeros of one kind and order")
-    sp.add_argument("--kind", required=True)
+    sp.add_argument("--kind", choices=[kind.value for kind in ZeroKind], required=True)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--smax", type=int, required=True)
     common(sp)

@@ -60,6 +60,9 @@ class _Node(NamedTuple):
     shifted: bool  # order nu + eps rather than nu
     offset: int  # rank s + offset
 
+    def order(self, nu: float, eps: float) -> float:
+        return nu + eps if self.shifted else nu
+
     def label(self, s: int) -> str:
         return f"{self.kind.value}({'v+e' if self.shifted else 'v'},{s + self.offset})"
 
@@ -172,7 +175,7 @@ class ViolationWitness:
 
 
 def _zval(node: _Node, nu: float, eps: float, s: int) -> float:
-    return zeros_upto(node.kind, nu + eps if node.shifted else nu, s + node.offset)[-1].value
+    return zeros_upto(node.kind, node.order(nu, eps), s + node.offset)[-1].value
 
 
 def check_eps(eps: float, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -183,13 +186,12 @@ def check_eps(eps: float, lo: float = 0.0, hi: float = 1.0) -> float:
     return eps
 
 
-def _check_eps_and_rank(suite: str, nu: float, eps: float, s: int) -> tuple[_Suite, int]:
-    """The entry of ``suite`` and s as int, after rejecting an unknown suite, a bad eps or order, or a rank s past its cap."""
+def _check_eps_and_rank(suite: str, nu: float, eps: float, s: int) -> tuple[_Suite, float, float, int]:
+    """``suite``'s entry, nu and eps as floats and s as int; rejects an unknown suite, a bad eps or order, or s past its cap."""
     if (rules := SUITES.get(suite)) is None:
         raise DomainError(f"suite must be one of {', '.join(map(repr, SUITES))}, got {suite!r}", code="DOMAIN_SUITE")
-    check_eps(eps, hi=rules.max_eps)
-    ev.check_orders(nu, eps)
-    return rules, check_rank(s, rules.cap, of=f" of the {suite} chains")
+    eps = check_eps(eps, hi=rules.max_eps)
+    return rules, ev.check_orders(nu, eps), eps, check_rank(s, rules.cap, of=f" of the {suite} chains")
 
 
 def _failing(chain: _Chain, nu: float, eps: float, columns) -> list[tuple[int, int]]:
@@ -213,13 +215,14 @@ def _failing(chain: _Chain, nu: float, eps: float, columns) -> list[tuple[int, i
 
 def _columns(chains, nu: float, eps: float, s_max: int):
     """(chain, its node columns at ranks 1..s_max) for each of ``chains``."""
-    # Each node family (kind, shifted), read once up to the highest rank a row needs.
-    need: dict[tuple[ZeroKind, bool], int] = {}
+    # Each node family (kind, order), read once up to the highest rank a row needs.
+    need: dict[tuple[ZeroKind, float], int] = {}
     for node in (n for c in chains for n in _top_nodes(c)):
-        need[node.kind, node.shifted] = max(need.get((node.kind, node.shifted), 0), s_max + node.offset)
-    families = {(k, sh): zeros_upto(k, nu + eps if sh else nu, n).value for (k, sh), n in need.items()}
+        family = node.kind, node.order(nu, eps)
+        need[family] = max(need.get(family, 0), s_max + node.offset)
+    families = {family: zeros_upto(*family, n).value for family, n in need.items()}
     for chain in chains:
-        columns = [families[n.kind, n.shifted][n.offset : s_max + n.offset] for n in chain.nodes]
+        columns = [families[n.kind, n.order(nu, eps)][n.offset : s_max + n.offset] for n in chain.nodes]
         if chain.open:
             columns[-1] = columns[-1][: s_max - 1]  # an interleaving stops at rank s_max
         yield chain, columns
@@ -230,8 +233,7 @@ def check_suite(suite: str, nu: float, eps: float, s_max: int) -> list[Violation
     rank, pair order; a failed lead bound nu <= lead at rank 1 (equality allowed) comes first. A
     ``per_rank`` suite (theorem2) reports each rank's first failure, labelled as its row is written
     (``CHAIN_LABELS``); the others label each node at its rank."""
-    nu, eps = float(nu), float(eps)
-    rules, s_max = _check_eps_and_rank(suite, nu, eps, s_max)
+    rules, nu, eps, s_max = _check_eps_and_rank(suite, nu, eps, s_max)
     out = []
     for chain, columns in _columns(rules.chains, nu, eps, s_max):
         failing = _failing(chain, nu, eps, columns)
@@ -248,16 +250,14 @@ def check_suite(suite: str, nu: float, eps: float, s_max: int) -> list[Violation
 
 def chain_reports(nu: float, eps: float, s_max: int) -> list[ChainReport]:
     """``check_chain`` of the seven-node chain at each rank 1..s_max."""
-    nu, eps = float(nu), float(eps)
-    _check_eps_and_rank("theorem2", nu, eps, s_max)
+    _, nu, eps, s_max = _check_eps_and_rank("theorem2", nu, eps, s_max)
     [(_, columns)] = _columns((_SEVEN_NODE,), nu, eps, s_max)
     return [check_chain(InterlaceChain(nu, eps, s, nodes)) for s, nodes in enumerate(zip(*columns), 1)]
 
 
 def build_chain(nu: float, eps: float, s: int) -> InterlaceChain:
     """The seven chain nodes at rank s, through the zero finder."""
-    nu, eps = float(nu), float(eps)
-    _, s = _check_eps_and_rank("theorem2", nu, eps, s)
+    _, nu, eps, s = _check_eps_and_rank("theorem2", nu, eps, s)
     return InterlaceChain(nu, eps, s, tuple(_zval(node, nu, eps, s) for node in _SEVEN_NODE.nodes))
 
 
@@ -320,7 +320,7 @@ def find_breaking(nu: float, eps: float, s_cap: int = 500) -> ViolationWitness:
     left, right = _BREAKING.nodes
     for lo in range(0, s_cap, _CHUNK):
         hi = min(lo + _CHUNK, s_cap)
-        lefts, rights = (zeros_upto(n.kind, nu + eps if n.shifted else nu, hi).value[lo:] for n in (left, right))
+        lefts, rights = (zeros_upto(n.kind, n.order(nu, eps), hi).value[lo:] for n in (left, right))
         for s, (yv, jv) in enumerate(zip(lefts, rights), lo + 1):
             if yv > jv:
                 return ViolationWitness(nu, eps, s, left.label(s), right.label(s), yv, jv)

@@ -65,20 +65,15 @@ def eval_W(nu: float, mu: float, x: float) -> float:
     return ev.bessel_j(nu, x) * ev.bessel_dy(mu, x) - ev.bessel_dj(nu, x) * ev.bessel_y(mu, x)
 
 
-def _extremal_points(nu: float, mu: float, s_max: int) -> list[tuple[float, str]]:
-    pts = [(x, "J-zero") for x in zeros_upto(ZeroKind.J, nu, s_max).value]
-    pts += [(x, "Y-zero") for x in zeros_upto(ZeroKind.Y, mu, s_max).value]
-    pts.sort()
-    return pts
-
-
 def profile_extrema(nu: float, mu: float, s_max: int) -> WronskianProfile:
     """Evaluate W at the first s_max zeros of J_nu and of Y_mu."""
     nu = ev.check_order(nu)
     mu = ev.check_order(mu)
     if not mu > nu:
         raise DomainError(f"profile requires mu > nu, got nu={nu}, mu={mu}", code="DOMAIN_NU")
-    samples = tuple((x, eval_W(nu, mu, x), src) for x, src in _extremal_points(nu, mu, s_max))
+    pts = [(x, "J-zero") for x in zeros_upto(ZeroKind.J, nu, s_max).value]
+    pts += [(x, "Y-zero") for x in zeros_upto(ZeroKind.Y, mu, s_max).value]
+    samples = tuple((x, eval_W(nu, mu, x), src) for x, src in sorted(pts))
     # W(0+) > 0 for every admissible pair; a negative sample therefore
     # already witnesses a sign change even before the first critical point.
     all_same_sign = all(w > 0.0 for _, w, _ in samples)

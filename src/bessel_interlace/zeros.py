@@ -72,14 +72,6 @@ class ZeroKind(enum.Enum):
     JPRIME = "jp"
     YPRIME = "yp"
 
-    @classmethod
-    def parse(cls, text: str) -> "ZeroKind":
-        t = text.strip().lower()
-        for kind in cls:
-            if t in (kind.value, kind.name.lower()):
-                return kind
-        raise DomainError(f"unknown zero kind {text!r} (expected j, y, jp, yp)", code="DOMAIN_KIND")
-
 
 def check_rank(s: int, cap: int = S_MAX_LIMIT, of: str = "") -> int:
     """Validate a rank s in 1..cap of any integral type, returning it as int.
@@ -180,9 +172,6 @@ class ZeroTable:
         k = range(self._n)[index]
         return [_record(self._columns, i) for i in k] if isinstance(k, range) else _record(self._columns, k)
 
-    def __iter__(self):
-        return (_record(self._columns, k) for k in range(self._n))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ZeroTable):
             return NotImplemented
@@ -278,14 +267,11 @@ def initial_bracket(
         x2 = ahead.pop() if ahead else min(x + _STEP, budget)
         fx2 = value(x2)
         if math.isnan(fx2):
-            raise BracketError(
-                f"evaluator returned NaN at x={x2} while bracketing {ZeroId(kind, nu, s)}",
-                code="BRACKET_NOT_FOUND",
-            )
+            raise BracketError(f"evaluator returned NaN at x={x2} while bracketing {ZeroId(kind, nu, s)}")
         if fx2 == 0.0 or fx < 0.0 < fx2 or fx2 < 0.0 < fx:
             return x, x2, fx, fx2
         x, fx = x2, fx2
-    raise BracketError(f"no sign change found for {ZeroId(kind, nu, s)} within {_REACH} of its anchor", code="BRACKET_NOT_FOUND")
+    raise BracketError(f"no sign change found for {ZeroId(kind, nu, s)} within {_REACH} of its anchor")
 
 
 def _settled(fx: float, d: float, tol: float, dx_old: float) -> bool:
@@ -356,9 +342,7 @@ def refine(
         if b - a <= WIDTH_TOL * max(1.0, abs(x)):
             break
         if iterations > MAX_REFINE_ITERS:
-            raise ConvergenceError(
-                f"no convergence for {ZeroId(kind, nu, s)} after {MAX_REFINE_ITERS} iterations", code="NO_CONVERGENCE"
-            )
+            raise ConvergenceError(f"no convergence for {ZeroId(kind, nu, s)} after {MAX_REFINE_ITERS} iterations")
         tol = 0.5 * WIDTH_TOL * max(1.0, abs(x))
         # Tested before the in-bracket test below, which a sub-ulp Newton
         # step never passes. An estimated slope that fails is replaced by
@@ -519,15 +503,9 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]
             a, b, fa, fb = initial_bracket(kind, nu, s, target, prev, x, fx, _predict(values, m, d_old, d_last))
             z, lo, hi, residual, its = refine(kind, nu, s, target, a, b, fa, fb)
             if values and not z > prev:
-                raise ConvergenceError(
-                    f"zeros of {kind.name} nu={nu} failed to increase at s={s}",
-                    code="NO_CONVERGENCE",
-                )
+                raise ConvergenceError(f"zeros of {kind.name} nu={nu} failed to increase at s={s}")
             if abs(residual) > RESID_TOL * max(1.0, abs(z)):
-                raise ConvergenceError(
-                    f"residual {residual!r} above tolerance for {ZeroId(kind, nu, s)}",
-                    code="NO_CONVERGENCE",
-                )
+                raise ConvergenceError(f"residual {residual!r} above tolerance for {ZeroId(kind, nu, s)}")
             values.append(z)
             los.append(lo)
             his.append(hi)

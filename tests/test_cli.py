@@ -41,9 +41,18 @@ class TestZerosCommand:
         assert "--nu" in err
 
     def test_bad_kind(self, capsys):
-        code, _, err = run_cli(capsys, "zeros", "--kind", "q", "--nu", "0", "--smax", "1")
-        assert code == 2
-        assert "--kind" in err
+        # The parser owns --kind: only the four ZeroKind values pass, spelled exactly.
+        for kind in ["q", "J", "jprime", " j "]:
+            zmod.clear_cache()
+            code, out, err = run_cli(capsys, "zeros", "--kind", kind, "--nu", "0", "--smax", "1")
+            assert (code, out) == (2, ""), kind
+            assert err.startswith("usage:") and "argument --kind: invalid choice" in err, kind
+            assert zmod._cache == {}, kind
+
+    def test_help_lists_kinds(self, capsys):
+        code, out, _ = run_cli(capsys, "zeros", "--help")
+        assert code == 0
+        assert "--kind {j,y,jp,yp}" in out
 
     def test_csv_json_same_numbers(self, capsys):
         _, csv_out, _ = run_cli(capsys, "zeros", "--kind", "y", "--nu", "2.5", "--smax", "3")
@@ -67,7 +76,7 @@ class TestZerosRendering:
         argv = ["zeros", "--kind", kind, "--nu", nu, "--smax", str(smax)]
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        zkind = zmod.ZeroKind.parse(kind)
+        zkind = zmod.ZeroKind(kind)
         records = zmod.zeros_upto(zkind, float(nu), smax)
         expected = [cli._csv_line([zkind.value, float(nu), r.s, r.value, r.lo, r.hi, r.residual]) for r in records]
         assert out.split("\n") == [self.HEADER, *expected, ""]
@@ -82,7 +91,7 @@ class TestZerosRendering:
 
     def test_small_tables_keep_per_cell_quoting(self):
         assert cli._csv_line(["false", 'a,b "c"', 0.1, 3]) == 'false,"a,b ""c""",0.10000000000000001,3'
-        assert cli.to_csv(["a", "b"], iter(["1,2"]), trailer="# t") == "a,b\n1,2\n# t\n"
+        assert cli.to_csv(["a", "b"], iter(["1,2", "# t"])) == "a,b\n1,2\n# t\n"
 
 
 class TestChainCommand:
@@ -357,6 +366,11 @@ class TestCounterexampleCommand:
         code, out, err = run_cli(capsys, "counterexample", "--eps", "0.1", "--nu-list", ",", "--s", "1")
         assert (code, out) == (2, "")
         assert "error (--nu-list)" in err
+
+    def test_empty_nu_list_rejected_by_the_library(self, capsys):
+        code, out, err = run_cli(capsys, "counterexample", "--nu-list", ",", "--eps", "1", "--s", "1")
+        assert (code, out) == (2, "")
+        assert "error (--nu-list)" in err and "nu_list must be nonempty" in err
 
 
 class TestHarness:

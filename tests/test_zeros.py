@@ -128,7 +128,7 @@ class TestZeroIdDomain:
         table = zeros_upto(ZeroKind.J, 1.0, np.int64(3))
         assert len(table) == 3 and table == zeros_upto(ZeroKind.J, 1.0, 3)
 
-    # A kind's text is parsed by ZeroKind.parse only; the constructor takes no strings.
+    # A kind's text is parsed by the CLI's --kind choices only; the constructor takes no strings.
     @pytest.mark.parametrize("kind", ["j", None, ZeroKind])
     def test_kind_not_a_zero_kind_rejected(self, kind):
         with pytest.raises(DomainError) as err:
@@ -813,6 +813,7 @@ class TestZeroTable:
         assert table[-1] == records[-1] and table[2] == zero(ZeroId(ZeroKind.J, 1.5, 3))
         assert table[1:5:2] == records[1:5:2] and table[10:] == []
         assert list(table.value) == [r.value for r in records]
+        assert list(reversed(table)) == records[::-1]
         with pytest.raises(IndexError):
             table[6]
         with pytest.raises(IndexError):
@@ -1302,12 +1303,12 @@ class TestAgainstFrozenOracle:
     @pytest.mark.parametrize("key", sorted(fixtures.ORACLE_ZEROS))
     def test_oracle_bisected_values(self, key):
         kind, nu, s = key
-        assert zval(ZeroKind.parse(kind), nu, s) == pytest.approx(fixtures.ORACLE_ZEROS[key], abs=1e-12)
+        assert zval(ZeroKind(kind), nu, s) == pytest.approx(fixtures.ORACLE_ZEROS[key], abs=1e-12)
 
     @pytest.mark.parametrize("key", sorted(fixtures.CERTIFIED_ZEROS))
     def test_sign_certified_values(self, key):
         kind, nu, s = key
-        assert zval(ZeroKind.parse(kind), nu, s) == pytest.approx(fixtures.CERTIFIED_ZEROS[key], abs=1e-8)
+        assert zval(ZeroKind(kind), nu, s) == pytest.approx(fixtures.CERTIFIED_ZEROS[key], abs=1e-8)
 
     def test_live_oracle_rederivation(self):
         # Re-derive a sample with the extended-precision scan oracle.
