@@ -7,6 +7,12 @@ emitted with 17 significant digits in both CSV and JSON, which
 round-trips IEEE doubles exactly, so identical flags produce
 byte-identical output. Every command runs serially; ``--threads`` is
 accepted for compatibility, and the parser rejects a value below 1.
+
+A handler computes every value, then returns its exit code and its
+output as chunks of text, which ``main`` writes to stdout or ``--out``:
+the ``zeros`` and ``chain`` tables render _BLOCK rows a chunk. A write
+that fails part way exits 2 and keeps what was written; a reader that
+closes stdout early ends the output with the command's own exit code.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
+from itertools import islice
 
 from . import evaluate as ev
 from . import interlace, wronskian
@@ -52,6 +59,24 @@ def to_json(obj) -> str:
     return _json(obj) + "\n"
 
 
+_BLOCK = 512  # rows per chunk of the zeros and chain tables
+
+
+def _blocks(items: Iterable[str]) -> Iterator[list[str]]:
+    it = iter(items)
+    while block := list(islice(it, _BLOCK)):
+        yield block
+
+
+def _json_blocks(obj: dict, key: str) -> Iterator[str]:
+    """``to_json(obj)``, where ``obj[key]`` is an iterable of records, _BLOCK records at a time."""
+    head, tail = _json({**obj, key: []}).split(f'"{key}": []')
+    yield f'{head}"{key}": ['
+    for i, block in enumerate(_blocks(map(_json, obj[key]))):
+        yield (", " if i else "") + ", ".join(block)
+    yield f"]{tail}\n"
+
+
 def _csv_cell(value) -> str:
     if isinstance(value, str) and any(ch in value for ch in ',"\n'):
         return '"' + value.replace('"', '""') + '"'
@@ -63,9 +88,16 @@ def _csv_line(row) -> str:
     return ",".join(_csv_cell(c) for c in row)
 
 
+def _csv_blocks(header: list[str], lines: Iterable[str]) -> Iterator[str]:
+    """The header, then the already rendered lines, _BLOCK at a time."""
+    yield ",".join(header) + "\n"
+    for block in _blocks(lines):
+        yield "\n".join(block) + "\n"
+
+
 def to_csv(header: list[str], lines: Iterable[str]) -> str:
     """The header and the already rendered lines, one per line."""
-    return "\n".join([",".join(header), *lines]) + "\n"
+    return "".join(_csv_blocks(header, lines))
 
 
 # --- argument parsing -------------------------------------------------------
@@ -131,59 +163,41 @@ def thread_count(text: str) -> int:
 
 # --- subcommand handlers ----------------------------------------------------
 
-def cmd_zeros(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_zeros(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     kind = ZeroKind(args.kind)
     table = zeros_upto(kind, args.nu, args.smax)
-    rows = zip(range(1, len(table) + 1), table.value, table.lo, table.hi, table.residual)
     if args.format == "json":
-        found = [{"s": s, "value": v, "bracket_lo": lo, "bracket_hi": hi, "residual": r} for s, v, lo, hi, r in rows]
-        body = to_json({"kind": kind.value, "nu": args.nu, "zeros": found})
-    else:
-        # One row template: every field but s is a float, and "%.17g" renders
-        # a float exactly as format(x, ".17g"), which fmt calls.
-        template = f"{kind.value},{fmt(args.nu)},%d,%.17g,%.17g,%.17g,%.17g"
-        body = to_csv(["kind", "nu", "s", "value", "bracket_lo", "bracket_hi", "residual"], (template % row for row in rows))
-    return 0, body
+        found = ({"s": s, "value": v, "bracket_lo": lo, "bracket_hi": hi, "residual": r} for s, v, lo, hi, r in table.rows())
+        return 0, _json_blocks({"kind": kind.value, "nu": args.nu, "zeros": found}, "zeros")
+    # One row template: every field but s is a float, and "%.17g" renders
+    # a float exactly as format(x, ".17g"), which fmt calls.
+    template = f"{kind.value},{fmt(args.nu)},%d,%.17g,%.17g,%.17g,%.17g"
+    header = ["kind", "nu", "s", "value", "bracket_lo", "bracket_hi", "residual"]
+    return 0, _csv_blocks(header, (template % row for row in table.rows()))
 
 
 _NODE_COLUMNS = [label.translate(str.maketrans("(,", "__", "+)")) for label in interlace.CHAIN_LABELS]
 
 
-def cmd_chain(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_chain(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     reports = interlace.chain_reports(args.nu, args.eps, args.smax)
     all_ok = all(r.ok for r in reports)
+    code = 0 if all_ok else 1
     if args.format == "json":
-        body = to_json(
-            {
-                "nu": args.nu,
-                "eps": args.eps,
-                "chains": [
-                    {
-                        "s": r.chain.s,
-                        "nodes": list(r.chain.nodes),
-                        "gaps": list(r.margins),
-                        "ok": r.ok,
-                        "first_failure": r.first_failure,
-                    }
-                    for r in reports
-                ],
-                "all_ok": all_ok,
-            }
-        )
-    else:
-        rows = [
-            [args.nu, args.eps, r.chain.s, *r.chain.nodes, *r.margins, str(r.ok).lower()]
+        chains = (
+            {"s": r.chain.s, "nodes": list(r.chain.nodes), "gaps": list(r.margins), "ok": r.ok, "first_failure": r.first_failure}
             for r in reports
-        ]
-        header = ["nu", "eps", "s", *_NODE_COLUMNS, *[f"gap_{i}" for i in range(1, 7)], "ok"]
-        body = to_csv(header, map(_csv_line, rows))
-    return (0 if all_ok else 1), body
+        )
+        return code, _json_blocks({"nu": args.nu, "eps": args.eps, "chains": chains, "all_ok": all_ok}, "chains")
+    rows = ([args.nu, args.eps, r.chain.s, *r.chain.nodes, *r.margins, str(r.ok).lower()] for r in reports)
+    header = ["nu", "eps", "s", *_NODE_COLUMNS, *[f"gap_{i}" for i in range(1, 7)], "ok"]
+    return code, _csv_blocks(header, map(_csv_line, rows))
 
 
 _SUITES = (*interlace.SUITES, "all")
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     suites = {name: rules for name, rules in interlace.SUITES.items() if args.suite in (name, "all")}
     nu_grid = parse_grid(args.nu_grid)
     eps_grid = _recode("DOMAIN_EPS", parse_grid, args.eps_grid)
@@ -210,15 +224,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     violations.sort(key=lambda sw: (sw[0], sw[1].nu, sw[1].eps, sw[1].s, sw[1].left_label))
     notes.sort(key=lambda n: (n["suite"], n["nu"]))
 
-    body = to_json(
-        {
-            "suite": args.suite,
-            "grid": {"nu": nu_grid, "eps": eps_grid, "smax": args.smax},
-            "violations": [dict(asdict(w), suite=s) for s, w in violations],
-            "exemptions": notes,
-        }
-    )
-    return (0 if not violations else 1), body
+    body = {
+        "suite": args.suite,
+        "grid": {"nu": nu_grid, "eps": eps_grid, "smax": args.smax},
+        "violations": [dict(asdict(w), suite=s) for s, w in violations],
+        "exemptions": notes,
+    }
+    return (0 if not violations else 1), [to_json(body)]
 
 
 def _not_found(output_format: str, exc: SearchError) -> str:
@@ -228,62 +240,48 @@ def _not_found(output_format: str, exc: SearchError) -> str:
     return to_csv(["found", "error"], [_csv_line(["false", str(exc)])])
 
 
-def cmd_break(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_break(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     w = interlace.find_breaking(args.nu, args.eps, args.scap)
     row = {"nu": w.nu, "eps": w.eps, "s": w.s, "y_value": w.left_value, "j_value": w.right_value}
     if args.format == "json":
-        return 0, to_json({"found": True, **row})
-    return 0, to_csv(list(row), [_csv_line(row.values())])
+        return 0, [to_json({"found": True, **row})]
+    return 0, [to_csv(list(row), [_csv_line(row.values())])]
 
 
-def cmd_wronskian(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_wronskian(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     _recode("DOMAIN_MU", ev.check_order, args.mu)
     wronskian.check_x_max(args.xmax)
     profile = wronskian.profile_extrema(args.nu, args.mu, args.smax)
     first_zero = wronskian.has_positive_zero(args.nu, args.mu, args.xmax)
     if args.format == "json":
-        body = to_json(
-            {
-                "nu": args.nu,
-                "mu": args.mu,
-                "samples": [{"x": x, "w": w, "source": src} for x, w, src in profile.samples],
-                "all_same_sign": profile.all_same_sign,
-                "min_abs": profile.min_abs,
-                "first_zero": first_zero,
-            }
-        )
-    else:
-        lines = [_csv_line(sample) for sample in profile.samples]
-        lines.append(
-            f"# all_same_sign={str(profile.all_same_sign).lower()}"
-            f" min_abs={fmt(profile.min_abs)}"
-            f" first_zero={fmt(first_zero) if first_zero is not None else 'none'}"
-        )
-        body = to_csv(["x", "w", "source"], lines)
-    return 0, body
+        body = {
+            "nu": args.nu,
+            "mu": args.mu,
+            "samples": [{"x": x, "w": w, "source": src} for x, w, src in profile.samples],
+            "all_same_sign": profile.all_same_sign,
+            "min_abs": profile.min_abs,
+            "first_zero": first_zero,
+        }
+        return 0, [to_json(body)]
+    lines = [_csv_line(sample) for sample in profile.samples]
+    lines.append(
+        f"# all_same_sign={str(profile.all_same_sign).lower()}"
+        f" min_abs={fmt(profile.min_abs)}"
+        f" first_zero={fmt(first_zero) if first_zero is not None else 'none'}"
+    )
+    return 0, [to_csv(["x", "w", "source"], lines)]
 
 
-def cmd_counterexample(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_counterexample(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     nu_list = parse_nu_list(args.nu_list)
     greater, less = interlace.counterexample_scan(args.eps, nu_list, args.s, pair=args.pair)
     witnesses = [("greater", greater), ("less", less)]
     if args.format == "json":
-        body = to_json(
-            {
-                "pair": args.pair,
-                "eps": args.eps,
-                "s": args.s,
-                "witnesses": [dict(asdict(w), ordering=tag) for tag, w in witnesses],
-            }
-        )
-    else:
-        rows = [
-            [tag, w.nu, w.eps, w.s, w.left_label, w.left_value, w.right_label, w.right_value]
-            for tag, w in witnesses
-        ]
-        header = ["ordering", "nu", "eps", "s", "left_label", "left_value", "right_label", "right_value"]
-        body = to_csv(header, map(_csv_line, rows))
-    return 0, body
+        records = [dict(asdict(w), ordering=tag) for tag, w in witnesses]
+        return 0, [to_json({"pair": args.pair, "eps": args.eps, "s": args.s, "witnesses": records})]
+    rows = [[tag, w.nu, w.eps, w.s, w.left_label, w.left_value, w.right_label, w.right_value] for tag, w in witnesses]
+    header = ["ordering", "nu", "eps", "s", "left_label", "left_value", "right_label", "right_value"]
+    return 0, [to_csv(header, map(_csv_line, rows))]
 
 
 _HANDLERS = {
@@ -369,6 +367,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(command: str, what: str, exc: Exception, code: int = 2) -> int:
+    print(f"bessel-interlace {command}: {what}: {exc}", file=sys.stderr)
+    return code
+
+
+def _write_stdout(chunks: Iterable[str]) -> None:
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What is still buffered can never be written, and Python's flush of
+        # sys.stdout at exit would report it again, so the stream is let go;
+        # file descriptor 1 itself is left as it is.
+        sys.stdout = None
+        if not isinstance(exc, BrokenPipeError):  # a gone reader (``| head``) ends the output quietly
+            raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -377,29 +393,27 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help.
         return int(exc.code or 0)
     try:
-        code, body = _HANDLERS[args.command](args)
+        code, chunks = _HANDLERS[args.command](args)
     except SearchError as exc:  # a search without its witness prints the not-found body
-        code, body = 1, _not_found(args.format, exc)
+        code, chunks = 1, [_not_found(args.format, exc)]
     except DomainError as exc:
         flag = _CODE_FLAGS_PER_COMMAND.get((args.command, exc.code)) or _CODE_FLAGS.get(exc.code, "")
-        where = f" ({flag})" if flag else ""
-        print(f"bessel-interlace {args.command}: error{where}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args.command, f"error ({flag})" if flag else "error", exc)
     except BesselInterlaceError as exc:
-        print(f"bessel-interlace {args.command}: error ({exc.code}): {exc}", file=sys.stderr)
-        return 1
+        return _fail(args.command, f"error ({exc.code})", exc, code=1)
     except Exception as exc:  # malformed input must never escape as a traceback
-        print(f"bessel-interlace {args.command}: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 2
-    if args.out == "-":
-        sys.stdout.write(body)
-        return code
+        return _fail(args.command, f"internal error ({type(exc).__name__})", exc)
+    # Every zero is computed by now; the chunks render as they are written.
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(body)
+        if args.out == "-":
+            _write_stdout(chunks)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
     except OSError as exc:  # a path that cannot be written is bad input, not a violation
-        print(f"bessel-interlace {args.command}: error (--out): {exc}", file=sys.stderr)
-        return 2
+        return _fail(args.command, "error (--out)", exc)
+    except Exception as exc:  # a chunk that fails to render; the ones before it stay written
+        return _fail(args.command, f"internal error ({type(exc).__name__})", exc)
     return code
 
 

@@ -26,6 +26,7 @@ import math
 import operator
 import threading
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import evaluate as ev
@@ -143,7 +144,8 @@ class ZeroTable:
     An int index builds that rank's ZeroRecord (index s - 1 for rank s),
     and a slice a list of them. ``value``, ``lo``, ``hi``, ``residual``
     and ``iterations`` return copies of the columns cut to n, as float64
-    (integer for ``iterations``) ``array.array``s. Two tables are equal
+    (integer for ``iterations``) ``array.array``s; ``rows()`` reads the
+    printed fields in place instead. Two tables are equal
     when their columns hold the same bits. A cached sequence only grows,
     so ranks 1..n never change: the view keeps them after the sequence
     grows and after ``clear_cache``.
@@ -166,6 +168,12 @@ class ZeroTable:
 
     def __len__(self) -> int:
         return self._n
+
+    def rows(self) -> Iterator[tuple[int, float, float, float, float]]:
+        """(s, value, lo, hi, residual) for s = 1..n, read from the columns
+        without a copy."""
+        # zip stops at its first iterable, the ranks, so no column is read past n.
+        return zip(range(1, self._n + 1), *self._columns[:4])
 
     def __getitem__(self, index):
         # range(n) does a sequence's index rules: negatives, bounds, slices.

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import bessel_interlace.interlace as imod
 import bessel_interlace.zeros as zmod
 import fixtures
+from cache_view import cached_columns
 from bessel_interlace import cli
 from bessel_interlace.cli import main, parse_grid, to_json
 from bessel_interlace.errors import DomainError
@@ -92,6 +95,185 @@ class TestZerosRendering:
     def test_small_tables_keep_per_cell_quoting(self):
         assert cli._csv_line(["false", 'a,b "c"', 0.1, 3]) == 'false,"a,b ""c""",0.10000000000000001,3'
         assert cli.to_csv(["a", "b"], iter(["1,2", "# t"])) == "a,b\n1,2\n# t\n"
+
+
+B = cli._BLOCK
+ZEROS_HEADER = "kind,nu,s,value,bracket_lo,bracket_hi,residual"
+
+
+def whole_zeros_body(fmt, kind, nu, smax):
+    """The zeros table as one string, from zeros_upto's records."""
+    records = zmod.zeros_upto(zmod.ZeroKind(kind), nu, smax)
+    if fmt == "json":
+        found = [{"s": r.s, "value": r.value, "bracket_lo": r.lo, "bracket_hi": r.hi, "residual": r.residual} for r in records]
+        return to_json({"kind": kind, "nu": nu, "zeros": found})
+    lines = [cli._csv_line([kind, nu, r.s, r.value, r.lo, r.hi, r.residual]) for r in records]
+    return "\n".join([ZEROS_HEADER, *lines]) + "\n"
+
+
+def whole_chain_body(fmt, nu, eps, smax):
+    """The chain table as one string, from chain_reports."""
+    reports = imod.chain_reports(nu, eps, smax)
+    all_ok = all(r.ok for r in reports)
+    if fmt == "json":
+        chains = [
+            {"s": r.chain.s, "nodes": list(r.chain.nodes), "gaps": list(r.margins), "ok": r.ok, "first_failure": r.first_failure}
+            for r in reports
+        ]
+        return to_json({"nu": nu, "eps": eps, "chains": chains, "all_ok": all_ok})
+    header = ["nu", "eps", "s", *cli._NODE_COLUMNS, *[f"gap_{i}" for i in range(1, 7)], "ok"]
+    rows = [[nu, eps, r.chain.s, *r.chain.nodes, *r.margins, str(r.ok).lower()] for r in reports]
+    return "\n".join([",".join(header), *map(cli._csv_line, rows)]) + "\n"
+
+
+class Discard:
+    """A stdout that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, chunks):
+        for _ in chunks:
+            pass
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutput:
+    # zeros and chain tables are rendered and written _BLOCK rows at a time,
+    # after every value is computed; the bytes are those of the whole body.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("smax", [1, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("kind,nu", [("j", 0.1), ("yp", 2.5)])
+    def test_zeros_bytes_at_block_edges(self, capsys, fmt, smax, kind, nu):
+        code, out, err = run_cli(capsys, "zeros", "--kind", kind, "--nu", repr(nu), "--smax", str(smax), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == whole_zeros_body(fmt, kind, nu, smax)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("smax", [1, B + 1])
+    def test_chain_bytes_at_block_edges(self, capsys, fmt, smax):
+        code, out, err = run_cli(capsys, "chain", "--nu", "0.5", "--eps", "0.5", "--smax", str(smax), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == whole_chain_body(fmt, 0.5, 0.5, smax)
+
+    def test_breaking_chain_keeps_exit_one(self, capsys):
+        for fmt in ("csv", "json"):
+            code, out, _ = run_cli(capsys, "chain", "--nu", "0", "--eps", "2", "--smax", str(B + 1), "--format", fmt)
+            assert code == 1 and out == whole_chain_body(fmt, 0.0, 2.0, B + 1)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = ["zeros", "--kind", "y", "--nu", "2.5", "--smax", str(3 * B + 7), "--format", fmt]
+        _, out, _ = run_cli(capsys, *argv)
+        target = tmp_path / "zeros.out"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def test_zeros_computed_before_the_first_chunk(self):
+        zmod.clear_cache()
+        try:
+            args = cli.build_parser().parse_args(["zeros", "--kind", "j", "--nu", "1.5", "--smax", str(2 * B + 1)])
+            code, chunks = cli.cmd_zeros(args)
+            assert [len(columns[0]) for columns in cached_columns().values()] == [2 * B + 1]
+            blocks = list(chunks)
+        finally:
+            zmod.clear_cache()
+        assert code == 0 and blocks[0] == ZEROS_HEADER + "\n"
+        assert [block.count("\n") for block in blocks[1:]] == [B, B, 1]
+
+    # Peak minus retained traced memory: the render's transient cost, with the
+    # zero cache and whatever else stays alive left out. A whole CSV body
+    # takes ~2.6 MB here and a whole JSON body ~6.6 MB.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rendering_memory_is_bounded(self, monkeypatch, fmt):
+        monkeypatch.setattr(sys, "stdout", Discard())
+        tracemalloc.start()
+        try:
+            assert main(["zeros", "--kind", "y", "--nu", "2.5", "--smax", "10000", "--format", fmt]) == 0
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - retained < 0.5 * 2**20
+
+    def test_rank_error_prints_nothing_and_creates_no_file(self, capsys, tmp_path):
+        target = tmp_path / "zeros.csv"
+        code, out, err = run_cli(capsys, "zeros", "--kind", "j", "--nu", "0", "--smax", "10001", "--out", str(target))
+        assert (code, out) == (2, "") and "error (--smax)" in err
+        assert not target.exists()
+
+    # A chunk that fails to render exits 2 as an internal error; the chunks
+    # before it are already written, to stdout or to the --out file.
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_render_failure_after_one_block_keeps_it(self, capsys, monkeypatch, tmp_path, to_file):
+        def handler(args):
+            def chunks():
+                yield "kind\n"
+                raise RuntimeError("boom")
+
+            return 0, chunks()
+
+        monkeypatch.setitem(cli._HANDLERS, "zeros", handler)
+        target = tmp_path / "zeros.csv"
+        out_args = ["--out", str(target)] if to_file else []
+        code, out, err = run_cli(capsys, "zeros", "--kind", "j", "--nu", "0", "--smax", "1", *out_args)
+        assert code == 2 and err == "bessel-interlace zeros: internal error (RuntimeError): boom\n"
+        assert out == ("" if to_file else "kind\n")
+        assert not to_file or target.read_text() == "kind\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failure_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "zeros", "--kind", "y", "--nu", "2.5", "--smax", str(B + 1), "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err.startswith("bessel-interlace zeros: error (--out): ") and err.count("\n") == 1
+
+    # On stdout, with Python's default buffering, the rows left in the buffer
+    # must not fail a second time at interpreter exit.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("smax", [3, B + 1])
+    def test_stdout_write_failure_exits_two_once(self, smax):
+        argv = [sys.executable, "-m", "bessel_interlace.cli", "zeros", "--kind", "j", "--nu", "0", "--smax", str(smax)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("bessel-interlace zeros: error (--out): ") and proc.stderr.count("\n") == 1
+
+
+class TestEarlyClosedStdout:
+    # A reader that stops early (``| head -1``) ends the output quietly, with
+    # the command's own exit code.
+    # 10^4 rows break the pipe mid-table; one row, written to a pipe already
+    # closed, breaks it at the final flush, and with buffered stdout that row
+    # stays buffered until exit.
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("smax,lines_read", [(10000, 1), (1, 0)])
+    def test_subprocess_exits_zero_without_stderr(self, smax, lines_read, unbuffered):
+        argv = [sys.executable, "-m", "bessel_interlace.cli", "zeros", "--kind", "y", "--nu", "2.5", "--smax", str(smax)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            for _ in range(lines_read):
+                assert proc.stdout.readline() == (ZEROS_HEADER + "\n").encode()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+
+    def test_in_process_leaves_file_descriptor_one(self, capsys, monkeypatch):
+        class ClosedPipe(Discard):
+            def writelines(self, chunks):
+                next(iter(chunks))
+                raise BrokenPipeError(32, "Broken pipe")
+
+        before = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["chain", "--nu", "0", "--eps", "2", "--smax", "5"]) == 1
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+        assert capsys.readouterr().err == ""
 
 
 class TestChainCommand:

@@ -819,6 +819,23 @@ class TestZeroTable:
         with pytest.raises(IndexError):
             table[-7]
 
+    def test_rows_read_the_printed_fields_in_place(self):
+        zmod.clear_cache()
+        try:
+            table = zeros_upto(ZeroKind.Y, 2.5, 300)
+            rows = table.rows()
+            zeros_upto(ZeroKind.Y, 2.5, 600)  # its sequence grows under the open iterator
+            assert list(rows) == [(r.s, r.value, r.lo, r.hi, r.residual) for r in table]
+            tracemalloc.start()
+            try:
+                table.rows()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1024  # a column property copies 300 * 8 bytes
+        finally:
+            zmod.clear_cache()
+
     def test_equality_compares_bits(self):
         def table(v):
             return zmod.ZeroTable((array("d", [v]), array("d", [v]), array("d", [v]), array("d", [0.0]), array("i", [1])), 1)
