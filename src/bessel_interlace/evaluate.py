@@ -5,11 +5,13 @@ Values are IEEE doubles backed by scipy.special (AMOS), which holds
 relative accuracy near 1e-13 across the supported range, including
 large orders where uniform asymptotic expansions take over.
 
-Scalar calls go through scipy's typed ``cython_special.jv``/``yv``
-entry points: the same code as the ``scipy.special.jv``/``yv`` ufuncs,
-so the same bits, without the ufunc's per-call dispatch. They take
-doubles only: the public functions and the ``ZeroId`` constructor
-convert an order or argument to float once, at the boundary.
+Scalar calls go through the ``double`` entry of scipy's typed
+``cython_special.jv``/``yv``: the same code as the
+``scipy.special.jv``/``yv`` ufuncs, so the same bits, without the
+ufunc's per-call dispatch or Cython's choice among the fused
+signatures on each call. They take doubles only: the public functions
+and ``zeros.check_zero_id`` convert an order or argument to float once,
+at the boundary.
 
 The two are loaded without running ``scipy.special``'s package
 ``__init__``, which costs ~350 ms, mostly in its array-API backend layer
@@ -56,9 +58,16 @@ __all__ = ["NU_MAX", "eval_J", "eval_Y", "eval_dJ", "eval_dY"]
 NU_MAX = 600.0
 
 
+def _double(fused):
+    """A fused Cython function's ``double`` specialisation, or the function
+    itself where it has none."""
+    return getattr(fused, "__signatures__", {}).get("double", fused)
+
+
 def _load_jv_yv():
-    """scipy's typed ``cython_special.jv`` and ``yv``, imported under a
-    stub ``scipy.special`` when that package is not imported yet."""
+    """scipy's typed ``cython_special.jv`` and ``yv`` at their ``double``
+    signature, imported under a stub ``scipy.special`` when that package
+    is not imported yet."""
     if "scipy.special" not in sys.modules:
         try:
             import scipy
@@ -75,12 +84,12 @@ def _load_jv_yv():
                     if name == "scipy.special" or name.startswith("scipy.special."):
                         del sys.modules[name]
                 vars(scipy).pop("special", None)
-            return jv, yv
+            return _double(jv), _double(yv)
         except Exception:
             pass  # the plain import below either works or raises the real error
     from scipy.special.cython_special import jv, yv
 
-    return jv, yv
+    return _double(jv), _double(yv)
 
 
 _jv, _yv = _load_jv_yv()

@@ -68,6 +68,10 @@ _REACH = 192.0
 
 
 class ZeroKind(enum.Enum):
+    # Members are singletons, so identity hashing agrees with equality and
+    # runs in C; Enum's own __hash__ is a Python call per cache key.
+    __hash__ = object.__hash__
+
     J = "j"
     Y = "y"
     JPRIME = "jp"
@@ -88,11 +92,23 @@ def check_rank(s: int, cap: int = S_MAX_LIMIT, of: str = "") -> int:
     return rank
 
 
+def check_zero_id(kind: ZeroKind, nu: float, s: int) -> tuple[float, int]:
+    """The one domain rule for a zero's kind, order and rank, which ``ZeroId``
+    and ``zeros_upto`` both apply: returns (nu, s) as (float, int).
+    Raises DomainError."""
+    if not isinstance(kind, ZeroKind):
+        raise DomainError(f"zero kind must be a ZeroKind, got {kind!r}", code="DOMAIN_KIND")
+    # The scalar evaluators take floats only (scipy's typed entry points
+    # have no int signature), so an int order becomes a float here; a rank
+    # of any integral type becomes an int.
+    return ev.check_order(nu), check_rank(s)
+
+
 @dataclass(frozen=True, slots=True)
 class ZeroId:
     """Names one zero: the s-th positive zero of the kind's function at order nu.
 
-    The constructor holds the one domain rule for a zero's kind, order and rank.
+    The constructor applies ``check_zero_id``.
     """
 
     kind: ZeroKind
@@ -101,13 +117,9 @@ class ZeroId:
 
     def __post_init__(self) -> None:
         """Raises DomainError on a kind, order or rank outside the supported domain."""
-        if not isinstance(self.kind, ZeroKind):
-            raise DomainError(f"zero kind must be a ZeroKind, got {self.kind!r}", code="DOMAIN_KIND")
-        # The scalar evaluators take floats only (scipy's typed entry points
-        # have no int signature), so an int order becomes a float here; a rank
-        # of any integral type becomes an int.
-        object.__setattr__(self, "nu", ev.check_order(self.nu))
-        object.__setattr__(self, "s", check_rank(self.s))
+        nu, s = check_zero_id(self.kind, self.nu, self.s)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "s", s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,14 +294,6 @@ def initial_bracket(
     raise BracketError(f"no sign change found for {ZeroId(kind, nu, s)} within {_REACH} of its anchor")
 
 
-def _settled(fx: float, d: float, tol: float, dx_old: float) -> bool:
-    """Newton's step |fx / d| is at most tol / 16, or at most tol after a
-    last step of at most tol."""
-    # tol / 16 is one to three ulps of an x >= 1; a second step within
-    # tol means F is down to its rounding noise.
-    return 16.0 * abs(fx) <= tol * abs(d) or (abs(fx) <= tol * abs(d) and dx_old <= tol)
-
-
 # Not underscored: perfbench/spans.py spans this stage by its name.
 def refine(
     kind: ZeroKind, nu: float, s: int, target: tuple, a: float, b: float, fa: float, fb: float
@@ -347,19 +351,25 @@ def refine(
             b, fb = x, fx
         else:
             a, fa = x, fx
-        if b - a <= WIDTH_TOL * max(1.0, abs(x)):
+        width = WIDTH_TOL * max(1.0, abs(x))
+        if b - a <= width:
             break
         if iterations > MAX_REFINE_ITERS:
             raise ConvergenceError(f"no convergence for {ZeroId(kind, nu, s)} after {MAX_REFINE_ITERS} iterations")
-        tol = 0.5 * WIDTH_TOL * max(1.0, abs(x))
-        # Tested before the in-bracket test below, which a sub-ulp Newton
-        # step never passes. An estimated slope that fails is replaced by
-        # F'(x), as is one that is not finite, and the test runs again.
+        tol = 0.5 * width
+        # Settled: Newton's step |fx / d| is at most tol / 16, or at most
+        # tol after a last step of at most tol. tol / 16 is one to three
+        # ulps of an x >= 1; a second step within tol means F is down to
+        # its rounding noise. Tested before the in-bracket test below,
+        # which a sub-ulp Newton step never passes. An estimated slope
+        # that fails is replaced by F'(x), as is one that is not finite,
+        # and the test runs again.
+        need = abs(fx) if dx_old <= tol else 16.0 * abs(fx)
         exact = slope is None
-        settled = (exact or math.isfinite(d)) and _settled(fx, d, tol, dx_old)
+        settled = (exact or math.isfinite(d)) and need <= tol * abs(d)
         if not (settled or exact):
             d, exact = slope(x, fx), True
-            settled = _settled(fx, d, tol, dx_old)
+            settled = need <= tol * abs(d)
         if settled:
             probe = x - math.copysign(tol, fx / d)
             if a < probe < b:
@@ -477,7 +487,7 @@ def _predict(values: array, m: float | None, d_old: float | None, d_last: float 
 def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]:
     """The cached columns of (kind, nu), extended to at least s_max ranks.
 
-    kind, nu and s_max must have passed ``ZeroId``'s domain check.
+    kind, nu and s_max must have passed ``check_zero_id``.
     Returns the cache's own columns, which only ever grow: read them,
     never modify them. McMahon's row and the last two d are rebuilt from
     the columns by each extension, to the bits one call would carry. The
@@ -535,5 +545,5 @@ def zero(id: ZeroId) -> ZeroRecord:
 def zeros_upto(kind: ZeroKind, nu: float, s_max: int) -> ZeroTable:
     """Ranks 1..s_max, strictly increasing in value, as a read-only
     ``ZeroTable`` over the cache's columns."""
-    id = ZeroId(kind, nu, s_max)
-    return ZeroTable(_extend_sequence(kind, id.nu, id.s), id.s)
+    nu, s_max = check_zero_id(kind, nu, s_max)
+    return ZeroTable(_extend_sequence(kind, nu, s_max), s_max)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import mpmath
@@ -127,10 +128,11 @@ def _bits(v):
 
 
 class TestUfuncParity:
-    # The scalar paths call scipy's typed cython_special entry points; the
-    # reference is the scipy.special.jv/yv ufuncs, with the same order snap,
-    # recurrence and NaN rule. x runs from 1e-6 to 3000 and straddles each
-    # order, so Y saturates to -inf below the turning point.
+    # The scalar paths call the ``double`` entries of scipy's typed
+    # cython_special functions; the reference is the scipy.special.jv/yv
+    # ufuncs, with the same order snap, recurrence and NaN rule. x runs from
+    # 1e-6 to 3000 and straddles each order, so Y saturates to -inf below
+    # the turning point.
     ORDERS = [0.0, 1e-300, 0.01, 0.5, 1.0, 2.0, 2.5, 30.0, 120.0, 505.0, 600.0]
 
     @staticmethod
@@ -165,6 +167,38 @@ class TestUfuncParity:
         # The grid reaches Y = -inf, and Y' = inf - inf before the NaN rule.
         assert -math.inf in [ev.bessel_y(505.0, x) for x in self.grid(505.0)]
         assert math.inf in [ev.bessel_dy(600.0, x) for x in self.grid(600.0)]
+
+
+class TestDoubleEntry:
+    # ev._jv and ev._yv are the ``double`` specialisations of scipy's fused
+    # cython_special.jv and yv, which skip the fused dispatch on each call.
+    # Every order the scalar paths pass (C_nu, C_{nu+1}, C_{nu-1}), tiny
+    # orders unsnapped, and x down to subnormals, where Y saturates.
+    ORDERS = [0.0, 5e-324, 1e-300, 1e-291, 0.01, 0.5, 1.0, 2.5, 30.0, 141.0, 505.0, NU_MAX - 1.0, NU_MAX, NU_MAX + 1.0]
+    TINY_X = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-150]
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_bit_parity_with_the_fused_entry(self, nu):
+        from scipy.special import cython_special as cs
+
+        for x in self.TINY_X + TestUfuncParity.grid(nu):
+            for typed, fused in ((ev._jv, cs.jv), (ev._yv, cs.yv)):
+                got = typed(nu, x)
+                assert type(got) is float, (nu, x)
+                assert _bits(got) == _bits(fused(nu, x)), (typed, nu, x)
+
+    def test_saturation_is_covered(self):
+        assert -math.inf in [ev._yv(NU_MAX, x) for x in TestUfuncParity.grid(NU_MAX)]
+        assert ev._yv(0.0, 5e-324) == -math.inf
+
+    def test_fallback_is_the_fused_callable(self):
+        def plain(nu, x):
+            return 0.0
+
+        assert ev._double(plain) is plain
+        no_double = types.SimpleNamespace(__signatures__={"double complex": plain})
+        assert ev._double(no_double) is no_double
+        assert ev._double(types.SimpleNamespace(__signatures__={"double": plain})) is plain
 
 
 def _fresh(code, *flags, stdin=""):
@@ -206,7 +240,7 @@ class TestStubLoad:
 import bessel_interlace.evaluate as ev
 import scipy.special.cython_special
 import scipy.special as sp
-print(json.dumps([sp.cython_special.jv is ev._jv, sp.cython_special.yv is ev._yv, bound()]))
+print(json.dumps([sp.cython_special.jv["double"] is ev._jv, sp.cython_special.yv["double"] is ev._yv, bound()]))
 """
         assert _fresh_json(code) == [True, True, True]
 
@@ -214,8 +248,8 @@ print(json.dumps([sp.cython_special.jv is ev._jv, sp.cython_special.yv is ev._yv
         code = _SPECIAL + """
 import scipy.special as sp
 import bessel_interlace.evaluate as ev
-print(json.dumps([sys.modules.get("scipy.special") is sp, sp.cython_special.jv is ev._jv,
-                  sp.cython_special.yv is ev._yv, bound()]))
+print(json.dumps([sys.modules.get("scipy.special") is sp, sp.cython_special.jv["double"] is ev._jv,
+                  sp.cython_special.yv["double"] is ev._yv, bound()]))
 """
         assert _fresh_json(code) == [True, True, True, True]
 
@@ -234,7 +268,7 @@ sys.meta_path.insert(0, Refuse())
 import bessel_interlace.evaluate as ev
 import scipy.special as sp
 print(json.dumps([Refuse.hits, sp.__file__.endswith("__init__.py"), bound(),
-                  sp.cython_special.jv is ev._jv, sp.cython_special.yv is ev._yv]))
+                  sp.cython_special.jv["double"] is ev._jv, sp.cython_special.yv["double"] is ev._yv]))
 """
         assert _fresh_json(code) == [1, True, True, True, True]
 

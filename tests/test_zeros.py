@@ -96,7 +96,8 @@ def grid_zeros(kind, nu, count, step=0.05, bisections=60):
 
 
 class TestZeroIdDomain:
-    # The constructor holds the one domain rule for a zero's kind, order and rank.
+    # check_zero_id holds the one domain rule for a zero's kind, order and rank,
+    # and the constructor applies it.
     @pytest.mark.parametrize(
         "nu,s,code",
         [
@@ -122,11 +123,13 @@ class TestZeroIdDomain:
         assert type(nu) is float and nu == 2.0
 
     def test_numpy_integer_rank_stored_as_int(self):
-        id = ZeroId(ZeroKind.J, 1.0, np.int64(3))
-        assert type(id.s) is int and id == ZeroId(ZeroKind.J, 1.0, 3)
-        zmod.clear_cache()
-        table = zeros_upto(ZeroKind.J, 1.0, np.int64(3))
-        assert len(table) == 3 and table == zeros_upto(ZeroKind.J, 1.0, 3)
+        for s in (np.int64(3), np.int32(3), np.uint16(3)):
+            id = ZeroId(ZeroKind.J, 1, s)
+            assert type(id.s) is int and id == ZeroId(ZeroKind.J, 1.0, 3)
+            zmod.clear_cache()
+            table = zeros_upto(ZeroKind.J, 1, s)
+            assert len(table) == 3 and table == zeros_upto(ZeroKind.J, 1.0, 3)
+            assert [(kind, type(nu)) for kind, nu in cached_columns()] == [(ZeroKind.J, float)]
 
     # A kind's text is parsed by the CLI's --kind choices only; the constructor takes no strings.
     @pytest.mark.parametrize("kind", ["j", None, ZeroKind])
@@ -134,6 +137,36 @@ class TestZeroIdDomain:
         with pytest.raises(DomainError) as err:
             ZeroId(kind, 1.0, 1)
         assert err.value.code == "DOMAIN_KIND"
+
+    # zeros_upto applies the constructor's rule, check_zero_id, without
+    # building a ZeroId: the same code and message, and no cache entry.
+    @pytest.mark.parametrize(
+        "kind,nu,s",
+        [
+            ("j", 1.0, 1),
+            (None, math.nan, 0),
+            (ZeroKind.Y, math.nan, 1),
+            (ZeroKind.Y, math.inf, 1),
+            (ZeroKind.Y, -math.inf, 1),
+            (ZeroKind.Y, -0.5, 1),
+            (ZeroKind.Y, math.nextafter(ev.NU_MAX, math.inf), 1),
+            (ZeroKind.Y, math.nan, 0),
+            (ZeroKind.J, 2.0, 0),
+            (ZeroKind.J, 2.0, -3),
+            (ZeroKind.J, 2.0, zmod.S_MAX_LIMIT + 1),
+            (ZeroKind.J, 2.0, np.int64(0)),
+            (ZeroKind.J, 2.0, np.int64(zmod.S_MAX_LIMIT + 1)),
+            (ZeroKind.J, 2.0, 3.0),
+        ],
+    )
+    def test_zeros_upto_rejects_as_the_constructor_does(self, kind, nu, s):
+        zmod.clear_cache()
+        with pytest.raises(DomainError) as by_id:
+            ZeroId(kind, nu, s)
+        with pytest.raises(DomainError) as by_lookup:
+            zeros_upto(kind, nu, s)
+        assert (by_lookup.value.code, str(by_lookup.value)) == (by_id.value.code, str(by_id.value))
+        assert zmod._cache == {}
 
     def test_bad_kind_leaves_the_cache_empty(self):
         zmod.clear_cache()
