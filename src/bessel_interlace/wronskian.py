@@ -94,15 +94,19 @@ def check_x_max(x_max: float) -> float:
 
 
 def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
-    """A root of W on (0, x_max], or None if W keeps one sign there.
+    """The first root of W on (0, x_max], or None if W keeps one sign there.
 
-    x*W is monotone between consecutive critical points (zeros of J_nu
-    and Y_mu, read in blocks of 1, 2, 4, ... ranks), below the first and
-    past the last up to x_max, so one endpoint sign check per segment
-    finds every root; W is evaluated only up to the first, bisected to ~1e-12.
-    Raises DomainError when x*W shows no sign left of the first critical
-    point (non-finite where Y_mu saturates, 0.0 where J_nu underflows):
-    DOMAIN_X when none lies at or below x_max, else DOMAIN_NU.
+    m = x*W is positive at 0+ and monotone below the first critical point
+    (zeros of J_nu and Y_mu, read in blocks of 1, 2, 4, ... ranks),
+    between consecutive ones and past the last up to x_max. So m is
+    evaluated at the critical points in order and at x_max, and only at
+    the first b where m < 0 is (a, b] bisected to ~1e-12, a being 0+ or
+    the point before b. A midpoint where m reads NaN or an infinity (Y_mu
+    saturates), or 0.0 before any evaluable m > 0 (J_nu underflows),
+    counts as left of the root; an exact 0.0 otherwise is the root. Raises
+    DomainError when m is not evaluable at the first point, or when the
+    bisection ends with no evaluable m > 0 seen: DOMAIN_X when no
+    critical point lies at or below x_max, else DOMAIN_NU.
     """
     nu = ev.check_order(nu)
     mu = ev.check_order(mu)
@@ -127,59 +131,33 @@ def has_positive_zero(nu: float, mu: float, x_max: float) -> float | None:
         pts += [v for v in table.value if v <= x_max]
     pts.sort()
 
-    # Left edge: W(0+) is positive. Find an evaluable point left of the
-    # first critical point that confirms it; below a large order the Y
-    # factor saturates, so back toward the critical point on NaN/inf and
-    # otherwise shrink toward 0 while the probe disagrees with the limit.
-    first = pts[0] if pts else x_max
-    x_left = 0.5 * first
-    f_left = m(x_left)
-    backoff = 0
-    while not evaluable(f_left) and backoff < 40:
-        x_left = 0.5 * (x_left + first)
-        f_left = m(x_left)
-        backoff += 1
-    shrink = 0
-    while f_left < 0.0 and shrink < 80 and x_left > 1e-250:
-        candidate = x_left / 8.0
-        value = m(candidate)
-        if not evaluable(value):
-            break
-        x_left, f_left = candidate, value
-        shrink += 1
-    if not evaluable(f_left):
-        if not pts:  # x_max alone is at fault
-            raise DomainError(f"W is not evaluable on (0, x_max] below every critical point, x_max={x_max!r}", code="DOMAIN_X")
-        raise DomainError(
-            f"W is not evaluable left of its first critical point for nu={nu}, mu={mu}",
-            code="DOMAIN_NU",
-        )
-    if f_left < 0.0:
-        # Sign change hides below every evaluable point; report the
-        # smallest resolvable location.
-        return x_left
-
-    # x_left lies below every critical point, and f_left > 0. Every move
-    # of a keeps m(a) > 0, so a sign change is a negative m; signs are
-    # compared directly, since a product of two tiny m underflows to 0.0.
-    a = x_left
+    # ``positive``: an evaluable m > 0 has been seen. Signs are compared
+    # directly, since a product of two tiny m underflows to 0.0.
+    a, positive = 0.0, False
     for b in pts + [x_max]:
         fb = m(b)
-        if fb == 0.0:
+        if fb == 0.0 and positive:
             return b
-        if fb < 0.0:
-            while b - a > 1e-12 * max(1.0, b):
-                mid = 0.5 * (a + b)
-                fm = m(mid)
-                if fm == 0.0:
-                    return mid
-                if fm < 0.0:
-                    b = mid
-                else:
-                    a = mid
-            return 0.5 * (a + b)
-        a = b
-    return None
+        if fb < 0.0 or not (positive or evaluable(fb)):
+            break
+        a, positive = b, True
+    else:
+        return None
+    # Bisect (a, b] unless m could not be evaluated at the first point.
+    while (positive or evaluable(fb)) and b - a > 1e-12 * max(1.0, b):
+        mid = 0.5 * (a + b)
+        fm = m(mid)
+        if fm == 0.0 and positive:
+            return mid
+        if -math.inf < fm < 0.0:
+            b = mid
+        else:
+            a, positive = mid, positive or evaluable(fm)
+    if positive:
+        return 0.5 * (a + b)
+    if pts:
+        raise DomainError(f"W is not evaluable left of its first critical point for nu={nu}, mu={mu}", code="DOMAIN_NU")
+    raise DomainError(f"W is not evaluable on (0, x_max] below every critical point, x_max={x_max!r}", code="DOMAIN_X")
 
 
 def _chebyshev_interior(lo: float, hi: float, n: int) -> list[float]:

@@ -151,6 +151,43 @@ class TestHasPositiveZero:
         assert "not evaluable" in str(exc.value) and "x_max=1e-120" in str(exc.value)
         assert has_positive_zero(0.0, 2.0, 1e-100) is None
 
+    # J_115 reads 0.0 at x = 0.25 while J_116 does not, so x*W reads
+    # -1.5e-257 there; 0.25 was returned as a root on (0, 0.5], where
+    # mpmath's W keeps its sign.
+    def test_no_root_from_a_negative_reading_below_an_evaluable_w(self):
+        assert oracle.wronskian(115.0, 22.0, 0.25) > 0 and oracle.wronskian(115.0, 22.0, 0.5) > 0
+        assert has_positive_zero(115.0, 22.0, 0.5) is None
+
+    # W substituted at nu = 0, mu = 2, whose first critical point is
+    # j_{0,1} = 2.405: a NaN reading counts as left of the root, and a
+    # root needs an evaluable W > 0 left of it. At x_max = 1.0 no
+    # critical point lies at or below x_max.
+    @pytest.mark.parametrize(
+        "w,x_max,root",
+        [
+            (lambda x: 0.1 - x, 50.0, 0.1),  # below half the first critical point
+            (lambda x: math.nan if x < 1.9 else 2.0 - x, 50.0, 2.0),
+        ],
+        ids=["one-root", "nan-then-root"],
+    )
+    def test_substituted_w_root(self, monkeypatch, w, x_max, root):
+        monkeypatch.setattr(wmod, "eval_W", lambda nu, mu, x: w(x))
+        assert has_positive_zero(0.0, 2.0, x_max) == pytest.approx(root, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "w,x_max,code",
+        [
+            (lambda x: math.nan if x < 2.0 else -1.0, 50.0, "DOMAIN_NU"),
+            (lambda x: math.nan if x < 0.999 else -1.0, 1.0, "DOMAIN_X"),
+        ],
+        ids=["nan-then-negative", "nan-then-negative-no-critical-point"],
+    )
+    def test_substituted_w_without_a_positive_reading(self, monkeypatch, w, x_max, code):
+        monkeypatch.setattr(wmod, "eval_W", lambda nu, mu, x: w(x))
+        with pytest.raises(DomainError) as exc:
+            has_positive_zero(0.0, 2.0, x_max)
+        assert exc.value.code == code and "not evaluable" in str(exc.value)
+
     def test_reads_each_family_in_doubling_blocks(self, monkeypatch):
         # Ranks up to floor(600 / pi) + 2 = 192, whose zeros lie past x_max.
         zmod.clear_cache()
@@ -178,8 +215,8 @@ class TestHasPositiveZero:
 
     @pytest.mark.parametrize("nu,mu,x_max", [(3.0, 4.0, 50.0), (0.0, 0.5, 50.0), (1.0, 1.5, 100.0)])
     def test_sign_checks_at_the_rank_by_rank_critical_points(self, monkeypatch, nu, mu, x_max):
-        # Without a root, W is checked at the left edge, at each critical
-        # point up to x_max in order, and at x_max: the points, taken one
+        # Without a root, W is checked at each critical point up to x_max
+        # in order and at x_max, and nowhere else: the points, taken one
         # rank at a time through ``zero``, are the block reads' points.
         expect = []
         for kind, order in ((ZeroKind.J, nu), (ZeroKind.Y, mu)):
@@ -190,7 +227,7 @@ class TestHasPositiveZero:
         xs = []
         monkeypatch.setattr(wmod, "eval_W", lambda *a: xs.append(a[2]) or eval_W(*a))
         assert has_positive_zero(nu, mu, x_max) is None
-        assert xs[1:] == sorted(expect) + [x_max]
+        assert xs == sorted(expect) + [x_max]
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
     def test_criterion_matches_order_gap(self, nu):
