@@ -146,8 +146,9 @@ def bessel_y(nu: float, x: float) -> float:
 # nu = 0 the term vanishes, so C'_0 = -C_1 costs one call. The backend
 # returns J as 0.0 below ~1e-290, so where J_{nu+1} reads 0.0 but J_nu
 # does not, the upward relation J'_nu = J_{nu-1} - (nu/x) J_nu (A&S
-# 9.1.27) replaces it. Where J_nu reads 0.0 too, J' stays as underflowed
-# as J_nu: J_{nu-1} alone would be about twice J'.
+# 9.1.27) replaces it; where J_nu reads 0.0 but J_{nu+1} does not, the
+# downward recurrence J_nu = (2 (nu+1)/x) J_{nu+1} - J_{nu+2} (A&S 9.1.27)
+# rebuilds J_nu. Where both read 0.0, J' stays 0.0.
 def bessel_dj(nu: float, x: float) -> float:
     if nu < _TINY_ORDER:
         dj = -_jv(1.0, x)
@@ -155,6 +156,8 @@ def bessel_dj(nu: float, x: float) -> float:
     above, here = _jv(nu + 1.0, x), _jv(nu, x)
     if above == 0.0 and here != 0.0 and nu >= 1.0:
         return _jv(nu - 1.0, x) - (nu / x) * here
+    if here == 0.0 and above != 0.0:
+        here = (2.0 * (nu + 1.0) / x) * above - _jv(nu + 2.0, x)
     return -above + (nu / x) * here
 
 

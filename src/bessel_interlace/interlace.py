@@ -249,10 +249,14 @@ def check_suite(suite: str, nu: float, eps: float, s_max: int) -> list[Violation
 
 
 def chain_reports(nu: float, eps: float, s_max: int) -> list[ChainReport]:
-    """``check_chain`` of the seven-node chain at each rank 1..s_max."""
+    """``check_chain``'s report at each rank 1..s_max, from one ``_failing`` pass over every rank."""
     _, nu, eps, s_max = _check_eps_and_rank("theorem2", nu, eps, s_max)
     [(_, columns)] = _columns((_SEVEN_NODE,), nu, eps, s_max)
-    return [check_chain(InterlaceChain(nu, eps, s, nodes)) for s, nodes in enumerate(zip(*columns), 1)]
+    first = dict(reversed(_failing(_SEVEN_NODE, nu, eps, columns)))  # reversed, a rank's lowest pair comes last
+    return [
+        ChainReport(InterlaceChain(nu, eps, s, nodes), s not in first, first.get(s), tuple(b - a for a, b in zip(nodes, nodes[1:])))
+        for s, nodes in enumerate(zip(*columns), 1)
+    ]
 
 
 def build_chain(nu: float, eps: float, s: int) -> InterlaceChain:

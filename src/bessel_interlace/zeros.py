@@ -66,6 +66,14 @@ _STEP = 0.55 * _MIN_GAP
 # bound against zeros found by a grid scan.
 _REACH = 192.0
 
+# Rank 1 at an order nu >= _FLOOR_ORDER lies above its floor nu + _FLOOR_SCALE
+# c nu^(1/3), c = 2^(-1/3) |r| for r the first zero of Ai, Bi, Ai', Bi' (J, Y,
+# J', Y'): Qu and Wong's bound for J, A&S 9.5.15-9.5.17's leading term for the
+# rest; the tests check it against zeros found by a grid scan (margins: README).
+_FLOOR_ORDER = 1.0
+_FLOOR_SCALE = 0.99
+_AIRY_FLOOR = {"j": 1.8557571, "y": 0.9315768, "jp": 0.8086165, "yp": 1.8210980}
+
 
 class ZeroKind(enum.Enum):
     # Members are singletons, so identity hashing agrees with equality and
@@ -256,10 +264,12 @@ def initial_bracket(
     The walk starts at an anchor x, with F(x) = fx, above the s - 1 zeros
     found and below rank s: the upper end of the bracket that ``prev``, the
     previous zero, was walked to, which held that zero alone; with x None,
-    at ``_scan_start``. It steps by _STEP < _MIN_GAP, so the first sign
-    change it meets, or a point where F is exactly 0.0, is rank s. It
-    raises BracketError when F reads NaN or no sign change appears within
-    _REACH of the anchor.
+    at ``_scan_start``. For rank 1 at nu >= _FLOOR_ORDER it is the last
+    point at or below the floor (``_AIRY_FLOOR``) of the lattice x, x +
+    _STEP, ... from there, and no point before it is evaluated. It steps by
+    _STEP < _MIN_GAP, so the first sign change it meets, or a point where F
+    is exactly 0.0, is rank s. It raises BracketError when F reads NaN or
+    no sign change appears within _REACH of the anchor.
 
     A ``guess`` (g, h), h bounding g's error, places the first two points
     at g - h and g + 2h. Rank s lies at least _MIN_GAP past prev and rank
@@ -271,6 +281,10 @@ def initial_bracket(
     value = target[0]
     if x is None:
         x = _scan_start(kind, nu, prev)
+        if prev is None and nu >= _FLOOR_ORDER:
+            floor = nu + _FLOOR_SCALE * _AIRY_FLOOR[kind.value] * nu ** (1.0 / 3.0)
+            while x + _STEP <= floor:
+                x += _STEP
         fx = value(x)
         if fx == 0.0 or math.isnan(fx):
             x *= 1.0 + 1e-9

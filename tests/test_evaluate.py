@@ -340,6 +340,15 @@ class TestUnderflowedJ:
         assert jv(121.0, 0.3375) == jv(120.0, 0.3375) == 0.0 != jv(119.0, 0.3375)
         assert ev.bessel_dj(120.0, 0.3375) == 0.0
 
+    def test_dj_where_only_j_nu_underflows(self):
+        # J_115(0.25) reads 0.0 against mpmath's 4.8e-293, while J_116(0.25)
+        # = 5.1e-296 does not, so -J_116 alone gave J' the wrong sign. The
+        # downward recurrence rebuilds J_115; J_117 reads 0.0 too (mpmath
+        # 5.5e-299), which leaves ~1e-6 of J'.
+        assert jv(115.0, 0.25) == 0.0 != jv(116.0, 0.25)
+        ref = float(oracle.eval_kind("jp", 115.0, 0.25))
+        assert eval_dJ(115.0, 0.25) == pytest.approx(ref, rel=1e-5, abs=0.0)
+
 
 class TestIntInputs:
     # The typed entry points have no integer signature; ints must give

@@ -273,10 +273,14 @@ class TestTarget:
 
 
 class TestWalkStop:
+    # The cases that list the points evaluated use nu = 0.5, below
+    # _FLOOR_ORDER, where the first walk evaluates every lattice point from
+    # x0 = nu.
+
     # A walk point where F is exactly 0.0 ends the walk, and refine returns
     # it with the bracket [r, r], evaluating F nowhere else.
     def test_exact_zero_at_a_walk_point(self, monkeypatch):
-        id = ZeroId(ZeroKind.J, 2.0, 1)
+        id = ZeroId(ZeroKind.J, 0.5, 1)
         x0 = _scan_start(id.kind, id.nu, None)
         r = (x0 + _STEP) + _STEP  # the walk's third point, as the walk forms it
         seen = []
@@ -321,7 +325,7 @@ class TestWalkStop:
     # goes on from that point to the sign change at 10.
     @pytest.mark.parametrize("at_start", [0.0, math.nan])
     def test_start_point_nudged_once(self, monkeypatch, at_start):
-        id = ZeroId(ZeroKind.J, 2.0, 1)
+        id = ZeroId(ZeroKind.J, 0.5, 1)
         x0 = _scan_start(id.kind, id.nu, None)
         seen = []
 
@@ -339,7 +343,7 @@ class TestWalkStop:
     # reading NaN at a walk point, raises BracketError.
     @pytest.mark.parametrize("far", [1.0, math.nan])
     def test_walk_gives_up(self, monkeypatch, far):
-        id = ZeroId(ZeroKind.J, 2.0, 1)
+        id = ZeroId(ZeroKind.J, 0.5, 1)
         x0 = _scan_start(id.kind, id.nu, None)
         seen = []
 
@@ -964,6 +968,57 @@ class TestRankCertification:
     def test_ranks_match_the_grid(self, kind, nu):
         values = [r.value for r in zeros_upto(kind, nu, self.RANKS)]
         assert values == pytest.approx(self.ranked(kind, nu), rel=1e-10, abs=1e-12)
+
+    # The first walk at an order nu >= _FLOOR_ORDER evaluates nothing at or
+    # below the floor A(nu) but the last lattice point there, so A must lie
+    # below rank 1: at ORDERS, and on a 1.0-spaced order grid up to 600
+    # scanned for rank 1 alone, with a grid step of 1.0 and 16 halvings (to
+    # 1.5e-5) to keep it cheap; the least margin is 0.041.
+    FLOOR_GRID = [float(nu) for nu in range(1, 601)]
+
+    @staticmethod
+    def floor(kind, nu):
+        return nu + zmod._FLOOR_SCALE * zmod._AIRY_FLOOR[kind.value] * nu ** (1.0 / 3.0)
+
+    @pytest.mark.parametrize("nu", [nu for nu in ORDERS if nu >= zmod._FLOOR_ORDER])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_floor_below_first_zero(self, kind, nu):
+        assert self.floor(kind, nu) < self.ranked(kind, nu)[0]
+
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_floor_below_first_zero_on_the_order_grid(self, kind):
+        step, halvings = 1.0, 16
+        error = step / 2**halvings
+        assert [nu for nu in self.FLOOR_GRID if not self.floor(kind, nu) < grid_zeros(kind, nu, 1, step, halvings)[0] - error] == []
+
+    # Where a lattice point past x0 = nu lies at or below the floor, the walk
+    # does not evaluate F(x0); had it read 0.0 or NaN, the walk would have
+    # nudged x0 and moved the lattice.
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_target_finite_and_nonzero_at_the_start(self, kind):
+        orders = self.FLOOR_GRID + [nu for nu in self.ORDERS if nu >= zmod._FLOOR_ORDER]
+        values = [target(kind, nu)(_scan_start(kind, nu, None)) for nu in orders]
+        assert all(math.isfinite(v) and v != 0.0 for v in values)
+
+    # The first walk's first point is the last lattice point x0, x0 + _STEP,
+    # ... at or below the floor, and no evaluation lies below it; refine is
+    # handed the bracket and F values, bit for bit, of a walk that evaluates
+    # every lattice point.
+    @pytest.mark.parametrize("nu", [30.0, 250.5, 505.0, 600.0])
+    @pytest.mark.parametrize("kind", list(ZeroKind))
+    def test_first_walk_starts_at_the_floor(self, monkeypatch, kind, nu):
+        x0 = x = _scan_start(kind, nu, None)
+        while x + _STEP <= self.floor(kind, nu):
+            x += _STEP
+        seen = []
+        for name in ("bessel_j", "bessel_y"):
+            real = getattr(ev, name)
+            monkeypatch.setattr(ev, name, lambda order, at, real=real: seen.append(at) or real(order, at))
+        skipped = spied(monkeypatch, "refine", ZeroId(kind, nu, 1))[1][1][0]
+        assert x > x0 and min(seen) == seen[0] == x
+        monkeypatch.setattr(zmod, "_FLOOR_ORDER", math.inf)
+        every = spied(monkeypatch, "refine", ZeroId(kind, nu, 1))[1][1][0]
+        assert [v.hex() for v in skipped[4:]] == [v.hex() for v in every[4:]]
 
     # Ranks 1-1000 of each kind at 2.5 and 30.3; Y_{2.5} runs to the cap.
     # Ranks 1-500 of each kind at 120, 505 and 600, near the order cap.
