@@ -1,10 +1,11 @@
 """Enumeration of positive real zeros j_{nu,s}, y_{nu,s}, j'_{nu,s}, y'_{nu,s}.
 
 Every zero is certified by a sign-change bracket. A cached sequence is
-one cache entry: its columns, float64 ``value``, ``lo``, ``hi`` and
-``residual`` and an integer ``iterations``, with the rank s as the
-position (~40 bytes per zero), and the anchor its next extension starts
-from. One loop, ``_extend_sequence``, extends it a zero at a time:
+one cache entry: its columns, float64 ``value``, ``other`` (the bracket
+end that is not the value) and ``residual`` and an int16 ``iterations``,
+with the rank s as the position (26 bytes per zero), and the anchor its
+next extension starts from. One loop, ``_extend_sequence``, extends it
+a zero at a time:
 ``initial_bracket`` walks to a bracket (lo, hi, F(lo), F(hi)) and states
 what certifies each zero's rank; ``refine`` polishes that bracket into
 the zero's columns and states when it stops and what a zero costs. Both
@@ -149,12 +150,18 @@ class ZeroRecord:
 
 def _record(columns: tuple[array, ...], k: int) -> ZeroRecord:
     """The ZeroRecord of rank k + 1 of a sequence's columns."""
-    value, lo, hi, residual, iterations = columns
-    return ZeroRecord(k + 1, value[k], lo[k], hi[k], residual[k], iterations[k])
+    value, other, residual, iterations = columns
+    v, o = value[k], other[k]
+    return ZeroRecord(k + 1, v, *((v, o) if v < o else (o, v)), residual[k], iterations[k])
 
 
 def _column(i: int, name: str) -> property:
     return property(lambda self: self._columns[i][: self._n], doc=f"A copy of the {name} column, ranks 1..n.")
+
+
+def _end(pick) -> property:
+    doc = f"The bracket's {pick.__name__} end, ranks 1..n, rebuilt from the value and the other end."
+    return property(lambda self: array("d", map(pick, *(c[: self._n] for c in self._columns[:2]))), doc=doc)
 
 
 class ZeroTable:
@@ -163,28 +170,29 @@ class ZeroTable:
 
     An int index builds that rank's ZeroRecord (index s - 1 for rank s),
     and a slice a list of them. ``value``, ``lo``, ``hi``, ``residual``
-    and ``iterations`` return copies of the columns cut to n, as float64
-    (integer for ``iterations``) ``array.array``s; ``rows()`` reads the
-    printed fields in place instead. Two tables are equal
-    when their columns hold the same bits. A cached sequence only grows,
-    so ranks 1..n never change: the view keeps them after the sequence
-    grows and after ``clear_cache``.
+    and ``iterations`` return columns cut to n, as float64 (int16 for
+    ``iterations``) ``array.array``s: copies, and ``lo`` and ``hi`` min
+    and max of the value and the other end; ``rows()`` reads the printed
+    fields in place instead. Two tables are equal when their columns hold
+    the same bits. A cached sequence only grows, so ranks 1..n never
+    change: the view keeps them after the sequence grows and after
+    ``clear_cache``.
     """
 
     __slots__ = ("_columns", "_n")
 
     def __init__(self, columns: tuple[array, ...], n: int) -> None:
-        """A view of the first n entries of ``columns``, (value, lo, hi,
+        """A view of the first n entries of ``columns``, (value, other,
         residual, iterations), which must each hold at least n and never
-        change below n."""
+        change below n; ``other`` is the bracket end that is not the value."""
         self._columns = columns
         self._n = n
 
     value = _column(0, "value")
-    lo = _column(1, "lo")
-    hi = _column(2, "hi")
-    residual = _column(3, "residual")
-    iterations = _column(4, "iterations")
+    lo = _end(min)
+    hi = _end(max)
+    residual = _column(2, "residual")
+    iterations = _column(3, "iterations")
 
     def __len__(self) -> int:
         return self._n
@@ -193,7 +201,8 @@ class ZeroTable:
         """(s, value, lo, hi, residual) for s = 1..n, read from the columns
         without a copy."""
         # zip stops at its first iterable, the ranks, so no column is read past n.
-        return zip(range(1, self._n + 1), *self._columns[:4])
+        rows = zip(range(1, self._n + 1), *self._columns[:3])
+        return ((s, v, v, o, r) if v < o else (s, v, o, v, r) for s, v, o, r in rows)
 
     def __getitem__(self, index):
         # range(n) does a sequence's index rules: negatives, bounds, slices.
@@ -313,7 +322,7 @@ def refine(
     kind: ZeroKind, nu: float, s: int, target: tuple, a: float, b: float, fa: float, fb: float
 ) -> tuple[float, float, float, float, int]:
     """Polish the walk's bracket [a, b] of the s-th zero, with fa = F(a)
-    and fb = F(b), into its columns (value, lo, hi, residual, iterations).
+    and fb = F(b), into (value, lo, hi, residual, iterations), value at lo or hi.
 
     Newton, safeguarded by bisection, starts at the bracket's secant point
     (its midpoint when that is not strictly inside) and runs until its step
@@ -417,11 +426,13 @@ def refine(
 # --- cached sequential enumeration ----------------------------------------
 
 # Per cached sequence, one entry (columns, anchor), dropped as one. The
-# columns (value, lo, hi, residual, iterations) are float64 arrays and an
-# int array, all of one length, the rank s at index s - 1; they only grow,
-# and only under _cache_lock. The anchor, None or (x, F(x)), is where the
-# next walk starts (``initial_bracket``); None before the first walk and
-# after a walk that hit its zero exactly.
+# columns (value, other, residual, iterations) are float64 arrays and an
+# int16 array (iterations <= MAX_REFINE_ITERS + 1), all of one length, the
+# rank s at index s - 1; they only grow, and only under _cache_lock.
+# ``refine`` returns its value as one end of its bracket, so lo and hi are
+# min and max of the value and ``other``, exactly. The anchor, None or
+# (x, F(x)), is where the next walk starts (``initial_bracket``); None
+# before the first walk and after a walk that hit its zero exactly.
 _cache: dict[tuple[ZeroKind, float], tuple[tuple[array, ...], tuple | None]] = {}
 # Guards every lookup and extension of the cache. Extending a sequence never
 # looks up another one, so holding it across the refinement cannot deadlock.
@@ -434,6 +445,14 @@ def clear_cache() -> None:
     """Drop all memoized zero sequences (mainly for tests)."""
     with _cache_lock:
         _cache.clear()
+
+
+def drop_orders_below(nu: float) -> None:
+    """Drop every memoized sequence of an order below nu, for a caller that
+    reads no such order again; ``ZeroTable`` views keep their ranks."""
+    with _cache_lock:
+        for key in [key for key in _cache if key[1] < nu]:
+            del _cache[key]
 
 
 def _mcmahon_row(kind: ZeroKind, nu: float) -> tuple[float, float, float, float, float]:
@@ -511,8 +530,8 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]
     """
     key = (kind, nu)
     with _cache_lock:
-        columns, anchor = _cache.get(key) or ((array("d"), array("d"), array("d"), array("d"), array("i")), None)
-        values, los, his, residuals, iterations = columns
+        columns, anchor = _cache.get(key) or ((array("d"), array("d"), array("d"), array("h")), None)
+        values, others, residuals, iterations = columns
         if len(values) >= s_max:
             return columns
         _cache[key] = columns, None
@@ -539,8 +558,7 @@ def _extend_sequence(kind: ZeroKind, nu: float, s_max: int) -> tuple[array, ...]
             if abs(residual) > RESID_TOL * max(1.0, abs(z)):
                 raise ConvergenceError(f"residual {residual!r} above tolerance for {ZeroId(kind, nu, s)}")
             values.append(z)
-            los.append(lo)
-            his.append(hi)
+            others.append(hi if z == lo else lo)
             residuals.append(residual)
             iterations.append(its)
             x, fx = (b, fb) if fb != 0.0 else (None, None)

@@ -12,7 +12,8 @@ import bessel_interlace.zeros as zmod
 
 
 def cached_columns() -> dict:
-    """Each cached sequence's columns (value, lo, hi, residual, iterations), by (kind, nu)."""
+    """Each cached sequence's columns (value, other, residual, iterations), by
+    (kind, nu); ``other`` is the bracket end that is not the value."""
     with zmod._cache_lock:
         return {key: columns for key, (columns, _) in zmod._cache.items()}
 

@@ -25,14 +25,18 @@ def substituted_zeros(changes):
     true_zeros_upto = zeros.zeros_upto
 
     def swapped(kind, nu, s_max):
-        """A table over copies of the true table's columns, its value column swapped."""
+        """A table over the true table's columns, its value column a swapped copy.
+
+        Its other columns (other bracket end, residual, iterations) are the
+        true ones, so a swapped zero's lo and hi are rebuilt around the
+        swapped value: the checkers read values only."""
         true = true_zeros_upto(kind, nu, s_max)
         value = true.value
         for s, v in enumerate(value, 1):
             f = table.get((kind, float(nu), s))
             if f is not None:
                 value[s - 1] = f(v)
-        return zeros.ZeroTable((value, true.lo, true.hi, true.residual, true.iterations), len(true))
+        return zeros.ZeroTable((value, *true._columns[1:]), len(true))
 
     with contextlib.ExitStack() as stack:
         for module in (interlace, wronskian, cli):

@@ -8,6 +8,7 @@ import pytest
 
 import bessel_interlace.interlace as imod
 import bessel_interlace.zeros as zmod
+import command_dump
 import fixtures
 from cache_view import cached_columns
 from bessel_interlace import cli
@@ -186,7 +187,8 @@ class TestStreamedOutput:
 
     # Peak minus retained traced memory: the render's transient cost, with the
     # zero cache and whatever else stays alive left out. A whole CSV body
-    # takes ~2.6 MB here and a whole JSON body ~6.6 MB.
+    # takes ~2.6 MB here and a whole JSON body ~6.6 MB; a chunk of _BLOCK =
+    # 64 rows ~30 KB and ~44 KB (512 rows: ~213 KB and ~323 KB).
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rendering_memory_is_bounded(self, monkeypatch, fmt):
         monkeypatch.setattr(sys, "stdout", Discard())
@@ -196,7 +198,7 @@ class TestStreamedOutput:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - retained < 0.5 * 2**20
+        assert peak - retained < 0.1 * 2**20
 
     def test_rank_error_prints_nothing_and_creates_no_file(self, capsys, tmp_path):
         target = tmp_path / "zeros.csv"
@@ -413,6 +415,27 @@ class TestVerifyCommand:
         per_order = [("theorem1", 1.0), ("proposition", 1.0), ("derivative-chains", 0.5), ("derivative-chains", 1.0),
                      ("theorem2", 0.5), ("theorem2", 1.0)]
         assert (code, calls) == (0, [(suite, nu, eps) for nu in (0.0, 0.5, 1.0) for suite, eps in per_order])
+
+    # Point nu drops the cached sequences of orders below it, so the cache
+    # holds at most the 4 kinds at orders nu .. nu + 1. No dropped order is
+    # read again: a run that drops nothing makes the same evaluator calls
+    # and prints the same bytes.
+    def test_passed_orders_are_dropped(self, monkeypatch):
+        argv = ["verify", "--suite", "all", "--nu-grid", "0:40:0.25", "--smax", "5"]
+        extend, live = zmod._extend_sequence, []
+
+        def spied(*args):
+            columns = extend(*args)
+            live.append(len(zmod._cache))
+            return columns
+
+        with monkeypatch.context() as m:
+            m.setattr(zmod, "_extend_sequence", spied)
+            dropping = command_dump._run(argv)
+        monkeypatch.setattr(cli, "drop_orders_below", lambda nu: None)
+        kept = command_dump._run(argv)
+        assert live and max(live) <= 20
+        assert dropping == kept and dropping[0] == 0
 
     # BESSEL_INTERLACE_THREADS does not override the flag.
     @pytest.mark.parametrize("flag,env", [("0", None), ("0", "4")])

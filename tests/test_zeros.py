@@ -750,16 +750,16 @@ class TestLookupCost:
 
     def test_sweep_cache_size(self):
         # The orders and ranks of `verify --suite all --nu-grid 0:10:0.25
-        # --smax 20`: 180 sequences of 20 or 21 zeros. Their column buffers
-        # hold at most 48 bytes per cached zero (36 bytes, and capacity for
-        # 25 zeros each). On top of that each sequence holds ~0.77 KB: five
-        # array headers, the column tuple, its key, its entry, its anchor
-        # (x, F(x)) and its share of the dict; so the whole cache takes
-        # ~83 bytes per zero, against ~188 for a ZeroRecord per zero.
-        # The bound is on cache_bytes, which counts each object; tracemalloc
-        # misses those the free lists hand out from before it started, and
-        # read 72 to 83 here with the same cache, so it only bounds what
-        # else the sweep leaves alive.
+        # --smax 20`, with no order dropped: 180 sequences of 20 or 21
+        # zeros. Their column buffers hold at most 34 bytes per cached zero
+        # (26 bytes, and capacity for 25 zeros each; 32.1 measured). On top
+        # of that each sequence holds ~0.7 KB: four array headers, the
+        # column tuple, its key, its entry, its anchor (x, F(x)) and its
+        # share of the dict; so the whole cache takes ~66 bytes per zero,
+        # against ~188 for a ZeroRecord per zero. The bound is on
+        # cache_bytes, which counts each object; tracemalloc misses those
+        # the free lists hand out from before it started, and read ~60 here,
+        # so it only bounds what else the sweep leaves alive.
         zmod.clear_cache()
         tracemalloc.start()
         try:
@@ -778,8 +778,8 @@ class TestLookupCost:
         finally:
             zmod.clear_cache()
         assert cached == 3641
-        assert buffers / cached <= 48
-        assert held / cached <= 85
+        assert buffers / cached <= 34
+        assert held / cached <= 68
         assert current / cached <= 85
 
     def test_cached_record_is_immutable(self):
@@ -881,6 +881,39 @@ class TestZeroTable:
         assert table(0.0) != table(-0.0)
         assert table(1.0) == table(1.0) and table(1.0) != table(2.0)
         assert zeros_upto(ZeroKind.J, 1.5, 5) != zeros_upto(ZeroKind.J, 1.5, 6)
+
+    # The cache keeps each zero's value and the other end of its bracket;
+    # lo and hi are rebuilt as their min and max, bit for bit the bracket
+    # refine returned. Rank 5 is made an exact hit [z, z], and j'_{0,1}
+    # keeps its [0, 0] without a refine.
+    @pytest.mark.parametrize("kind,nu", [(ZeroKind.JPRIME, 0.0), (ZeroKind.J, 0.5), (ZeroKind.Y, 2.5), (ZeroKind.YPRIME, 30.0)])
+    def test_brackets_rebuilt_bit_for_bit(self, monkeypatch, kind, nu):
+        real, returned = zmod.refine, {1: (0.0, 0.0, 0.0, 0.0, 0)}
+
+        def spy(*args):
+            out = real(*args)
+            returned[args[2]] = (out[0],) * 3 + (0.0, 0) if args[2] == 5 else out
+            return returned[args[2]]
+
+        zmod.clear_cache()
+        monkeypatch.setattr(zmod, "refine", spy)
+        try:
+            table = zeros_upto(kind, nu, 60)
+            records = [zero(ZeroId(kind, nu, s)) for s in range(1, 61)]
+        finally:
+            zmod.clear_cache()
+        brackets = [returned[s][:3] for s in range(1, 61)]
+        assert {z == lo for z, lo, hi in brackets if lo < hi} == {True, False}  # both ends hold values
+        assert brackets[4][0] == brackets[4][1] == brackets[4][2]
+        assert table.lo.tobytes() == array("d", [lo for _, lo, _ in brackets]).tobytes()
+        assert table.hi.tobytes() == array("d", [hi for _, _, hi in brackets]).tobytes()
+        expected = [(s, *returned[s]) for s in range(1, 61)]
+        assert [_record_bits(r) for r in table] == [_record_bits(r) for r in records] == [
+            _record_bits(zmod.ZeroRecord(*fields)) for fields in expected
+        ]
+        assert [tuple(map(float.hex, row[1:])) for row in table.rows()] == [
+            tuple(map(float.hex, fields[1:5])) for fields in expected
+        ]
 
 
 class TestIntOrders:
@@ -1469,10 +1502,11 @@ class TestConcurrency:
     @staticmethod
     def assert_whole(columns):
         """All columns of one length, each rank's fields one zero (its value
-        inside its own bracket), and values strictly increasing."""
-        values, los, his, _, iterations = columns
+        inside its own bracket, rebuilt as min and max of the value and the
+        other end), and values strictly increasing."""
+        values, others, _, iterations = columns
         assert len({len(c) for c in columns}) == 1
-        assert all(lo <= v <= hi for lo, v, hi in zip(los, values, his))
+        assert all(min(v, o) <= v <= max(v, o) for v, o in zip(values, others))
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(0 <= i <= zmod.MAX_REFINE_ITERS + 1 for i in iterations)
 
